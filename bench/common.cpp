@@ -115,55 +115,6 @@ double simulate_bpar(bpar::rnn::Network& net, const SimSetup& setup,
   return r.makespan_ms;
 }
 
-double simulate_bseq(const NetworkConfig& cfg, const SimSetup& setup,
-                     int replicas) {
-  // B-Seq: R coarse, independent tasks (one full sequential pass per
-  // mini-batch) plus a reduction — data parallelism only. Each coarse
-  // task's cost is the *sum* of the same per-cell costs B-Par's graph
-  // uses for one replica's slice, so the two systems' total work agrees.
-  const int reps = std::min(replicas, cfg.batch_size);
-  double per_replica_ns = 0.0;
-  {
-    NetworkConfig replica_cfg = cfg;
-    replica_cfg.batch_size = std::max(1, cfg.batch_size / reps);
-    bpar::rnn::Network replica_net(replica_cfg, /*allocate_weights=*/false);
-    BuildOptions bo;
-    bo.training = setup.training;
-    bo.executable = false;
-    TrainingProgram replica_prog(replica_net, replica_cfg.batch_size, bo);
-    for (const auto cost :
-         bpar::sim::modeled_costs(replica_prog.graph(), setup.calibration)) {
-      per_replica_ns += static_cast<double>(cost);
-    }
-  }
-  bpar::taskrt::TaskGraph graph;
-  std::vector<char> slots(static_cast<std::size_t>(reps) + 1);
-  std::vector<bpar::taskrt::Access> reduce_ins;
-  for (int r = 0; r < reps; ++r) {
-    bpar::taskrt::TaskSpec spec;
-    spec.kind = bpar::taskrt::TaskKind::kGeneric;
-    spec.cost_hint_ns = static_cast<std::uint64_t>(per_replica_ns);
-    spec.replica = r;
-    graph.add([] {}, {bpar::taskrt::out(&slots[static_cast<std::size_t>(r)])},
-              std::move(spec));
-    reduce_ins.push_back(
-        bpar::taskrt::in(&slots[static_cast<std::size_t>(r)]));
-  }
-  bpar::taskrt::TaskSpec reduce_spec;
-  reduce_spec.kind = bpar::taskrt::TaskKind::kGradReduce;
-  reduce_spec.flops = 2.0 * reps * 1e6;
-  reduce_ins.push_back(bpar::taskrt::out(&slots.back()));
-  graph.add([] {},
-            std::span<const bpar::taskrt::Access>(reduce_ins.data(),
-                                                  reduce_ins.size()),
-            std::move(reduce_spec));
-  const auto costs = bpar::sim::modeled_costs(graph, setup.calibration);
-  Simulator simulator(
-      SimOptions{.policy = bpar::taskrt::SchedulerPolicy::kFifo,
-                 .cores = setup.cores});
-  return simulator.run(graph, costs).makespan_ms;
-}
-
 double simulate_framework(bpar::rnn::Network& net, const SimSetup& setup,
                           const FrameworkProfile& profile) {
   const BuildOptions bo = bpar::exec::baseline_build_options(

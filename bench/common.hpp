@@ -48,9 +48,9 @@ struct SimSetup {
 
 /// Simulated per-batch time (ms) of B-Par with `replicas` mini-batches.
 /// Optionally returns the full simulator result. `schedule_profile` picks
-/// an ablation schedule ("fused_merge", "layer_barriers", "sequential",
-/// "framework"); `passes` runs the graph-optimizer pipeline ("" = off, the
-/// faithful paper graph).
+/// another schedule of the same graph ("bseq" — the B-Seq baseline —
+/// "fused_merge", "layer_barriers", "sequential", "framework"); `passes`
+/// runs the graph-optimizer pipeline ("" = off, the faithful paper graph).
 [[nodiscard]] double simulate_bpar(bpar::rnn::Network& net,
                                    const SimSetup& setup, int replicas,
                                    bpar::sim::SimResult* result = nullptr,
@@ -62,10 +62,6 @@ struct SimSetup {
 /// graph::passes::effective_pass_spec (so "default" and BPAR_GRAPH_PASSES
 /// work like they do in the executors).
 [[nodiscard]] std::string resolve_passes(const bpar::util::ArgParser& args);
-
-/// Simulated per-batch time (ms) of B-Seq (data parallelism only).
-[[nodiscard]] double simulate_bseq(const bpar::rnn::NetworkConfig& cfg,
-                                   const SimSetup& setup, int replicas);
 
 /// Simulated per-batch time (ms) of a framework baseline (per-layer
 /// barriers + intra-op chunking under `profile`).

@@ -40,7 +40,8 @@ int main(int argc, char** argv) {
         bench::simulate_framework(net, s, bpar::exec::keras_cpu_profile());
     const double pytorch =
         bench::simulate_framework(net, s, bpar::exec::pytorch_cpu_profile());
-    const double bseq = bench::simulate_bseq(cfg, s, replicas);
+    const double bseq =
+        bench::simulate_bpar(net, s, replicas, nullptr, "bseq");
     const double bpar_ms =
         bench::simulate_bpar(net, s, replicas, nullptr, "", passes);
     table.add_row({std::to_string(cores), bpar::util::fmt_ms(keras),

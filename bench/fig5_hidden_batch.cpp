@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
               net, s, bpar::exec::pytorch_cpu_profile());
         });
         const double bseq = best([&](const bench::SimSetup& s) {
-          return bench::simulate_bseq(cfg, s, replicas);
+          return bench::simulate_bpar(net, s, replicas, nullptr, "bseq");
         });
         const double bpar_ms = best([&](const bench::SimSetup& s) {
           return bench::simulate_bpar(net, s, replicas);

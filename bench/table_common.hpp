@@ -46,7 +46,8 @@ inline int run_training_table(int argc, char** argv, bpar::rnn::CellType cell,
         simulate_framework(net, setup, bpar::exec::keras_cpu_profile());
     const double pytorch =
         simulate_framework(net, setup, bpar::exec::pytorch_cpu_profile());
-    const double bseq = simulate_bseq(cfg, setup, replicas);
+    const double bseq =
+        simulate_bpar(net, setup, replicas, nullptr, "bseq");
     const double bpar_ms = simulate_bpar(net, setup, replicas);
     table.add_row(
         {std::to_string(row.input), std::to_string(row.hidden),

@@ -1,6 +1,5 @@
 #include "core/bpar.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -30,21 +29,17 @@ const char* executor_kind_name(ExecutorKind kind) {
 std::unique_ptr<exec::Executor> make_executor(ExecutorKind kind,
                                               rnn::Network& net,
                                               const ExecutorOptions& options) {
-  switch (kind) {
-    case ExecutorKind::kSequential:
-      return std::make_unique<exec::SequentialExecutor>(net);
-    case ExecutorKind::kBPar:
-      return std::make_unique<exec::BParExecutor>(
-          net, exec::BParOptions{.common = options});
-    case ExecutorKind::kBSeq:
-      return std::make_unique<exec::BSeqExecutor>(
-          net, exec::BSeqOptions{.common = options});
-    case ExecutorKind::kLayerBarrier:
-      return std::make_unique<exec::BarrierExecutor>(
-          net, exec::BarrierOptions{.common = options});
+  if (kind == ExecutorKind::kSequential) {
+    return std::make_unique<exec::SequentialExecutor>(net);
   }
-  BPAR_CHECK(false, "unknown executor kind");
-  return nullptr;
+  exec::BParOptions profiled{.common = options};
+  if (kind == ExecutorKind::kBSeq) profiled.schedule_profile = "bseq";
+  if (kind == ExecutorKind::kLayerBarrier) {
+    // Frameworks parallelize inside each op, not across mini-batches.
+    profiled.schedule_profile = "framework";
+    profiled.common.num_replicas = 1;
+  }
+  return std::make_unique<exec::BParExecutor>(net, std::move(profiled));
 }
 
 Model::Model(const rnn::NetworkConfig& config) : net_(config) {
@@ -75,22 +70,6 @@ exec::StepResult Model::train_batch(const rnn::BatchData& batch) {
 exec::InferResult Model::infer(const rnn::BatchData& batch,
                                const exec::InferOptions& options) {
   return executor_->infer(batch, options);
-}
-
-exec::StepResult Model::infer_batch(const rnn::BatchData& batch,
-                                    std::span<int> predictions) {
-  exec::InferResult result = executor_->infer(batch);
-  if (!predictions.empty()) {
-    BPAR_CHECK(predictions.size() == result.predictions.size(),
-               "prediction buffer size mismatch");
-    std::copy(result.predictions.begin(), result.predictions.end(),
-              predictions.begin());
-  }
-  exec::StepResult step;
-  step.loss = result.loss;
-  step.wall_ms = result.wall_ms;
-  step.stats = std::move(result.stats);
-  return step;
 }
 
 void Model::save(const std::string& path) const {

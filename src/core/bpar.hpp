@@ -20,10 +20,8 @@
 #include <memory>
 #include <string>
 
-#include "exec/barrier_executor.hpp"
 #include "exec/bpar_executor.hpp"
 #include "exec/common_options.hpp"
-#include "exec/bseq_executor.hpp"
 #include "exec/executor.hpp"
 #include "exec/sequential.hpp"
 #include "rnn/batch.hpp"
@@ -35,11 +33,13 @@ namespace bpar {
 
 [[nodiscard]] const char* version();
 
+/// The named schedules. Every kind but kSequential is a BParExecutor with
+/// the matching schedule profile.
 enum class ExecutorKind {
   kSequential,   // single-threaded reference
   kBPar,         // barrier-free task graph (the paper's contribution)
-  kBSeq,         // data parallelism only
-  kLayerBarrier  // per-layer barriers + intra-op parallelism
+  kBSeq,         // "bseq": data parallelism only
+  kLayerBarrier  // "framework": per-layer barriers + intra-op parallelism
 };
 
 [[nodiscard]] const char* executor_kind_name(ExecutorKind kind);
@@ -47,7 +47,7 @@ enum class ExecutorKind {
 /// The knobs every executor understands. This *is* exec::CommonOptions — a
 /// single definition shared by all four executor kinds, so a default can
 /// never silently diverge between paths (tests/test_executors.cpp asserts
-/// this). Executor-specific structs embed it as their `.common` member.
+/// this). exec::BParOptions embeds it as its `.common` member.
 using ExecutorOptions = exec::CommonOptions;
 
 /// Creates an executor of the given kind bound to `net`.
@@ -75,10 +75,6 @@ class Model {
   /// Forward only: loss, argmax predictions, optional logits.
   exec::InferResult infer(const rnn::BatchData& batch,
                           const exec::InferOptions& options = {});
-  /// Forward only; optional argmax predictions copied into `predictions`.
-  [[deprecated("use infer(batch) -> InferResult")]]
-  exec::StepResult infer_batch(const rnn::BatchData& batch,
-                               std::span<int> predictions = {});
 
   void save(const std::string& path) const;
   void load(const std::string& path);

@@ -31,6 +31,10 @@ FrameworkProfile native_profile() {
           .max_intra_op_chunks = 1};
 }
 
+int intra_op_chunks(int lanes, int batch_rows) {
+  return std::clamp(lanes, 1, std::max(1, batch_rows / 4));
+}
+
 graph::BuildOptions baseline_build_options(const FrameworkProfile& profile,
                                            int cores, int batch_rows,
                                            bool training) {
@@ -39,10 +43,8 @@ graph::BuildOptions baseline_build_options(const FrameworkProfile& profile,
   bo.training = training;
   bo.executable = false;
   bo.schedule_profile = "framework";  // per-layer barriers + sequential dirs
-  // A cell's GEMM can be split at most once per few batch rows.
-  const int by_rows = std::max(1, batch_rows / 4);
   bo.intra_op_chunks =
-      std::clamp(std::min(cores, profile.max_intra_op_chunks), 1, by_rows);
+      intra_op_chunks(std::min(cores, profile.max_intra_op_chunks), batch_rows);
   return bo;
 }
 

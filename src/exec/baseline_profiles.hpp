@@ -2,8 +2,10 @@
 // CPU baselines (DESIGN.md §4).
 //
 // The baselines' *schedule* (per-layer barriers, sequential directions,
-// intra-op chunking) is encoded as a shape-only TaskGraph; these profiles
-// supply the per-task cost adjustments that distinguish the frameworks:
+// intra-op chunking) is the "framework" schedule profile — the same graph
+// BParExecutor runs for ExecutorKind::kLayerBarrier, here built shape-only.
+// These profiles supply the per-task cost adjustments that distinguish the
+// frameworks:
 //
 //   * gemm_cost_multiplier — kernel quality relative to our mini-BLAS.
 //     The paper measures PyTorch-CPU 2-5x slower than Keras-CPU at
@@ -41,6 +43,10 @@ struct FrameworkProfile {
 
 /// B-Par / B-Seq run our own kernels with no framework overhead.
 [[nodiscard]] FrameworkProfile native_profile();
+
+/// Intra-op chunks a cell of `batch_rows` rows splits into across `lanes`
+/// cores: at most one chunk per four rows.
+[[nodiscard]] int intra_op_chunks(int lanes, int batch_rows);
 
 /// Build options for a shape-only baseline graph at `cores` intra-op lanes.
 [[nodiscard]] graph::BuildOptions baseline_build_options(

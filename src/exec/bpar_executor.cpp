@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "exec/baseline_profiles.hpp"
 #include "exec/reference_pass.hpp"
 #include "graph/passes/registry.hpp"
 #include "obs/memory.hpp"
@@ -61,8 +62,11 @@ graph::TrainingProgram& BParExecutor::program(bool training, int seq_length,
     // degrade gracefully to fewer (or one) replica.
     bo.num_replicas = std::min(options_.common.num_replicas, rows);
     bo.training = training;
-    bo.schedule_profile =
-        options_.fuse_merge ? "fused_merge" : options_.schedule_profile;
+    bo.schedule_profile = options_.schedule_profile;
+    if (bo.schedule_profile == "framework") {
+      bo.intra_op_chunks =
+          intra_op_chunks(runtime_.num_workers(), rows / bo.num_replicas);
+    }
     bo.compute_input_grads = options_.compute_input_grads;
     bo.seq_length_override = steps;
     bo.passes = spec;
@@ -80,6 +84,12 @@ graph::TrainingProgram& BParExecutor::program(bool training, int seq_length,
     obs::program_cache_memory().on_alloc(program_graph_bytes(*it->second));
   }
   return *it->second;
+}
+
+const char* BParExecutor::name() const {
+  if (options_.schedule_profile == "bseq") return "b-seq";
+  if (options_.schedule_profile == "framework") return "layer-barrier";
+  return "b-par";
 }
 
 graph::TrainingProgram& BParExecutor::train_program(int seq_length,

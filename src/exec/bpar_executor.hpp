@@ -8,6 +8,12 @@
 // timesteps, so the executor keeps one cached program per observed length
 // and "adjusts the computation graph dynamically" (paper §III-B) by
 // building a new graph the first time a length appears.
+//
+// The paper's baselines are schedule profiles of the same program
+// (BuildOptions::schedule_profile): "bseq" chains each replica's tasks
+// into one serial sequence (B-Seq), and "framework" adds per-layer
+// barriers, sequential directions and intra-op row chunks sized from the
+// worker count (the Keras/PyTorch CPU style).
 #pragma once
 
 #include <cstdint>
@@ -28,7 +34,6 @@ struct BParOptions {
   /// Workers, replicas (mbs:N), policy, pinning, watchdog, faults.
   CommonOptions common{};
   bool record_trace = false;
-  bool fuse_merge = false;  // ablation knob (see DESIGN.md §5.1)
   bool compute_input_grads = false;  // also produce per-timestep dL/dx
   /// Per-task-class hardware counters (RunStats::kind_counters); no-op
   /// when perf_event_open is unavailable.
@@ -43,7 +48,7 @@ struct BParOptions {
   /// pipeline, otherwise a comma list like "gate_fusion,coarsen:1200".
   std::string passes = "default";
   /// Schedule shape forwarded to BuildOptions::schedule_profile ("" =
-  /// free-running B-Par; baseline emulations use "framework" etc.).
+  /// free-running B-Par; "bseq", "framework", "fused_merge", ...).
   std::string schedule_profile;
 };
 
@@ -61,7 +66,8 @@ class BParExecutor final : public Executor {
   rnn::NetworkGrads& grads() override {
     return (last_train_ != nullptr ? *last_train_ : train_program()).grads();
   }
-  [[nodiscard]] const char* name() const override { return "b-par"; }
+  /// "b-seq" / "layer-barrier" for those profiles, else "b-par".
+  [[nodiscard]] const char* name() const override;
 
   /// Program for the config's default shape, or for the (`seq_length`,
   /// `batch_rows`) shape bucket when given (0 → the config's value); built

@@ -8,8 +8,9 @@
 // this struct, so facade callers and direct executor construction can never
 // disagree on a default (tests/test_serve.cpp pins that down).
 //
-// Executors ignore knobs that do not apply to them (BarrierExecutor has no
-// replicas; only B-Par honours `policy`) but never reinterpret them.
+// Executors ignore knobs that do not apply to them (the sequential
+// reference has no workers; the layer-barrier kind runs one replica) but
+// never reinterpret them.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +22,7 @@ namespace bpar::exec {
 
 struct CommonOptions {
   int num_workers = 0;   // 0 → hardware concurrency
-  int num_replicas = 1;  // mini-batches (B-Par / B-Seq; the paper's mbs:N)
+  int num_replicas = 1;  // mini-batches (the paper's mbs:N)
   taskrt::SchedulerPolicy policy = taskrt::SchedulerPolicy::kLocalityAware;
   bool pin_threads = false;  // pin workers to the allowed cpuset (Linux)
   /// Runtime watchdog: fail with a scheduler-state dump instead of hanging

@@ -1,20 +1,18 @@
-// Common interface of the four execution strategies the paper compares:
+// Common interface of the execution strategies the paper compares:
 //
 //   SequentialExecutor — single-threaded reference (ground truth)
-//   BParExecutor       — the paper's contribution: barrier-free task graph,
-//                        model + data parallelism
-//   BSeqExecutor       — data parallelism only (paper's B-Seq)
-//   BarrierExecutor    — per-layer barriers + intra-op parallelism, the
-//                        Keras/TensorFlow & PyTorch CPU execution style
+//   BParExecutor       — one task graph plus a schedule profile: the
+//                        paper's barrier-free B-Par (default), B-Seq
+//                        ("bseq": data parallelism only), and the
+//                        Keras/PyTorch CPU style ("framework": per-layer
+//                        barriers + intra-op parallelism)
 //
 // All executors compute identical losses and gradients for the same batch
 // (up to float addition reordering, and bitwise for most pairs) — the paper
 // stresses that B-Par's scheduling causes no accuracy loss.
 //
 // Inference contract: `infer(batch)` returns an InferResult that owns the
-// argmax predictions (and, on request, the full logits) in batch layout —
-// no caller-sized output spans. The old `infer_batch(batch, span)` overload
-// survives only as a deprecated non-virtual shim over infer().
+// argmax predictions (and, on request, the full logits) in batch layout.
 #pragma once
 
 #include <cmath>
@@ -101,12 +99,6 @@ class Executor {
   InferResult infer(const rnn::BatchData& batch) {
     return infer(batch, InferOptions{});
   }
-
-  /// Deprecated shim over infer(): if `predictions` is non-empty it must be
-  /// pre-sized to outputs*batch and receives the argmax class ids.
-  [[deprecated("use infer(batch) -> InferResult")]]
-  StepResult infer_batch(const rnn::BatchData& batch,
-                         std::span<int> predictions);
 
   /// Whole-batch mean gradients from the last train_batch call.
   virtual rnn::NetworkGrads& grads() = 0;

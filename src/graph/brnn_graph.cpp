@@ -1,7 +1,6 @@
 #include "graph/brnn_graph.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <utility>
@@ -180,26 +179,13 @@ void TrainingProgram::resolve_schedule() {
   } else if (p == "framework") {
     sched_.per_layer_barriers = true;
     sched_.sequential_directions = true;
+  } else if (p == "bseq") {
+    sched_.replica_chains = true;
   } else {
     std::fprintf(stderr,
                  "[bpar] warning: unknown schedule_profile \"%s\"; "
                  "using \"bpar\"\n",
                  p.c_str());
-  }
-  if (opts_.per_layer_barriers || opts_.sequential_directions ||
-      opts_.fuse_merge) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      std::fprintf(
-          stderr,
-          "[bpar] warning: BuildOptions::{fuse_merge, per_layer_barriers, "
-          "sequential_directions} are deprecated and will be removed; use "
-          "schedule_profile = \"fused_merge\" / \"layer_barriers\" / "
-          "\"sequential\" / \"framework\"\n");
-    }
-    sched_.per_layer_barriers |= opts_.per_layer_barriers;
-    sched_.sequential_directions |= opts_.sequential_directions;
-    sched_.fuse_merge |= opts_.fuse_merge;
   }
 }
 
@@ -218,6 +204,9 @@ TrainingProgram::TrainingProgram(rnn::Network& net, int total_batch,
   BPAR_CHECK(opts_.num_replicas <= total_batch_,
              "more replicas than batch rows");
   BPAR_CHECK(opts_.intra_op_chunks >= 1, "bad intra_op_chunks");
+  BPAR_CHECK(!opts_.executable ||
+                 opts_.intra_op_chunks <= total_batch_ / opts_.num_replicas,
+             "more intra-op chunks than replica rows");
 
   const int outputs = cfg.many_to_many ? cfg.seq_length : 1;
   losses_.assign(
@@ -240,15 +229,18 @@ TrainingProgram::TrainingProgram(rnn::Network& net, int total_batch,
         cfg.many_to_many ? cfg.seq_length * total_batch_ : total_batch_;
     labels_.assign(static_cast<std::size_t>(label_count), 0);
     for (int r = 0; r < opts_.num_replicas; ++r) {
-      const int rb = row_begin_[static_cast<std::size_t>(r + 1)] -
-                     row_begin_[static_cast<std::size_t>(r)];
       replicas_.push_back(std::make_unique<rnn::Workspace>(
-          cfg, rb, opts_.compute_input_grads));
+          cfg, replica_rows(r), opts_.compute_input_grads));
     }
     if (opts_.training) {
       replica_grads_.resize(static_cast<std::size_t>(opts_.num_replicas));
       for (auto& g : replica_grads_) g.init_like(net_);
       master_grads_.init_like(net_);
+      if (opts_.intra_op_chunks > 1) {
+        chunk_grads_.resize(static_cast<std::size_t>(opts_.num_replicas) *
+                            opts_.intra_op_chunks);
+        for (auto& g : chunk_grads_) g.init_like(net_);
+      }
     }
   }
 
@@ -279,19 +271,24 @@ void TrainingProgram::prepare() {
   if (!opts_.executable) return;
   for (auto& ws : replicas_) ws->zero_backward();
   for (auto& g : replica_grads_) g.zero();
+  for (auto& g : chunk_grads_) g.zero();
   if (opts_.training) master_grads_.zero();
+}
+
+void TrainingProgram::push_op(passes::Op op) {
+  if (chain_token_ != nullptr) op.accesses.push_back(inout(chain_token_));
+  ops_.push_back(std::move(op));
 }
 
 void TrainingProgram::add_op(std::function<void()> fn,
                              std::vector<Access> accesses, TaskSpec spec,
-                             bool chunkable, int gemms) {
+                             int gemms) {
   passes::Op op;
   op.fn = std::move(fn);
   op.accesses = std::move(accesses);
   op.spec = std::move(spec);
-  op.chunkable = chunkable;
   op.gemms = gemms;
-  ops_.push_back(std::move(op));
+  push_op(std::move(op));
 }
 
 void TrainingProgram::add_cell_op(std::vector<Access> accesses, TaskSpec spec,
@@ -302,42 +299,66 @@ void TrainingProgram::add_cell_op(std::vector<Access> accesses, TaskSpec spec,
   op.chunkable = true;
   op.gemms = passes::cell_forward_gemms(cell.lstm, false, false);
   op.cell = std::move(cell);
-  ops_.push_back(std::move(op));
+  push_op(std::move(op));
 }
 
-std::function<void()> TrainingProgram::make_cell_fn(passes::CellInfo ci) {
-  return [this, ci] {
+namespace {
+
+/// Batch rows [row0, row0 + rows) of a replica buffer (empty stays empty).
+template <typename View>
+View row_slice(View v, int row0, int rows) {
+  return v.data == nullptr ? v : v.block(row0, 0, rows, v.cols);
+}
+
+/// Installs a chunkable op's row-sliceable body: kept whole for the
+/// intra-op split, else bound to all `rows` rows of its replica.
+template <typename Body>
+void set_rows_body(passes::Op& op, Body body, int chunks, int rows) {
+  if (chunks > 1) {
+    op.rows_fn = std::move(body);
+  } else {
+    op.fn = [body = std::move(body), rows] { body(-1, 0, rows); };
+  }
+}
+
+}  // namespace
+
+auto TrainingProgram::make_cell_fn(passes::CellInfo ci) {
+  return [this, ci](int /*chunk*/, int row0, int rows) {
     const NetworkConfig& c = cfg_;
     rnn::Workspace* ws = ci.ws;
+    const auto slice = [&](auto v) { return row_slice(v, row0, rows); };
     ConstMatrixView x{};
     if (!ci.precomputed) {
       x = ci.layer == 0
               ? x_[static_cast<std::size_t>(ci.ti)].cview().block(
-                    ci.r0, 0, ci.rb, c.input_size)
-              : ws->merged(ci.layer - 1, ci.ti).cview();
+                    ci.r0 + row0, 0, rows, c.input_size)
+              : slice(ws->merged(ci.layer - 1, ci.ti).cview());
     }
-    ConstMatrixView h_prev =
+    ConstMatrixView h_prev = slice(
         ci.step == 0 ? ws->zero_state.cview()
-                     : ws->tape(ci.dir, ci.layer, ci.step - 1).h.cview();
+                     : ws->tape(ci.dir, ci.layer, ci.step - 1).h.cview());
     ConstMatrixView c_prev;
     if (ci.lstm) {
-      c_prev = ci.step == 0
-                   ? ws->zero_state.cview()
-                   : ws->tape(ci.dir, ci.layer, ci.step - 1).c.cview();
+      c_prev = slice(ci.step == 0
+                         ? ws->zero_state.cview()
+                         : ws->tape(ci.dir, ci.layer, ci.step - 1).c.cview());
     }
     rnn::CellForwardOpts fo;
     fo.fuse_gates = ci.fuse_gates;
     if (ci.precomputed) {
-      fo.precomp = ConstMatrixView{ci.precomp_row0, ci.rb, ci.precomp_cols,
-                                   ci.precomp_cols};
+      fo.precomp = ConstMatrixView{
+          ci.precomp_row0 + static_cast<std::size_t>(row0) * ci.precomp_cols,
+          rows, ci.precomp_cols, ci.precomp_cols};
     }
-    rnn::cell_forward_ex(*ci.params, ci.qw, x, h_prev, c_prev,
-                         ws->tape(ci.dir, ci.layer, ci.step).views(), fo);
+    rnn::cell_forward_ex(
+        *ci.params, ci.qw, x, h_prev, c_prev,
+        ws->tape(ci.dir, ci.layer, ci.step).views_rows(row0, rows), fo);
     if (ci.fused_merge) {
       rnn::merge_forward(
-          c.merge, ws->tape(0, ci.layer, ci.step).h.cview(),
-          ws->tape(1, ci.layer, ci.steps - 1 - ci.step).h.cview(),
-          ws->merged(ci.layer, ci.step).view());
+          c.merge, slice(ws->tape(0, ci.layer, ci.step).h.cview()),
+          slice(ws->tape(1, ci.layer, ci.steps - 1 - ci.step).h.cview()),
+          slice(ws->merged(ci.layer, ci.step).view()));
     }
   };
 }
@@ -364,57 +385,54 @@ void TrainingProgram::lower() {
   for (passes::Op& op : ops_) {
     if (op.dead) continue;
     gemm_launches_ += static_cast<std::size_t>(op.gemms);
-    std::function<void()> fn = std::move(op.fn);
     if (op.cell.has_value() && opts_.executable) {
-      fn = make_cell_fn(*op.cell);
+      set_rows_body(op, make_cell_fn(*op.cell), opts_.intra_op_chunks,
+                    replica_rows(op.spec.replica));
     }
-    lower_one(std::move(fn), op.accesses, std::move(op.spec), op.chunkable);
+    lower_one(op);
+    op = {};  // free it now, so the graph's own allocations can reuse it
   }
   ops_.clear();
   ops_.shrink_to_fit();
 }
 
-void TrainingProgram::lower_one(std::function<void()> fn,
-                                std::vector<Access>& accesses, TaskSpec spec,
-                                bool chunkable) {
-  if (!opts_.executable && !fn) fn = [] {};
-  if (!chunkable || opts_.intra_op_chunks <= 1 || opts_.executable) {
-    graph_.add(std::move(fn),
-               std::span<const Access>(accesses.data(), accesses.size()),
-               std::move(spec));
+void TrainingProgram::lower_one(passes::Op& op) {
+  const int n = op.chunkable ? opts_.intra_op_chunks : 1;
+  if (n <= 1) {
+    if (!op.fn) op.fn = [] {};  // barrier tokens and shape-only graphs
+    graph_.add(std::move(op.fn), op.accesses, std::move(op.spec));
     return;
   }
-  // Shape-only intra-op emulation: N chunk tasks reading the cell's inputs,
-  // then a join task carrying the cell's writes. Models a framework that
-  // splits each cell's GEMMs across cores inside a fork-join region.
-  const int n = opts_.intra_op_chunks;
-  std::vector<Access> chunk_in;
-  std::vector<Access> join_acc;
-  for (const Access& a : accesses) {
-    if (a.mode == taskrt::AccessMode::kIn) chunk_in.push_back(a);
-    join_acc.push_back(a);
-  }
-  std::vector<const void*> chunk_tokens;
-  for (int i = 0; i < n; ++i) {
-    TaskSpec chunk_spec = spec;
+  const int rows = replica_rows(op.spec.replica);
+  // Intra-op split, the fork-join region of a framework that spreads each
+  // cell's GEMMs across cores: N chunk tasks over batch-row slices, each
+  // ordered after every earlier access to what the op touches, then a join
+  // carrying the op's writes for its consumers.
+  std::vector<Access> chunk_acc;
+  for (const Access& a : op.accesses) chunk_acc.push_back(in(a.addr));
+  std::vector<Access> join_acc = op.accesses;
+  for (int c = 0; c < n; ++c) {
+    const int row0 = c * rows / n;
+    const int count = (c + 1) * rows / n - row0;
+    TaskSpec chunk_spec = op.spec;
     chunk_spec.kind = TaskKind::kGemmChunk;
-    chunk_spec.flops = spec.flops / n;
-    chunk_spec.working_set_bytes = spec.working_set_bytes / n;
-    std::vector<Access> acc = chunk_in;
+    chunk_spec.flops = op.spec.flops / n;
+    chunk_spec.working_set_bytes = op.spec.working_set_bytes / n;
+    std::function<void()> fn = [] {};
+    if (op.rows_fn) {
+      fn = [body = op.rows_fn, c, row0, count] { body(c, row0, count); };
+    }
     const void* token = fresh_token();
-    chunk_tokens.push_back(token);
-    acc.push_back(out(token));
-    graph_.add([] {}, std::span<const Access>(acc.data(), acc.size()),
-               std::move(chunk_spec));
+    chunk_acc.push_back(out(token));
+    graph_.add(std::move(fn), chunk_acc, std::move(chunk_spec));
+    chunk_acc.pop_back();
+    join_acc.push_back(in(token));
   }
-  TaskSpec join_spec = std::move(spec);
+  TaskSpec join_spec = std::move(op.spec);
   join_spec.flops = 0.0;
   join_spec.working_set_bytes = 0;
   join_spec.cost_hint_ns = 500;
-  for (const void* token : chunk_tokens) join_acc.push_back(in(token));
-  graph_.add([] {},
-             std::span<const Access>(join_acc.data(), join_acc.size()),
-             std::move(join_spec));
+  graph_.add([] {}, join_acc, std::move(join_spec));
 }
 
 // ---- pass hooks ----
@@ -423,8 +441,7 @@ passes::OpList TrainingProgram::make_precompute_ops(int rep, int dir,
                                                     int chunks) {
   const NetworkConfig& cfg = cfg_;
   const int steps = cfg.seq_length;
-  const int rb = row_begin_[static_cast<std::size_t>(rep + 1)] -
-                 row_begin_[static_cast<std::size_t>(rep)];
+  const int rb = replica_rows(rep);
   const int r0 = row_begin_[static_cast<std::size_t>(rep)];
   const int in_width = cfg.input_size;
   const int gcols = rnn::gate_count(cfg.cell) * cfg.hidden_size;
@@ -555,11 +572,8 @@ void TrainingProgram::build() {
 
 void TrainingProgram::build_replica(int rep) {
   const NetworkConfig& cfg = cfg_;
-  ReplicaCtx ctx{*this,
-                 rep,
-                 row_begin_[static_cast<std::size_t>(rep)],
-                 row_begin_[static_cast<std::size_t>(rep + 1)] -
-                     row_begin_[static_cast<std::size_t>(rep)]};
+  ReplicaCtx ctx{*this, rep, row_begin_[static_cast<std::size_t>(rep)],
+                 replica_rows(rep)};
   if (opts_.executable) {
     ctx.ws = replicas_[static_cast<std::size_t>(rep)].get();
     if (opts_.training) {
@@ -607,6 +621,8 @@ void TrainingProgram::build_replica(int rep) {
   // Fresh forward-barrier tokens for this replica (framework emulation).
   fwd_tokens_.clear();
   for (int l = 0; l < cfg.num_layers; ++l) fwd_tokens_.push_back(fresh_token());
+  // B-Seq: every op of this replica joins one serial chain.
+  chain_token_ = sched_.replica_chains ? fresh_token() : nullptr;
 
   for (int l = 0; l < cfg.num_layers; ++l) build_forward_layer(ctx, l);
   build_loss_and_dense(ctx);
@@ -616,6 +632,7 @@ void TrainingProgram::build_replica(int rep) {
       build_backward_layer(ctx, l);
     }
   }
+  chain_token_ = nullptr;
 }
 
 void TrainingProgram::build_forward_layer(ReplicaCtx& ctx, int l) {
@@ -736,7 +753,7 @@ void TrainingProgram::build_forward_layer(ReplicaCtx& ctx, int l) {
       spec.step = t;
       spec.replica = ctx.rep;
       spec.name = "m" + std::to_string(l) + "." + std::to_string(t);
-      add_op(std::move(fn), std::move(acc), std::move(spec), false);
+      add_op(std::move(fn), std::move(acc), std::move(spec));
     }
   }
 
@@ -751,7 +768,7 @@ void TrainingProgram::build_forward_layer(ReplicaCtx& ctx, int l) {
     spec.cost_hint_ns = 1000;
     spec.layer = l;
     spec.replica = ctx.rep;
-    add_op({}, std::move(acc), std::move(spec), false);
+    add_op({}, std::move(acc), std::move(spec));
   }
 }
 
@@ -783,7 +800,7 @@ void TrainingProgram::build_loss_and_dense(ReplicaCtx& ctx) {
     spec.layer = last;
     spec.replica = ctx.rep;
     spec.name = "final_merge";
-    add_op(std::move(fn), std::move(acc), std::move(spec), false);
+    add_op(std::move(fn), std::move(acc), std::move(spec));
   }
 
   const double weight =
@@ -832,7 +849,7 @@ void TrainingProgram::build_loss_and_dense(ReplicaCtx& ctx) {
     spec.step = t;
     spec.replica = ctx.rep;
     spec.name = "dense_fwd." + std::to_string(t);
-    add_op(std::move(fn), std::move(acc), std::move(spec), false, 1);
+    add_op(std::move(fn), std::move(acc), std::move(spec), 1);
   }
 }
 
@@ -874,7 +891,7 @@ void TrainingProgram::build_dense_backward(ReplicaCtx& ctx) {
       spec.step = t;
       spec.replica = ctx.rep;
       spec.name = "loss_grad." + std::to_string(t);
-      add_op(std::move(fn), std::move(acc), std::move(spec), false);
+      add_op(std::move(fn), std::move(acc), std::move(spec));
     }
     // Dense backward: dw_out += dlogits^T y; dy += dlogits * W.
     {
@@ -907,7 +924,7 @@ void TrainingProgram::build_dense_backward(ReplicaCtx& ctx) {
       spec.step = t;
       spec.replica = ctx.rep;
       spec.name = "dense_bwd." + std::to_string(t);
-      add_op(std::move(fn), std::move(acc), std::move(spec), false, 2);
+      add_op(std::move(fn), std::move(acc), std::move(spec), 2);
     }
   }
 
@@ -935,7 +952,7 @@ void TrainingProgram::build_dense_backward(ReplicaCtx& ctx) {
     spec.layer = last;
     spec.replica = ctx.rep;
     spec.name = "final_merge_bwd";
-    add_op(std::move(fn), std::move(acc), std::move(spec), false);
+    add_op(std::move(fn), std::move(acc), std::move(spec));
   }
 }
 
@@ -967,7 +984,7 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
     spec.cost_hint_ns = 1000;
     spec.layer = l;
     spec.replica = ctx.rep;
-    add_op({}, std::move(acc), std::move(spec), false);
+    add_op({}, std::move(acc), std::move(spec));
   }
 
   // Merge backward tasks: both directions' dmerged halves → dh of both
@@ -1003,7 +1020,7 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
       spec.step = t;
       spec.replica = ctx.rep;
       spec.name = "mb" + std::to_string(l) + "." + std::to_string(t);
-      add_op(std::move(fn), std::move(acc), std::move(spec), false);
+      add_op(std::move(fn), std::move(acc), std::move(spec));
     }
   }
 
@@ -1046,52 +1063,63 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
         acc.push_back(out(ctx.addr_sink(dir, l)));
       }
 
-      std::function<void()> fn;
+      passes::Op op;
       if (opts_.executable) {
-        fn = [this, ws, grads, params, dir, l, s, ti, lstm, fused_merge,
-              steps, r0 = ctx.r0, rb = ctx.rb] {
+        auto body = [this, ws, grads, params, dir, l, s, ti, lstm,
+                     fused_merge, steps, r0 = ctx.r0,
+                     rep = ctx.rep](int chunk, int row0, int rows) {
           const NetworkConfig& c = cfg_;
+          const auto slice = [&](auto v) { return row_slice(v, row0, rows); };
           if (fused_merge) {
             for (int src = 0; src < 2; ++src) {
-              rnn::merge_backward(c.merge, ws->tape(0, l, s).h.cview(),
-                                  ws->tape(1, l, steps - 1 - s).h.cview(),
-                                  ws->dmerged(src, l, s).cview(),
-                                  ws->dh(0, l, s).view(),
-                                  ws->dh(1, l, steps - 1 - s).view());
+              rnn::merge_backward(
+                  c.merge, slice(ws->tape(0, l, s).h.cview()),
+                  slice(ws->tape(1, l, steps - 1 - s).h.cview()),
+                  slice(ws->dmerged(src, l, s).cview()),
+                  slice(ws->dh(0, l, s).view()),
+                  slice(ws->dh(1, l, steps - 1 - s).view()));
             }
           }
           ConstMatrixView x =
               l == 0 ? x_[static_cast<std::size_t>(ti)].cview().block(
-                           r0, 0, rb, c.input_size)
-                     : ws->merged(l - 1, ti).cview();
-          ConstMatrixView h_prev = s == 0
-                                       ? ws->zero_state.cview()
-                                       : ws->tape(dir, l, s - 1).h.cview();
+                           r0 + row0, 0, rows, c.input_size)
+                     : slice(ws->merged(l - 1, ti).cview());
+          ConstMatrixView h_prev =
+              slice(s == 0 ? ws->zero_state.cview()
+                           : ws->tape(dir, l, s - 1).h.cview());
           ConstMatrixView c_prev;
           if (lstm) {
-            c_prev = s == 0 ? ws->zero_state.cview()
-                            : ws->tape(dir, l, s - 1).c.cview();
+            c_prev = slice(s == 0 ? ws->zero_state.cview()
+                                  : ws->tape(dir, l, s - 1).c.cview());
           }
           ConstMatrixView dc_in;
-          if (lstm && s < steps - 1) dc_in = ws->dc(dir, l, s).cview();
+          if (lstm && s < steps - 1) dc_in = slice(ws->dc(dir, l, s).cview());
           MatrixView dx_acc;
           if (l > 0) {
-            dx_acc = ws->dmerged(dir, l - 1, ti).view();
+            dx_acc = slice(ws->dmerged(dir, l - 1, ti).view());
           } else if (ws->has_input_grads()) {
-            dx_acc = ws->dx(dir, ti).view();
+            dx_acc = slice(ws->dx(dir, ti).view());
           }
-          MatrixView dh_prev = s > 0 ? ws->dh(dir, l, s - 1).view()
-                                     : ws->sink(dir, l).view();
+          MatrixView dh_prev = slice(s > 0 ? ws->dh(dir, l, s - 1).view()
+                                           : ws->sink(dir, l).view());
           MatrixView dc_prev;
           if (lstm) {
-            dc_prev = s > 0 ? ws->dc(dir, l, s - 1).view()
-                            : ws->sink(dir, l).view();
+            dc_prev = slice(s > 0 ? ws->dc(dir, l, s - 1).view()
+                                  : ws->sink(dir, l).view());
           }
-          rnn::cell_backward(*params, x, h_prev, c_prev, ws->tape(dir, l, s),
-                             ws->dh(dir, l, s).cview(), dc_in, dx_acc,
-                             dh_prev, dc_prev,
-                             grads->layers[dir][static_cast<std::size_t>(l)]);
+          const rnn::CellTapeViews tape =
+              ws->tape(dir, l, s).views_rows(row0, rows);
+          rnn::NetworkGrads& target =
+              chunk < 0 ? *grads
+                        : chunk_grads_[static_cast<std::size_t>(
+                              rep * opts_.intra_op_chunks + chunk)];
+          rnn::cell_backward(
+              *params, x, h_prev, c_prev,
+              {tape.gates, tape.h, tape.c, tape.tanh_c, tape.rh},
+              slice(ws->dh(dir, l, s).cview()), dc_in, dx_acc, dh_prev,
+              dc_prev, target.layers[dir][static_cast<std::size_t>(l)]);
         };
+        set_rows_body(op, std::move(body), opts_.intra_op_chunks, ctx.rb);
       }
       TaskSpec spec;
       spec.kind = TaskKind::kCellBackward;
@@ -1105,11 +1133,43 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
       spec.replica = ctx.rep;
       spec.name = std::string(dir == 0 ? "bf" : "br") + std::to_string(l) +
                   "." + std::to_string(s);
-      add_op(std::move(fn), std::move(acc), std::move(spec), true, gemms);
+      op.accesses = std::move(acc);
+      op.spec = std::move(spec);
+      op.chunkable = true;
+      op.gemms = gemms;
+      push_op(std::move(op));
     }
   };
   emit_bwd(0);
   emit_bwd(1);
+
+  // Intra-op split: fold each chunk's scratch weight gradients into the
+  // layer's, in chunk order, once the layer's last backward cell joined.
+  const int chunks = opts_.intra_op_chunks;
+  if (chunks <= 1) return;
+  for (int dir = 0; dir < 2; ++dir) {
+    std::function<void()> fn;
+    if (opts_.executable) {
+      fn = [this, grads, dir, l, chunks, rep = ctx.rep] {
+        auto& layer = grads->layers[dir][static_cast<std::size_t>(l)];
+        for (int c = 0; c < chunks; ++c) {
+          layer.accumulate(
+              chunk_grads_[static_cast<std::size_t>(rep * chunks + c)]
+                  .layers[dir][static_cast<std::size_t>(l)]);
+        }
+      };
+    }
+    TaskSpec spec;
+    spec.kind = TaskKind::kGradReduce;
+    const auto params = static_cast<double>(net_.layer(dir, l).param_count());
+    spec.flops = chunks * params;
+    spec.working_set_bytes =
+        static_cast<std::size_t>((chunks + 1) * params) * sizeof(float);
+    spec.layer = l;
+    spec.replica = ctx.rep;
+    spec.name = "fold." + std::to_string(dir) + "." + std::to_string(l);
+    add_op(std::move(fn), {inout(ctx.addr_grads(dir, l))}, std::move(spec));
+  }
 }
 
 void TrainingProgram::build_reduction() {
@@ -1130,7 +1190,7 @@ void TrainingProgram::build_reduction() {
     TaskSpec spec;
     spec.kind = TaskKind::kLoss;
     spec.name = "reduce.loss";
-    add_op(std::move(fn), std::move(acc), std::move(spec), false);
+    add_op(std::move(fn), std::move(acc), std::move(spec));
   }
   if (!opts_.training) return;
 
@@ -1188,7 +1248,7 @@ void TrainingProgram::build_reduction() {
           (opts_.num_replicas + 1) * shape_ref.param_count() * sizeof(float);
       spec.layer = l;
       spec.name = "reduce." + std::to_string(dir) + "." + std::to_string(l);
-      add_op(std::move(fn), std::move(acc), std::move(spec), false);
+      add_op(std::move(fn), std::move(acc), std::move(spec));
     }
   }
 
@@ -1221,7 +1281,7 @@ void TrainingProgram::build_reduction() {
     spec.flops = 2.0 * opts_.num_replicas *
                  static_cast<double>(cfg.num_classes) * cfg.merged_size();
     spec.name = "reduce.dense";
-    add_op(std::move(fn), std::move(acc), std::move(spec), false);
+    add_op(std::move(fn), std::move(acc), std::move(spec));
   }
 }
 

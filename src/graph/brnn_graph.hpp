@@ -23,7 +23,9 @@
 // form the paper describes; executors opt into the optimizer pipeline.
 //
 // Baseline schedules (per-layer barriers, sequential directions, fused
-// merge) are selected with `BuildOptions::schedule_profile`; see
+// merge, B-Seq replica chains) are selected with
+// `BuildOptions::schedule_profile` and add only constraints to the same
+// ops, so one program both runs and feeds the simulator; see
 // exec/baseline_profiles.hpp.
 //
 // The same program can be re-run for many batches: `load_batch` copies new
@@ -58,15 +60,11 @@ struct BuildOptions {
   bool training = true;   // false → forward + loss only
   bool executable = true; // false → shape-only graph (for the simulator)
 
-  /// DEPRECATED: use schedule_profile = "layer_barriers" / "framework".
-  /// Mapped with a one-release warning; will be removed.
-  bool per_layer_barriers = false;
-  /// DEPRECATED: use schedule_profile = "sequential" / "framework".
-  bool sequential_directions = false;
-  int intra_op_chunks = 1;  // split each cell into N chunks (shape-only)
-
-  /// DEPRECATED: use schedule_profile = "fused_merge".
-  bool fuse_merge = false;
+  /// Intra-op parallelism (the Keras/PyTorch emulation): each cell becomes
+  /// N tasks over batch-row slices plus a join. Backward chunks accumulate
+  /// weight gradients into per-chunk scratch, which one fold task per
+  /// (direction, layer) adds into the layer's gradients in chunk order.
+  int intra_op_chunks = 1;
 
   /// Also compute ∂L/∂x (per-timestep input gradients) during backward —
   /// off by default because layer 0 then pays an extra GEMM per cell.
@@ -87,7 +85,8 @@ struct BuildOptions {
   /// Named schedule shape: "" or "bpar" (default — free-running task
   /// schedule), "fused_merge" (merge folded into forward cells, the
   /// ablation), "layer_barriers", "sequential", "framework" (barriers +
-  /// sequential directions — the Keras/PyTorch emulation).
+  /// sequential directions — the Keras/PyTorch emulation), "bseq" (each
+  /// replica one serial chain — data parallelism only, the paper's B-Seq).
   std::string schedule_profile;
 
   /// Measured per-task dispatch cost feeding the coarsening pass's
@@ -158,11 +157,12 @@ class TrainingProgram {
   struct ReplicaCtx;  // defined in the .cpp
   struct PrecompBuf;  // defined in the .cpp
 
-  // Resolved schedule shape (profile + deprecated booleans folded in).
+  // Schedule shape resolved from BuildOptions::schedule_profile.
   struct Schedule {
     bool per_layer_barriers = false;
     bool sequential_directions = false;
     bool fuse_merge = false;
+    bool replica_chains = false;
   };
 
   void resolve_schedule();
@@ -176,19 +176,25 @@ class TrainingProgram {
   void run_passes();
   void lower();
 
-  /// Appends a closure op to the intermediate list.
+  /// Appends an op to the intermediate list; ops of a "bseq" replica also
+  /// join that replica's serial chain.
+  void push_op(passes::Op op);
+  /// Appends a closure op.
   void add_op(std::function<void()> fn, std::vector<taskrt::Access> accesses,
-              taskrt::TaskSpec spec, bool chunkable, int gemms = 0);
+              taskrt::TaskSpec spec, int gemms = 0);
   /// Appends a forward-cell descriptor op (body generated at lowering).
   void add_cell_op(std::vector<taskrt::Access> accesses, taskrt::TaskSpec spec,
                    passes::CellInfo cell);
-  /// Generates the executable body of a (possibly rewritten) forward cell.
-  [[nodiscard]] std::function<void()> make_cell_fn(passes::CellInfo ci);
-  /// Adds one op to the TaskGraph, splitting it into intra-op chunks when
-  /// emulating intra-op-parallel frameworks (shape-only graphs).
-  void lower_one(std::function<void()> fn,
-                 std::vector<taskrt::Access>& accesses, taskrt::TaskSpec spec,
-                 bool chunkable);
+  /// Generates the row-sliceable executable body (a passes::RowsFn
+  /// callable) of a (possibly rewritten) forward cell.
+  [[nodiscard]] auto make_cell_fn(passes::CellInfo ci);
+  /// Adds one op to the TaskGraph, split into intra-op chunks when it is
+  /// chunkable and BuildOptions::intra_op_chunks > 1.
+  void lower_one(passes::Op& op);
+  [[nodiscard]] int replica_rows(int rep) const {
+    return row_begin_[static_cast<std::size_t>(rep + 1)] -
+           row_begin_[static_cast<std::size_t>(rep)];
+  }
 
   const void* fresh_token() {
     tokens_.push_back(0);
@@ -210,7 +216,11 @@ class TrainingProgram {
   std::vector<double> losses_;         // [rep * outputs + t]
   double total_loss_ = 0.0;
   rnn::NetworkGrads master_grads_;
+  // Intra-op scratch weight gradients, [rep * intra_op_chunks + chunk].
+  std::vector<rnn::NetworkGrads> chunk_grads_;
   std::deque<char> tokens_;  // stable synthetic dependency addresses
+  // "bseq": chain token of the replica currently being built (else null).
+  const void* chain_token_ = nullptr;
 
   // Intermediate form: filled by build(), rewritten by run_passes(),
   // consumed (and cleared) by lower().

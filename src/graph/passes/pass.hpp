@@ -64,11 +64,17 @@ struct CellInfo {
   int precomp_cols = 0;                 // = gates * hidden
 };
 
+/// Body of a chunkable op over batch rows [row0, row0 + rows) of its
+/// replica. `chunk` >= 0 names the intra-op chunk (whose scratch weight
+/// gradients a backward cell accumulates into); -1 runs the op unsplit.
+using RowsFn = std::function<void(int chunk, int row0, int rows)>;
+
 /// One task in the pre-lowering intermediate form. Non-cell ops carry
 /// their closure; cell ops carry a CellInfo and get their body generated
 /// at lowering, after every pass has rewritten the descriptor.
 struct Op {
   std::function<void()> fn;
+  RowsFn rows_fn;  // chunkable ops in executable graphs (instead of fn)
   std::vector<taskrt::Access> accesses;
   taskrt::TaskSpec spec;
   bool chunkable = false;

@@ -10,7 +10,9 @@ namespace bpar::kernels {
 namespace {
 
 /// The dispatch pointer. Null until the first active_backend() call
-/// resolves BPAR_KERNEL_BACKEND; a plain pointer store afterwards.
+/// resolves BPAR_KERNEL_BACKEND. Published with release and read with
+/// acquire, so a thread that sees the pointer also sees the table's
+/// initialised fields.
 std::atomic<const Backend*> g_active{nullptr};
 
 const Backend* resolve_from_env() {
@@ -54,11 +56,11 @@ const Backend* backend_by_name(std::string_view name) {
 }
 
 const Backend& active_backend() {
-  const Backend* current = g_active.load(std::memory_order_relaxed);
+  const Backend* current = g_active.load(std::memory_order_acquire);
   if (current != nullptr) return *current;
   // First use (or a benign race: both threads resolve the same table).
   const Backend* resolved = resolve_from_env();
-  g_active.store(resolved, std::memory_order_relaxed);
+  g_active.store(resolved, std::memory_order_release);
   return *resolved;
 }
 
@@ -67,7 +69,7 @@ const char* active_backend_name() { return active_backend().name; }
 bool set_backend(std::string_view name) {
   const Backend* backend = backend_by_name(name);
   if (backend == nullptr) return false;
-  g_active.store(backend, std::memory_order_relaxed);
+  g_active.store(backend, std::memory_order_release);
   return true;
 }
 

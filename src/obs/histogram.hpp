@@ -1,6 +1,6 @@
 // Weighted fixed-bin histogram — the one binning implementation shared by
-// the Fig. 7 IPC / MPKI distributions (via the perf::Histogram alias) and
-// the obs metrics registry's HistogramCells.
+// the Fig. 7 IPC / MPKI distributions (sim::SimResult) and the obs metrics
+// registry's HistogramCells.
 #pragma once
 
 #include <string>

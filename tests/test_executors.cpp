@@ -3,9 +3,9 @@
 // The paper claims B-Par's barrier-free task scheduling causes no accuracy
 // loss versus sequential execution. We verify it directly: for a sweep of
 // model shapes, every executor (B-Par with various worker counts, replica
-// counts, and scheduler policies; B-Seq; the per-layer-barrier baseline)
-// must produce the same loss and the same gradients as the single-threaded
-// reference.
+// counts, and scheduler policies, and every named schedule profile — B-Seq
+// and the per-layer-barrier baseline among them) must produce the same
+// loss and the same gradients as the single-threaded reference.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,18 +13,16 @@
 #include <type_traits>
 
 #include "core/bpar.hpp"
-#include "exec/barrier_executor.hpp"
 #include "exec/bpar_executor.hpp"
-#include "exec/bseq_executor.hpp"
 #include "exec/sequential.hpp"
+#include "graph/brnn_graph.hpp"
+#include "graph/passes/registry.hpp"
 #include "util/rng.hpp"
 
 namespace bpar {
 namespace {
 
-using exec::BarrierExecutor;
 using exec::BParExecutor;
-using exec::BSeqExecutor;
 using exec::SequentialExecutor;
 using rnn::BatchData;
 using rnn::CellType;
@@ -141,16 +139,10 @@ TEST_P(ExecutorEquivalence, AllExecutorsMatchSequential) {
                                           .num_replicas = 4}});
     });
     add("bseq_r4", [](rnn::Network& n) {
-      return std::make_unique<BSeqExecutor>(
-          n, exec::BSeqOptions{.common = {.num_workers = 4,
-                                          .num_replicas = 4}});
+      return make_executor(ExecutorKind::kBSeq, n,
+                           {.num_workers = 4, .num_replicas = 4});
     });
   }
-  add("bpar_fused_merge", [](rnn::Network& n) {
-    return std::make_unique<BParExecutor>(
-        n, exec::BParOptions{.common = {.num_workers = 4},
-                             .fuse_merge = true});
-  });
   add("bpar_w4_pinned", [](rnn::Network& n) {
     return std::make_unique<BParExecutor>(
         n, exec::BParOptions{
@@ -158,10 +150,17 @@ TEST_P(ExecutorEquivalence, AllExecutorsMatchSequential) {
                           .policy = taskrt::SchedulerPolicy::kLocalityAware,
                           .pin_threads = true}});
   });
-  add("barrier_w4", [](rnn::Network& n) {
-    return std::make_unique<BarrierExecutor>(
-        n, exec::BarrierOptions{.common = {.num_workers = 4},
-                                .row_grain = 3});
+  // Every named schedule profile of the one B-Par program.
+  for (const char* profile : {"bpar", "fused_merge", "layer_barriers",
+                              "sequential", "framework", "bseq"}) {
+    add(std::string("profile_") + profile, [profile](rnn::Network& n) {
+      return std::make_unique<BParExecutor>(
+          n, exec::BParOptions{.common = {.num_workers = 4},
+                               .schedule_profile = profile});
+    });
+  }
+  add("layer_barrier_w4", [](rnn::Network& n) {
+    return make_executor(ExecutorKind::kLayerBarrier, n, {.num_workers = 4});
   });
 
   for (auto& c : candidates) {
@@ -216,6 +215,22 @@ TEST_P(ExecutorEquivalence, InferLogitsMatchSequential) {
   for (std::size_t i = 0; i < result.logits.size(); ++i) {
     EXPECT_NEAR(result.logits[i], ref_result.logits[i], 1e-4F) << i;
   }
+}
+
+// B-Seq only adds ordering constraints to the same ops, so with one
+// replica it reproduces the sequential reference bit for bit.
+TEST_P(ExecutorEquivalence, BSeqIsBitwiseSequential) {
+  const NetworkConfig& cfg = GetParam().cfg;
+  const BatchData batch = make_batch(cfg, 777);
+  rnn::Network ref_net(cfg);
+  SequentialExecutor ref(ref_net);
+  const double ref_loss = ref.train_batch(batch).loss;
+
+  rnn::Network net(cfg);
+  const auto bseq =
+      make_executor(ExecutorKind::kBSeq, net, {.num_workers = 4});
+  EXPECT_EQ(bseq->train_batch(batch).loss, ref_loss);
+  expect_grads_close(bseq->grads(), ref.grads(), cfg, 0.0F);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -314,9 +329,71 @@ TEST(ExecutorOptionsUnification, DefaultsShareOneDefinition) {
                 "bpar::ExecutorOptions must be exec::CommonOptions");
   const exec::CommonOptions defaults{};
   EXPECT_EQ(exec::BParOptions{}.common, defaults);
-  EXPECT_EQ(exec::BSeqOptions{}.common, defaults);
-  EXPECT_EQ(exec::BarrierOptions{}.common, defaults);
   EXPECT_EQ(ExecutorOptions{}, defaults);
+}
+
+// Every task-parallel kind is B-Par plus a named schedule profile, and
+// keeps its label for logs. The layer-barrier kind runs one replica split
+// into intra-op chunks (here 2 workers → 2 chunks of 4 rows).
+TEST(ScheduleProfiles, KindsAreBParProfiles) {
+  const NetworkConfig cfg = make_case(CellType::kGru, MergeOp::kSum, false,
+                                      2, 3, 8)
+                                .cfg;
+  rnn::Network net(cfg);
+  for (const auto& [kind, label] :
+       {std::pair{ExecutorKind::kBPar, "b-par"},
+        std::pair{ExecutorKind::kBSeq, "b-seq"},
+        std::pair{ExecutorKind::kLayerBarrier, "layer-barrier"}}) {
+    const auto executor =
+        make_executor(kind, net, {.num_workers = 2, .num_replicas = 2});
+    auto* bpar = dynamic_cast<BParExecutor*>(executor.get());
+    ASSERT_NE(bpar, nullptr) << label;
+    EXPECT_STREQ(executor->name(), label);
+    EXPECT_STREQ(executor_kind_name(kind), label);
+    const graph::TrainingProgram& program = bpar->train_program();
+    const bool barrier = kind == ExecutorKind::kLayerBarrier;
+    EXPECT_EQ(program.num_replicas(), barrier ? 1 : 2) << label;
+    EXPECT_EQ(program.options().intra_op_chunks, barrier ? 2 : 1) << label;
+  }
+}
+
+// The intra-op split for real: 3 row chunks per cell (with the default
+// passes and input gradients on), scratch weight gradients folded per
+// layer, matching the sequential reference — and bitwise stable across
+// runs, so prepare() re-zeroes the scratch.
+TEST(ScheduleProfiles, IntraOpChunksMatchSequential) {
+  for (const CellType cell : {CellType::kLstm, CellType::kGru}) {
+    const NetworkConfig cfg =
+        make_case(cell, MergeOp::kConcat, cell == CellType::kGru, 3, 4, 7)
+            .cfg;
+    const BatchData batch = make_batch(cfg, 41);
+    rnn::Network ref_net(cfg);
+    SequentialExecutor ref(ref_net);
+    const double ref_loss = ref.train_batch(batch).loss;
+
+    rnn::Network net(cfg);
+    graph::BuildOptions bo;
+    bo.schedule_profile = "framework";
+    bo.intra_op_chunks = 3;
+    bo.compute_input_grads = true;
+    bo.passes = std::string(graph::passes::kDefaultPassSpec);
+    graph::TrainingProgram program(net, cfg.batch_size, bo);
+    taskrt::Runtime runtime({.num_workers = 4});
+    double losses[2] = {};
+    double norms[2] = {};
+    for (int run = 0; run < 2; ++run) {
+      program.load_batch(batch);
+      program.prepare();
+      runtime.run(program.graph());
+      losses[run] = program.loss();
+      norms[run] = program.grads().l2_norm();
+    }
+    EXPECT_NEAR(losses[0], ref_loss, 1e-4 * std::abs(ref_loss) + 1e-6)
+        << cell_name(cell);
+    expect_grads_close(program.grads(), ref.grads(), cfg, 2e-4F);
+    EXPECT_EQ(losses[0], losses[1]);
+    EXPECT_EQ(norms[0], norms[1]);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 // ablation's extra coupling.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "graph/brnn_graph.hpp"
 #include "rnn/network.hpp"
 
@@ -156,7 +159,7 @@ TEST(GraphStructure, FuseMergeCouplesDirections) {
   rnn::Network net(cfg);
   TrainingProgram separate(net, cfg.batch_size, {});
   BuildOptions fused_opts;
-  fused_opts.fuse_merge = true;  // deprecated shim — kept as coverage
+  fused_opts.schedule_profile = "fused_merge";
   TrainingProgram fused(net, cfg.batch_size, fused_opts);
   // Fused merges serialize fwd cells behind the full reverse chain → a
   // strictly longer critical path (that's why B-Par keeps merges separate).
@@ -191,6 +194,65 @@ TEST(GraphStructure, ShapeOnlyGraphMatchesExecutableStructure) {
   EXPECT_EQ(executable.graph().edge_count(), shaped.graph().edge_count());
   EXPECT_EQ(executable.graph().critical_path_length(),
             shaped.graph().critical_path_length());
+}
+
+std::vector<std::size_t> kind_histogram(const taskrt::TaskGraph& g) {
+  std::vector<std::size_t> counts(taskrt::kNumTaskKinds, 0);
+  for (taskrt::TaskId id = 0; id < g.size(); ++id) {
+    ++counts[static_cast<std::size_t>(g.task(id).spec.kind)];
+  }
+  return counts;
+}
+
+// The baselines the simulator times are the graphs the executors run: for
+// the B-Seq and framework profiles, executable and shape-only builds with
+// equal options agree in tasks, task kinds and edges.
+TEST(GraphStructure, BaselineProfilesShapeOnlyMatchesExecutable) {
+  const NetworkConfig cfg = small_config(true, 3, 4);
+  rnn::Network net(cfg);
+  for (const bool training : {true, false}) {
+    for (const char* passes : {"", "gate_fusion,input_precompute,coarsen"}) {
+      BuildOptions bseq;
+      bseq.num_replicas = 2;
+      bseq.schedule_profile = "bseq";
+      BuildOptions framework;
+      framework.schedule_profile = "framework";
+      framework.intra_op_chunks = 2;
+      for (BuildOptions bo : {bseq, framework}) {
+        bo.training = training;
+        bo.passes = passes;
+        const TrainingProgram executable(net, cfg.batch_size, bo);
+        bo.executable = false;
+        const TrainingProgram shaped(net, cfg.batch_size, bo);
+        const std::string tag =
+            bo.schedule_profile + (training ? " train " : " infer ") + passes;
+        EXPECT_EQ(executable.graph().size(), shaped.graph().size()) << tag;
+        EXPECT_EQ(executable.graph().edge_count(),
+                  shaped.graph().edge_count())
+            << tag;
+        EXPECT_EQ(kind_histogram(executable.graph()),
+                  kind_histogram(shaped.graph()))
+            << tag;
+      }
+    }
+  }
+}
+
+TEST(GraphStructure, BSeqChainsEachReplica) {
+  const NetworkConfig cfg = small_config(false);
+  rnn::Network net(cfg);
+  BuildOptions bo;
+  bo.num_replicas = 2;
+  TrainingProgram bpar(net, cfg.batch_size, bo);
+  bo.schedule_profile = "bseq";
+  TrainingProgram bseq(net, cfg.batch_size, bo);
+  // Same tasks, but each replica's are now one serial chain: the critical
+  // path spans all of one replica's tasks.
+  EXPECT_EQ(bseq.graph().size(), bpar.graph().size());
+  EXPECT_GT(bseq.graph().critical_path_length(),
+            bpar.graph().critical_path_length());
+  EXPECT_GE(bseq.graph().critical_path_length(),
+            (bpar.graph().size() - 8) / 2);  // 8 cross-replica reductions
 }
 
 TEST(GraphStructure, IntraOpChunksExpandShapeGraphs) {

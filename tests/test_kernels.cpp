@@ -3,10 +3,14 @@
 // pins every SIMD backend to the scalar reference (DESIGN.md §5g).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "kernels/backend.hpp"
 #include "kernels/elementwise.hpp"
@@ -26,6 +30,36 @@ Matrix random_matrix(int rows, int cols, util::Rng& rng) {
   Matrix m(rows, cols);
   tensor::fill_uniform(m.view(), rng, -1.0F, 1.0F);
   return m;
+}
+
+// A backend switch racing readers of the active table. Under
+// ThreadSanitizer (CI runs this suite with it) this checks that publishing
+// the pointer orders a table's initialisation before the readers' field
+// loads. Defined first, so the setter thread is the first user of every
+// non-native table.
+TEST(BackendSelection, ConcurrentSelectionIsRaceFree) {
+  const std::string before = kernels::active_backend_name();
+  std::atomic<bool> stop{false};
+  std::thread setter([&] {
+    const char* names[] = {"avx2", "avx512", "neon", "scalar", "native"};
+    for (int i = 0; i < 200; ++i) {
+      (void)kernels::set_backend(names[i % 5]);
+    }
+    stop.store(true);
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 8; ++t) {
+    readers.emplace_back([&] {
+      do {
+        const kernels::Backend& b = kernels::active_backend();
+        EXPECT_NE(b.name, nullptr);
+        EXPECT_NE(b.dot_i8, nullptr);
+      } while (!stop.load());
+    });
+  }
+  setter.join();
+  for (auto& r : readers) r.join();
+  EXPECT_TRUE(kernels::set_backend(before));
 }
 
 // Naive reference: C = alpha * op(A) * op(B) + beta * C.

@@ -197,32 +197,6 @@ TEST(PassStructure, CoarseningMergesTinyAdjacentOps) {
   EXPECT_GT(count_kind(coarse.graph(), TaskKind::kCoarsened), 0U);
 }
 
-TEST(PassStructure, DeprecatedBooleansMapToScheduleProfiles) {
-  const NetworkConfig cfg = odd_config(CellType::kLstm, 2, 4, 4);
-  rnn::Network net(cfg);
-
-  BuildOptions old_fused;
-  old_fused.fuse_merge = true;
-  BuildOptions new_fused;
-  new_fused.schedule_profile = "fused_merge";
-  TrainingProgram a(net, cfg.batch_size, old_fused);
-  TrainingProgram b(net, cfg.batch_size, new_fused);
-  EXPECT_EQ(a.graph().size(), b.graph().size());
-  EXPECT_EQ(a.graph().edge_count(), b.graph().edge_count());
-
-  BuildOptions old_framework;
-  old_framework.per_layer_barriers = true;
-  old_framework.sequential_directions = true;
-  BuildOptions new_framework;
-  new_framework.schedule_profile = "framework";
-  TrainingProgram c(net, cfg.batch_size, old_framework);
-  TrainingProgram d(net, cfg.batch_size, new_framework);
-  EXPECT_EQ(c.graph().size(), d.graph().size());
-  EXPECT_EQ(c.graph().edge_count(), d.graph().edge_count());
-  EXPECT_EQ(c.graph().critical_path_length(),
-            d.graph().critical_path_length());
-}
-
 TEST(PassStructure, ExecutorEnvVarSelectsPipeline) {
   const NetworkConfig cfg = odd_config(CellType::kLstm, 2, 4, 4);
   const BatchData batch = make_batch(cfg, 31);

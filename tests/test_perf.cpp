@@ -4,13 +4,15 @@
 
 #include <thread>
 
+#include "obs/histogram.hpp"
 #include "perf/gpu_model.hpp"
-#include "perf/histogram.hpp"
 #include "perf/perf_events.hpp"
 #include "perf/timer.hpp"
 
 namespace bpar::perf {
 namespace {
+
+using obs::Histogram;
 
 TEST(Histogram, BinningAndFractions) {
   Histogram h({1.0, 2.0, 3.0});

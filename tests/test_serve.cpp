@@ -413,6 +413,19 @@ EngineOptions slow_options(int max_batch) {
   return options;
 }
 
+// Bounded poll until the dispatcher has sealed everything queued so far
+// (the blocker is then in flight), instead of racing a fixed sleep against
+// its seal.
+void wait_until_sealed(const InferenceEngine& engine) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (engine.stats().queue_depth != 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+        << "blocker never sealed";
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+}
+
 TEST(ServePriority, HighClassServedBeforeBatchClass) {
   const auto cfg = small_config();
   EngineOptions options = slow_options(/*max_batch=*/1);  // no coalescing
@@ -421,7 +434,7 @@ TEST(ServePriority, HighClassServedBeforeBatchClass) {
   // Blocker seals alone; kBatch then kHigh queue up behind it.
   auto blocker =
       engine.submit(serve::make_request(cfg, cfg.seq_length, 1, true));
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  wait_until_sealed(engine);
   Request low = serve::make_request(cfg, cfg.seq_length, 2, true);
   low.priority = Priority::kBatch;
   Request high = serve::make_request(cfg, cfg.seq_length, 3, true);
@@ -446,7 +459,7 @@ TEST(ServeShedding, OverdueLowClassesShedHighNever) {
 
   auto blocker =
       engine.submit(serve::make_request(cfg, cfg.seq_length, 1, true));
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  wait_until_sealed(engine);
   std::vector<std::future<Response>> lows;
   for (std::uint64_t seed = 2; seed <= 6; ++seed) {
     Request r = serve::make_request(cfg, cfg.seq_length, seed, true);
@@ -708,11 +721,24 @@ TEST(ServeObservability, StatzJsonParsesWithSchema) {
   EXPECT_EQ(health.status, 200);
   EXPECT_EQ(health.body, "ok\n");
 
-  const auto statz = obs::http_get(
-      "127.0.0.1", static_cast<std::uint16_t>(port), "/statz");
-  ASSERT_TRUE(statz.ok) << statz.error;
-  ASSERT_EQ(statz.status, 200);
-  const obs::JsonValue doc = obs::json_parse(statz.body);
+  // The sampler thread's first tick races the request under load: poll
+  // (bounded) until it has ticked instead of assuming it already has.
+  obs::JsonValue doc;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    const auto statz = obs::http_get(
+        "127.0.0.1", static_cast<std::uint16_t>(port), "/statz");
+    ASSERT_TRUE(statz.ok) << statz.error;
+    ASSERT_EQ(statz.status, 200);
+    doc = obs::json_parse(statz.body);
+    const obs::JsonValue* sampler = doc.find("sampler");
+    if (sampler == nullptr || sampler->at("ticks").number >= 1.0 ||
+        std::chrono::steady_clock::now() > give_up) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_EQ(doc.at("type").str, "statz");
   EXPECT_EQ(doc.at("schema_version").number, 1.0);
   EXPECT_GE(doc.at("uptime_s").number, 0.0);
