@@ -139,39 +139,32 @@ void BM_MergeForward(benchmark::State& state) {
 BENCHMARK(BM_MergeForward)->Arg(0)->Arg(1)->Arg(3);
 
 // Per-backend benches: one registration per runtime-dispatchable backend,
-// named BM_<Kernel>Backend/<name>, so `bpar_prof diff` can compare e.g.
-// gbench/BM_GemmNtBackend/avx512 against .../scalar across runs.
-void gemm_nt_backend(benchmark::State& state,
-                     const bpar::kernels::Backend* backend, int m, int n,
-                     int k) {
-  bpar::util::Rng rng(7);
-  Matrix a(m, k);
-  Matrix b(n, k);
-  Matrix c(m, n);
-  bpar::tensor::fill_uniform(a.view(), rng, -1.0F, 1.0F);
-  bpar::tensor::fill_uniform(b.view(), rng, -1.0F, 1.0F);
-  for (auto _ : state) {
-    backend->gemm_nt(a.cview(), b.cview(), c.view(), 1.0F, 0.0F);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.counters["GFLOP/s"] = benchmark::Counter(
-      bpar::kernels::gemm_flops(m, n, k) *
-          static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
-}
+// named BM_<Kernel>Backend/<name>[/<m>x<n>x<k>], so `bpar_prof diff` can
+// compare e.g. gbench/BM_GemmNtBackend/avx512 against .../scalar across
+// runs. The shape-suffixed GEMM rows are the shapes the bpar_bench
+// workloads run.
+enum class GemmOp { kNn, kNt, kTn };
 
-void gemm_nn_backend(benchmark::State& state,
-                     const bpar::kernels::Backend* backend, int m, int n,
-                     int k) {
-  bpar::util::Rng rng(8);
-  Matrix a(m, k);
-  Matrix b(k, n);
+/// C(m,n) += op(A) * op(B) through one backend's table: nn is A(m,k) B(k,n),
+/// nt is A(m,k) B(n,k)^T, tn is A(k,m)^T B(k,n). tn accumulates (beta = 1)
+/// like the weight-gradient GEMMs it stands for; nn and nt overwrite.
+void gemm_backend(benchmark::State& state,
+                  const bpar::kernels::Backend* backend, GemmOp op, int m,
+                  int n, int k) {
+  bpar::util::Rng rng(7);
+  Matrix a = op == GemmOp::kTn ? Matrix(k, m) : Matrix(m, k);
+  Matrix b = op == GemmOp::kNt ? Matrix(n, k) : Matrix(k, n);
   Matrix c(m, n);
   bpar::tensor::fill_uniform(a.view(), rng, -1.0F, 1.0F);
   bpar::tensor::fill_uniform(b.view(), rng, -1.0F, 1.0F);
+  const auto fn = op == GemmOp::kNn   ? backend->gemm_nn
+                  : op == GemmOp::kNt ? backend->gemm_nt
+                                      : backend->gemm_tn;
+  const float beta = op == GemmOp::kTn ? 1.0F : 0.0F;
   for (auto _ : state) {
-    backend->gemm_nn(a.cview(), b.cview(), c.view(), 1.0F, 0.0F);
+    fn(a.cview(), b.cview(), c.view(), 1.0F, beta);
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
       bpar::kernels::gemm_flops(m, n, k) *
@@ -219,20 +212,46 @@ void BM_QgemmNtInt8(benchmark::State& state) {
 }
 BENCHMARK(BM_QgemmNtInt8)->Args({32, 256, 128})->Args({128, 1024, 512});
 
+struct BackendGemm {
+  const char* kernel;
+  GemmOp op;
+  int m, n, k;
+  bool shape_suffix;
+};
+
+// The unsuffixed rows predate the workload shapes and keep their baseline
+// keys; the rest are the GEMMs of train-blstm (nt 16x512x256, tn
+// 512x256x16, nn 16x256x512), infer-b1 (nt 1x256x64 recurrent, 40x256x16
+// input precompute) and train-bgru-m2m (tn 96x64x8).
+const BackendGemm kBackendGemms[] = {
+    {"BM_GemmNtBackend", GemmOp::kNt, 128, 1024, 512, false},
+    {"BM_GemmNnBackend", GemmOp::kNn, 128, 512, 1024, false},
+    {"BM_GemmNtBackend", GemmOp::kNt, 16, 512, 256, true},
+    {"BM_GemmNtBackend", GemmOp::kNt, 1, 256, 64, true},
+    {"BM_GemmNtBackend", GemmOp::kNt, 40, 256, 16, true},
+    {"BM_GemmTnBackend", GemmOp::kTn, 512, 256, 16, true},
+    {"BM_GemmTnBackend", GemmOp::kTn, 96, 64, 8, true},
+    {"BM_GemmNnBackend", GemmOp::kNn, 16, 256, 512, true},
+};
+
 const int kBackendBenchesRegistered = [] {
   int count = 0;
   for (const auto* backend : bpar::kernels::available_backends()) {
     const std::string name = backend->name;
-    benchmark::RegisterBenchmark(
-        ("BM_GemmNtBackend/" + name).c_str(),
-        [backend](benchmark::State& s) {
-          gemm_nt_backend(s, backend, 128, 1024, 512);
-        });
-    benchmark::RegisterBenchmark(
-        ("BM_GemmNnBackend/" + name).c_str(),
-        [backend](benchmark::State& s) {
-          gemm_nn_backend(s, backend, 128, 512, 1024);
-        });
+    for (const BackendGemm& g : kBackendGemms) {
+      std::string key = g.kernel;
+      key.append("/").append(name);
+      if (g.shape_suffix) {
+        key.append("/").append(std::to_string(g.m)).append("x");
+        key.append(std::to_string(g.n)).append("x");
+        key.append(std::to_string(g.k));
+      }
+      benchmark::RegisterBenchmark(key.c_str(),
+                                   [backend, g](benchmark::State& s) {
+                                     gemm_backend(s, backend, g.op, g.m, g.n,
+                                                  g.k);
+                                   });
+    }
     benchmark::RegisterBenchmark(
         ("BM_SigmoidBackend/" + name).c_str(),
         [backend](benchmark::State& s) { sigmoid_backend(s, backend); });

@@ -1,6 +1,6 @@
 // Runtime-dispatched kernel backends (DESIGN.md §5g).
 //
-// Every hot numeric kernel — the three GEMM variants, gemv_t, the fused
+// Every hot numeric kernel — the three GEMM variants, the fused
 // pointwise/activation chains, and the int8 dot product under the quantized
 // inference path — is reached through a `Backend` function-pointer table.
 // The table is selected exactly once, at first use, by cpuid feature
@@ -12,8 +12,9 @@
 // against it by the parity suite in tests/test_kernels.cpp. SIMD GEMMs
 // reassociate additions and the vectorized activations use a polynomial
 // exp, so parity is tolerance-pinned, not bit-exact — but each backend is
-// deterministic run-to-run, which is what the executor/serving bit-exact
-// replay tests rely on.
+// deterministic run-to-run, and a row of a GEMM's output does not depend on
+// which other rows the call computes, which is what the executor/serving
+// bit-exact replay tests rely on.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +39,6 @@ struct Backend {
                   tensor::MatrixView c, float alpha, float beta) = nullptr;
   void (*gemm_tn)(tensor::ConstMatrixView a, tensor::ConstMatrixView b,
                   tensor::MatrixView c, float alpha, float beta) = nullptr;
-  void (*gemv_t)(tensor::ConstMatrixView a, std::span<const float> x,
-                 std::span<float> y, float alpha, float beta) = nullptr;
 
   // Fused pointwise/activation kernels (the LSTM/GRU cell chains).
   void (*sigmoid_inplace)(std::span<float> v) = nullptr;
@@ -79,7 +78,7 @@ struct Backend {
 
 /// The table the public kernels dispatch through. First call resolves
 /// BPAR_KERNEL_BACKEND (unknown/unsupported values warn and fall back to
-/// native); later calls are a single relaxed atomic load.
+/// native); later calls are a single acquire load of the published table.
 [[nodiscard]] const Backend& active_backend();
 [[nodiscard]] const char* active_backend_name();
 

@@ -18,6 +18,7 @@ namespace {
 struct Avx512Vec {
   using reg = __m512;
   static constexpr int kWidth = 16;
+  static constexpr int kRegisters = 32;
 
   static reg loadu(const float* p) { return _mm512_loadu_ps(p); }
   static void storeu(float* p, reg v) { _mm512_storeu_ps(p, v); }

@@ -98,22 +98,6 @@ void gemm_tn(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
   }
 }
 
-void gemv_t(ConstMatrixView a, std::span<const float> x, std::span<float> y,
-            float alpha, float beta) {
-  if (beta == 0.0F) {
-    std::fill(y.begin(), y.end(), 0.0F);
-  } else if (beta != 1.0F) {
-    for (auto& v : y) v *= beta;
-  }
-  for (int i = 0; i < a.rows; ++i) {
-    const float av = alpha * x[static_cast<std::size_t>(i)];
-    const float* arow = a.row(i).data();
-    for (int j = 0; j < a.cols; ++j) {
-      y[static_cast<std::size_t>(j)] += av * arow[j];
-    }
-  }
-}
-
 void sigmoid_inplace(std::span<float> v) {
   for (float& x : v) x = 1.0F / (1.0F + std::exp(-x));
 }
@@ -154,7 +138,6 @@ const Backend& scalar_backend() {
       .gemm_nn = scalar::gemm_nn,
       .gemm_nt = scalar::gemm_nt,
       .gemm_tn = scalar::gemm_tn,
-      .gemv_t = scalar::gemv_t,
       .sigmoid_inplace = scalar::sigmoid_inplace,
       .tanh_inplace = scalar::tanh_inplace,
       .hadamard = scalar::hadamard,

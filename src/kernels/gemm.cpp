@@ -36,13 +36,4 @@ void gemm_tn(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
   active_backend().gemm_tn(a, b, c, alpha, beta);
 }
 
-void gemv_t(ConstMatrixView a, std::span<const float> x, std::span<float> y,
-            float alpha, float beta) {
-  BPAR_SPAN("kernels.gemv_t");
-  BPAR_CHECK(static_cast<int>(x.size()) == a.rows &&
-                 static_cast<int>(y.size()) == a.cols,
-             "gemv_t shape mismatch");
-  active_backend().gemv_t(a, x, y, alpha, beta);
-}
-
 }  // namespace bpar::kernels

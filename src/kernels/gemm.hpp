@@ -33,10 +33,6 @@ void gemm_nt(ConstMatrixView a, ConstMatrixView b, MatrixView c,
 void gemm_tn(ConstMatrixView a, ConstMatrixView b, MatrixView c,
              float alpha = 1.0F, float beta = 0.0F);
 
-/// y(n) = alpha * A(m,n)^T x(m) + beta * y — convenience for vector paths.
-void gemv_t(ConstMatrixView a, std::span<const float> x, std::span<float> y,
-            float alpha = 1.0F, float beta = 0.0F);
-
 /// Flop count of a GEMM with the given shape (2*m*n*k).
 [[nodiscard]] constexpr double gemm_flops(int m, int n, int k) {
   return 2.0 * static_cast<double>(m) * static_cast<double>(n) *

@@ -151,61 +151,191 @@ struct SimdKernels {
 
   // ---- GEMM family ----
   // All three pre-scale C through the shared detail::scale_c and then pure
-  // accumulate, exactly like the scalar reference.
+  // accumulate, exactly like the scalar reference. The micro-kernels tile C
+  // in registers, but every output element still sees the same operations
+  // in the same order as a one-element-at-a-time loop, so the tile shape
+  // and loop order never change a bit of the result:
+  //   nn, tn  c = fma(alpha*a(i,p), b(p,j), c) for p ascending;
+  //   nt      per kBlockK slice: four lane-partial dot products s0..s3
+  //           over consecutive kW-wide chunks, (s0+s1)+(s2+s3), V::hsum's
+  //           reduction tree, the scalar k-tail, then c += alpha*acc.
 
-  /// C += alpha * A * B, register-tiled: 4 C vectors (one row, 4*kW
-  /// columns) stay in registers across a whole k-block.
-  static void gemm_nn(tensor::ConstMatrixView a, tensor::ConstMatrixView b,
-                      tensor::MatrixView c, float alpha, float beta) {
-    detail::scale_c(c, beta);
-    const int m = c.rows;
+  /// Vector registers a tile may use: V::kRegisters, else the 16 that
+  /// every supported ISA has.
+  static constexpr int kRegs = [] {
+    if constexpr (requires { V::kRegisters; }) {
+      return V::kRegisters;
+    } else {
+      return 16;
+    }
+  }();
+
+  // nn/tn tile: kRankRows rows x kRankCols vectors of C, plus one B vector
+  // per column and the broadcast A value. Four rows divide the 16-row
+  // batches the workloads run; six (all AVX-512 registers) measured slower
+  // there because the last four rows fell to one-row tiles.
+  static constexpr int kRankCols = 4;
+  static constexpr int kRankRows = kRegs / 8;
+
+  /// C[0..R, 0..NC*kW) += Σ_p ap[p*R + r] * B[p, :] over p in [0, kb): the
+  /// C tile stays in registers across all of kb.
+  template <int R, int NC>
+  static void rank_tile(const float* ap, const float* b, std::ptrdiff_t ldb,
+                        float* c, std::ptrdiff_t ldc, int kb) {
+    reg acc[R][NC];
+    for (int r = 0; r < R; ++r) {
+      for (int v = 0; v < NC; ++v) acc[r][v] = V::loadu(c + r * ldc + v * kW);
+    }
+    for (int p = 0; p < kb; ++p) {
+      const float* brow = b + p * ldb;
+      reg bv[NC];
+      for (int v = 0; v < NC; ++v) bv[v] = V::loadu(brow + v * kW);
+      for (int r = 0; r < R; ++r) {
+        const reg av = V::set1(ap[p * R + r]);
+        for (int v = 0; v < NC; ++v) acc[r][v] = V::fma(av, bv[v], acc[r][v]);
+      }
+    }
+    for (int r = 0; r < R; ++r) {
+      for (int v = 0; v < NC; ++v) V::storeu(c + r * ldc + v * kW, acc[r][v]);
+    }
+  }
+
+  /// Rows [i, i+R) of C += alpha * Â(:, k0..k0+kb) * B(k0..k0+kb, :), with
+  /// Â(i, p) = a[i*ai + p*ap]. alpha*Â is packed first — the same single
+  /// rounding the reference loop applies — so the tiles broadcast it
+  /// straight from memory.
+  template <int R>
+  static void rank_rows(const float* a, std::ptrdiff_t ai, std::ptrdiff_t ap,
+                        tensor::ConstMatrixView b, tensor::MatrixView c, int i,
+                        int k0, int kb, float alpha, float* pack) {
+    for (int p = 0; p < kb; ++p) {
+      for (int r = 0; r < R; ++r) {
+        pack[p * R + r] = alpha * a[(i + r) * ai + (k0 + p) * ap];
+      }
+    }
     const int n = c.cols;
-    const int k = a.cols;
-    for (int k0 = 0; k0 < k; k0 += detail::kBlockK) {
-      const int k1 = std::min(k, k0 + detail::kBlockK);
-      for (int i = 0; i < m; ++i) {
-        const float* arow = a.row(i).data();
-        float* crow = c.row(i).data();
-        int j = 0;
-        for (; j + 4 * kW <= n; j += 4 * kW) {
-          reg c0 = V::loadu(crow + j);
-          reg c1 = V::loadu(crow + j + kW);
-          reg c2 = V::loadu(crow + j + 2 * kW);
-          reg c3 = V::loadu(crow + j + 3 * kW);
-          for (int p = k0; p < k1; ++p) {
-            const reg av = V::set1(alpha * arow[p]);
-            const float* brow = b.row(p).data() + j;
-            c0 = V::fma(av, V::loadu(brow), c0);
-            c1 = V::fma(av, V::loadu(brow + kW), c1);
-            c2 = V::fma(av, V::loadu(brow + 2 * kW), c2);
-            c3 = V::fma(av, V::loadu(brow + 3 * kW), c3);
-          }
-          V::storeu(crow + j, c0);
-          V::storeu(crow + j + kW, c1);
-          V::storeu(crow + j + 2 * kW, c2);
-          V::storeu(crow + j + 3 * kW, c3);
+    const std::ptrdiff_t ldb = b.ld;
+    const std::ptrdiff_t ldc = c.ld;
+    const float* b0 = b.data + k0 * ldb;
+    float* c0 = c.data + i * ldc;
+    int j = 0;
+    for (; j + kRankCols * kW <= n; j += kRankCols * kW) {
+      rank_tile<R, kRankCols>(pack, b0 + j, ldb, c0 + j, ldc, kb);
+    }
+    for (; j + kW <= n; j += kW) {
+      rank_tile<R, 1>(pack, b0 + j, ldb, c0 + j, ldc, kb);
+    }
+    for (; j < n; ++j) {
+      for (int r = 0; r < R; ++r) {
+        float acc = c0[r * ldc + j];
+        for (int p = 0; p < kb; ++p) {
+          acc = std::fma(pack[p * R + r], b0[p * ldb + j], acc);
         }
-        for (; j + kW <= n; j += kW) {
-          reg c0 = V::loadu(crow + j);
-          for (int p = k0; p < k1; ++p) {
-            c0 = V::fma(V::set1(alpha * arow[p]), V::loadu(b.row(p).data() + j),
-                        c0);
-          }
-          V::storeu(crow + j, c0);
-        }
-        for (; j < n; ++j) {
-          float acc = crow[j];
-          for (int p = k0; p < k1; ++p) {
-            acc += alpha * arow[p] * b.row(p).data()[j];
-          }
-          crow[j] = acc;
-        }
+        c0[r * ldc + j] = acc;
       }
     }
   }
 
-  /// C += alpha * A * B^T: k-blocked row-dot-products, 4 accumulator
-  /// vectors per (i, j) pair to hide FMA latency.
+  /// C += alpha * Â * B, blocked at kBlockK so the packed panel of Â stays
+  /// on the stack. Shared by gemm_nn (Â = A) and gemm_tn (Â = A^T).
+  static void rank_update(const float* a, std::ptrdiff_t ai, std::ptrdiff_t ap,
+                          tensor::ConstMatrixView b, tensor::MatrixView c,
+                          int k, float alpha) {
+    float pack[kRankRows * detail::kBlockK];
+    for (int k0 = 0; k0 < k; k0 += detail::kBlockK) {
+      const int kb = std::min(k - k0, detail::kBlockK);
+      int i = 0;
+      for (; i + kRankRows <= c.rows; i += kRankRows) {
+        rank_rows<kRankRows>(a, ai, ap, b, c, i, k0, kb, alpha, pack);
+      }
+      for (; i < c.rows; ++i) {
+        rank_rows<1>(a, ai, ap, b, c, i, k0, kb, alpha, pack);
+      }
+    }
+  }
+
+  /// C += alpha * A * B: each B vector load is shared by kRankRows rows.
+  static void gemm_nn(tensor::ConstMatrixView a, tensor::ConstMatrixView b,
+                      tensor::MatrixView c, float alpha, float beta) {
+    detail::scale_c(c, beta);
+    rank_update(a.data, a.ld, 1, b, c, a.cols, alpha);
+  }
+
+  /// C += alpha * A^T * B, the weight-gradient GEMM (k = batch rows). No
+  /// zero fast-path — 0 * NaN must stay NaN (see scalar gemm_tn).
+  static void gemm_tn(tensor::ConstMatrixView a, tensor::ConstMatrixView b,
+                      tensor::MatrixView c, float alpha, float beta) {
+    detail::scale_c(c, beta);
+    rank_update(a.data, 1, a.ld, b, c, a.rows, alpha);
+  }
+
+  // nt tile: one row of A against kDotCols rows of B, four partials per
+  // element, so each A vector load serves the whole tile. Wider tiles
+  // measured slower on AVX-512; three columns fill AVX2's 16 registers.
+  static constexpr int kDotCols = kRegs >= 32 ? 4 : 3;
+
+  /// s[v] = fma(a, b row v, s[v]) over the kW floats at p.
+  template <int NC>
+  static void dot_step(reg (&s)[NC], const float* a, const float* b,
+                       std::ptrdiff_t ldb, int p) {
+    const reg av = V::loadu(a + p);
+    for (int v = 0; v < NC; ++v) {
+      s[v] = V::fma(av, V::loadu(b + v * ldb + p), s[v]);
+    }
+  }
+
+  /// out[v] = dot(a, b row v) over kb, each element computed exactly as a
+  /// lone row-dot-product: partials s0..s3 over groups of four kW-wide
+  /// chunks (s0 also takes the whole vectors left over), then
+  /// (s0+s1)+(s2+s3), hsum and the scalar k-tail. Always inlined, like
+  /// dot_block: GCC compiles the k-tail in place, so its bits must not
+  /// hinge on an inlining heuristic.
+  template <int NC>
+  [[gnu::always_inline]] static void dot_tile(const float* a, const float* b,
+                                              std::ptrdiff_t ldb, int kb,
+                                              float* out) {
+    reg s0[NC];
+    reg s1[NC];
+    reg s2[NC];
+    reg s3[NC];
+    for (int v = 0; v < NC; ++v) s0[v] = s1[v] = s2[v] = s3[v] = V::zero();
+    int p = 0;
+    for (; p + 4 * kW <= kb; p += 4 * kW) {
+      dot_step(s0, a, b, ldb, p);
+      dot_step(s1, a, b, ldb, p + kW);
+      dot_step(s2, a, b, ldb, p + 2 * kW);
+      dot_step(s3, a, b, ldb, p + 3 * kW);
+    }
+    for (; p + kW <= kb; p += kW) dot_step(s0, a, b, ldb, p);
+    for (int v = 0; v < NC; ++v) {
+      out[v] = V::hsum(V::add(V::add(s0[v], s1[v]), V::add(s2[v], s3[v])));
+    }
+    // The k-tail keeps the reference's plain `+=`: GCC compiles it to an
+    // in-order sum of vector products with an fma epilogue, and that mix is
+    // part of the numerics to reproduce (an explicit fma would not match).
+    for (int v = 0; v < NC; ++v) {
+      for (int pt = p; pt < kb; ++pt) out[v] += a[pt] * b[v * ldb + pt];
+    }
+  }
+
+  /// C[i, j..j+NC) += alpha * A(i, k0..) * B(j..j+NC, k0..)^T.
+  template <int NC>
+  [[gnu::always_inline]] static void dot_block(tensor::ConstMatrixView a,
+                                               tensor::ConstMatrixView b,
+                                               tensor::MatrixView c, int i,
+                                               int j, int k0, int kb,
+                                               float alpha) {
+    float out[NC];
+    dot_tile<NC>(a.data + static_cast<std::ptrdiff_t>(i) * a.ld + k0,
+                 b.data + static_cast<std::ptrdiff_t>(j) * b.ld + k0, b.ld,
+                 kb, out);
+    float* crow = c.data + static_cast<std::ptrdiff_t>(i) * c.ld + j;
+    for (int v = 0; v < NC; ++v) crow[v] = std::fma(alpha, out[v], crow[v]);
+  }
+
+  /// C += alpha * A * B^T, k-blocked at kBlockK (the slice boundaries are
+  /// part of each element's summation order). The rows of A stream past
+  /// one tile of B rows, which stays in L1.
   static void gemm_nt(tensor::ConstMatrixView a, tensor::ConstMatrixView b,
                       tensor::MatrixView c, float alpha, float beta) {
     detail::scale_c(c, beta);
@@ -213,89 +343,21 @@ struct SimdKernels {
     const int n = c.cols;
     const int k = a.cols;
     for (int k0 = 0; k0 < k; k0 += detail::kBlockK) {
-      const int k1 = std::min(k, k0 + detail::kBlockK);
-      const int kb = k1 - k0;
+      const int kb = std::min(k - k0, detail::kBlockK);
       for (int i0 = 0; i0 < m; i0 += detail::kBlockM) {
         const int i1 = std::min(m, i0 + detail::kBlockM);
-        for (int j0 = 0; j0 < n; j0 += detail::kBlockN) {
-          const int j1 = std::min(n, j0 + detail::kBlockN);
+        int j = 0;
+        for (; j + kDotCols <= n; j += kDotCols) {
           for (int i = i0; i < i1; ++i) {
-            const float* arow = a.row(i).data() + k0;
-            float* crow = c.row(i).data();
-            for (int j = j0; j < j1; ++j) {
-              const float* brow = b.row(j).data() + k0;
-              reg s0 = V::zero();
-              reg s1 = V::zero();
-              reg s2 = V::zero();
-              reg s3 = V::zero();
-              int p = 0;
-              for (; p + 4 * kW <= kb; p += 4 * kW) {
-                s0 = V::fma(V::loadu(arow + p), V::loadu(brow + p), s0);
-                s1 = V::fma(V::loadu(arow + p + kW), V::loadu(brow + p + kW),
-                            s1);
-                s2 = V::fma(V::loadu(arow + p + 2 * kW),
-                            V::loadu(brow + p + 2 * kW), s2);
-                s3 = V::fma(V::loadu(arow + p + 3 * kW),
-                            V::loadu(brow + p + 3 * kW), s3);
-              }
-              for (; p + kW <= kb; p += kW) {
-                s0 = V::fma(V::loadu(arow + p), V::loadu(brow + p), s0);
-              }
-              float acc =
-                  V::hsum(V::add(V::add(s0, s1), V::add(s2, s3)));
-              for (; p < kb; ++p) acc += arow[p] * brow[p];
-              crow[j] += alpha * acc;
-            }
+            dot_block<kDotCols>(a, b, c, i, j, k0, kb, alpha);
+          }
+        }
+        for (; j < n; ++j) {
+          for (int i = i0; i < i1; ++i) {
+            dot_block<1>(a, b, c, i, j, k0, kb, alpha);
           }
         }
       }
-    }
-  }
-
-  /// C += alpha * A^T * B: rank-1 updates vectorized along C's rows. No
-  /// zero fast-path — 0 * NaN must stay NaN (see scalar gemm_tn).
-  static void gemm_tn(tensor::ConstMatrixView a, tensor::ConstMatrixView b,
-                      tensor::MatrixView c, float alpha, float beta) {
-    detail::scale_c(c, beta);
-    const int m = c.rows;  // = a.cols
-    const int n = c.cols;  // = b.cols
-    const int k = a.rows;  // = b.rows
-    for (int p = 0; p < k; ++p) {
-      const float* arow = a.row(p).data();
-      const float* brow = b.row(p).data();
-      for (int i = 0; i < m; ++i) {
-        const float avs = alpha * arow[i];
-        const reg av = V::set1(avs);
-        float* crow = c.row(i).data();
-        int j = 0;
-        for (; j + kW <= n; j += kW) {
-          V::storeu(crow + j, V::fma(av, V::loadu(brow + j),
-                                     V::loadu(crow + j)));
-        }
-        for (; j < n; ++j) crow[j] += avs * brow[j];
-      }
-    }
-  }
-
-  /// y = alpha * A^T x + beta * y — same rank-1 shape as gemm_tn.
-  static void gemv_t(tensor::ConstMatrixView a, std::span<const float> x,
-                     std::span<float> y, float alpha, float beta) {
-    if (beta == 0.0F) {
-      std::fill(y.begin(), y.end(), 0.0F);
-    } else if (beta != 1.0F) {
-      for (auto& v : y) v *= beta;
-    }
-    const int n = a.cols;
-    for (int i = 0; i < a.rows; ++i) {
-      const float avs = alpha * x[static_cast<std::size_t>(i)];
-      const reg av = V::set1(avs);
-      const float* arow = a.row(i).data();
-      float* yd = y.data();
-      int j = 0;
-      for (; j + kW <= n; j += kW) {
-        V::storeu(yd + j, V::fma(av, V::loadu(arow + j), V::loadu(yd + j)));
-      }
-      for (; j < n; ++j) yd[j] += avs * arow[j];
     }
   }
 
@@ -307,7 +369,6 @@ struct SimdKernels {
         .gemm_nn = gemm_nn,
         .gemm_nt = gemm_nt,
         .gemm_tn = gemm_tn,
-        .gemv_t = gemv_t,
         .sigmoid_inplace = sigmoid_inplace,
         .tanh_inplace = tanh_inplace,
         .hadamard = hadamard,

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <thread>
@@ -130,37 +131,93 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmShape{1, 128, 256}, GemmShape{128, 1, 300},
                       GemmShape{96, 257, 64}));
 
-TEST(Gemm, BlockViewsComputeSubsets) {
-  // Row-split computation must equal the full GEMM (basis of intra-op
-  // parallelism in the barrier baseline).
-  util::Rng rng(4);
-  Matrix a = random_matrix(24, 32, rng);
-  Matrix b = random_matrix(40, 32, rng);
-  Matrix full(24, 40);
-  gemm_nt(a.cview(), b.cview(), full.view());
+// Shapes chosen to exercise vector tails (non-multiples of 8/16), empty
+// dims, single rows/cols, k beyond one cache block (kBlockK = 256), and the
+// GEMMs the bpar_bench workloads run.
+const GemmShape kParityShapes[] = {
+    {0, 3, 4},      {3, 0, 4},     {3, 4, 0},      {1, 1, 1},
+    {5, 7, 3},      {17, 31, 33},  {31, 33, 1},    {1, 16, 257},
+    {8, 16, 32},    {64, 70, 300}, {16, 512, 256}, {16, 512, 64},
+    {1, 256, 64},   {40, 256, 16}, {512, 256, 16}, {96, 64, 8}};
 
-  Matrix split(24, 40);
-  for (int r0 = 0; r0 < 24; r0 += 7) {
-    const int rows = std::min(7, 24 - r0);
-    gemm_nt(a.cview().block(r0, 0, rows, 32), b.cview(),
-            split.view().block(r0, 0, rows, 40));
-  }
-  EXPECT_EQ(tensor::max_abs_diff(full.cview(), split.cview()), 0.0F);
+// Bitwise: -0 against +0 or two different NaNs count as a mismatch.
+bool same_bits(const Matrix& x, const Matrix& y) {
+  if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
+  return x.count() == 0 ||  // empty matrices may hold no storage at all
+         std::memcmp(x.data(), y.data(), x.count() * sizeof(float)) == 0;
 }
 
-TEST(Gemm, GemvTransposed) {
-  util::Rng rng(5);
-  Matrix a = random_matrix(6, 4, rng);
-  std::vector<float> x = {1.0F, -2.0F, 0.5F, 3.0F, -1.0F, 2.0F};
-  std::vector<float> y(4, 1.0F);
-  kernels::gemv_t(a.cview(), x, y, 2.0F, 0.5F);
-  for (int j = 0; j < 4; ++j) {
-    double expect = 0.5;
-    for (int i = 0; i < 6; ++i) {
-      expect += 2.0 * static_cast<double>(x[static_cast<std::size_t>(i)]) *
-                a.at(i, j);
+TEST(Gemm, BlockViewsComputeSubsets) {
+  // Three invariants of every backend's tiling, checked bitwise:
+  //  (a) each row of a gemm_nn / gemm_nt call equals the same call on that
+  //      row alone — intra-op row splitting, input_precompute pass parity
+  //      and batched-vs-batch-1 serving all rely on it;
+  //  (b) gemm_tn over k rows equals k successive beta = 1 single-row
+  //      calls, which pins its per-element rank-1 FMA order;
+  //  (c) each column of a gemm_nn / gemm_nt / gemm_tn call equals the same
+  //      call with B cut to that column (that row, for nt) — gate fusion
+  //      relies on one 3H-wide call matching its 2H- and H-wide parts, and
+  //      the nt tile takes a column through a wide or a one-column tile
+  //      depending on where the column falls.
+  for (const auto* backend : kernels::available_backends()) {
+    for (const auto& [m, n, k] : kParityShapes) {
+      util::Rng rng(4);
+      const Matrix a = random_matrix(m, k, rng);
+      const Matrix b_nn = random_matrix(k, n, rng);
+      const Matrix b_nt = random_matrix(n, k, rng);
+      const Matrix a_tn = random_matrix(k, m, rng);
+      const Matrix c0 = random_matrix(m, n, rng);
+      const auto rows_match = [&](auto fn, const Matrix& b,
+                                  const char* variant) {
+        Matrix full = c0;
+        (backend->*fn)(a.cview(), b.cview(), full.view(), 0.7F, 0.3F);
+        Matrix split = c0;
+        for (int r = 0; r < m; ++r) {
+          (backend->*fn)(a.cview().block(r, 0, 1, k), b.cview(),
+                         split.view().block(r, 0, 1, n), 0.7F, 0.3F);
+        }
+        EXPECT_TRUE(same_bits(full, split))
+            << backend->name << " " << variant << " " << m << "x" << n << "x"
+            << k << ": a row differs from its single-row call";
+      };
+      rows_match(&kernels::Backend::gemm_nn, b_nn, "nn");
+      rows_match(&kernels::Backend::gemm_nt, b_nt, "nt");
+
+      const auto cols_match = [&](auto fn, const Matrix& lhs, const Matrix& b,
+                                  bool b_transposed, const char* variant) {
+        Matrix full = c0;
+        (backend->*fn)(lhs.cview(), b.cview(), full.view(), 0.7F, 0.3F);
+        Matrix split = c0;
+        for (int j = 0; j < n; ++j) {
+          (backend->*fn)(lhs.cview(),
+                         b_transposed ? b.cview().block(j, 0, 1, k)
+                                      : b.cview().block(0, j, k, 1),
+                         split.view().block(0, j, m, 1), 0.7F, 0.3F);
+        }
+        EXPECT_TRUE(same_bits(full, split))
+            << backend->name << " " << variant << " " << m << "x" << n << "x"
+            << k << ": a column differs from its single-column call";
+      };
+      // Empty operands are skipped: their column views would offset a null
+      // pointer.
+      if (m > 0 && k > 0) {
+        cols_match(&kernels::Backend::gemm_nn, a, b_nn, false, "nn");
+        cols_match(&kernels::Backend::gemm_nt, a, b_nt, true, "nt");
+        cols_match(&kernels::Backend::gemm_tn, a_tn, b_nn, false, "tn");
+      }
+
+      Matrix full = c0;
+      backend->gemm_tn(a_tn.cview(), b_nn.cview(), full.view(), 0.7F, 1.0F);
+      Matrix steps = c0;
+      for (int p = 0; p < k; ++p) {
+        backend->gemm_tn(a_tn.cview().block(p, 0, 1, m),
+                         b_nn.cview().block(p, 0, 1, n), steps.view(), 0.7F,
+                         1.0F);
+      }
+      EXPECT_TRUE(same_bits(full, steps))
+          << backend->name << " tn " << m << "x" << n << "x" << k
+          << ": differs from successive single-row updates";
     }
-    EXPECT_NEAR(y[static_cast<std::size_t>(j)], expect, 1e-4);
   }
 }
 
@@ -286,12 +343,6 @@ TEST(Elementwise, ArgmaxRows) {
 const float kNaN = std::numeric_limits<float>::quiet_NaN();
 const float kInf = std::numeric_limits<float>::infinity();
 
-// Shapes chosen to exercise vector tails (non-multiples of 8/16), empty
-// dims, single rows/cols, and k beyond one cache block (kBlockK = 256).
-const GemmShape kParityShapes[] = {
-    {0, 3, 4},   {3, 0, 4},    {3, 4, 0},   {1, 1, 1},
-    {5, 7, 3},   {17, 31, 33}, {31, 33, 1}, {1, 16, 257},
-    {8, 16, 32}, {64, 70, 300}};
 const std::pair<float, float> kAlphaBeta[] = {
     {1.0F, 0.0F}, {0.7F, 0.3F}, {0.0F, 1.0F}, {1.3F, 1.0F}, {0.0F, 0.0F}};
 
@@ -320,30 +371,6 @@ TEST(BackendParity, GemmAllVariantsMatchScalar) {
         check(&kernels::Backend::gemm_nn, a_nn, b_nn);
         check(&kernels::Backend::gemm_nt, a_nn, b_nt);
         check(&kernels::Backend::gemm_tn, a_tn, b_nn);
-      }
-    }
-  }
-}
-
-TEST(BackendParity, GemvTMatchesScalar) {
-  const kernels::Backend& ref = kernels::scalar_backend();
-  for (const auto* backend : kernels::available_backends()) {
-    for (const int m : {1, 7, 16, 33}) {
-      for (const int n : {1, 5, 17, 64}) {
-        util::Rng rng(9);
-        const Matrix a = random_matrix(m, n, rng);
-        Matrix x(1, m);
-        tensor::fill_uniform(x.view(), rng, -1.0F, 1.0F);
-        Matrix y0(1, n);
-        tensor::fill_uniform(y0.view(), rng, -1.0F, 1.0F);
-        Matrix got = y0;
-        Matrix want = y0;
-        backend->gemv_t(a.cview(), x.cview().row(0), got.view().row(0), 0.9F,
-                        0.4F);
-        ref.gemv_t(a.cview(), x.cview().row(0), want.view().row(0), 0.9F,
-                   0.4F);
-        EXPECT_TRUE(tensor::allclose(got.cview(), want.cview(), 1e-4F, 1e-5F))
-            << backend->name << " gemv_t " << m << "x" << n;
       }
     }
   }
