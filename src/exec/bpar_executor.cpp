@@ -37,7 +37,10 @@ taskrt::RuntimeOptions runtime_options(const BParOptions& options) {
 }  // namespace
 
 BParExecutor::BParExecutor(rnn::Network& net, BParOptions options)
-    : net_(net), options_(options), runtime_(runtime_options(options)) {}
+    : net_(net),
+      options_(options),
+      pass_spec_(graph::passes::effective_pass_spec(options_.passes)),
+      runtime_(runtime_options(options)) {}
 
 BParExecutor::~BParExecutor() {
   for (const auto* cache : {&train_programs_, &infer_programs_}) {
@@ -53,9 +56,8 @@ graph::TrainingProgram& BParExecutor::program(bool training, int seq_length,
       seq_length > 0 ? seq_length : net_.config().seq_length;
   const int rows =
       batch_rows > 0 ? batch_rows : net_.config().batch_size;
-  const std::string spec = graph::passes::effective_pass_spec(options_.passes);
   auto& cache = training ? train_programs_ : infer_programs_;
-  auto it = cache.find(ShapeKey{steps, rows, spec});
+  auto it = cache.find(ShapeKey{steps, rows});
   if (it == cache.end()) {
     graph::BuildOptions bo;
     // Replicas cannot outnumber batch rows; small serving micro-batches
@@ -69,16 +71,10 @@ graph::TrainingProgram& BParExecutor::program(bool training, int seq_length,
     }
     bo.compute_input_grads = options_.compute_input_grads;
     bo.seq_length_override = steps;
-    bo.passes = spec;
+    bo.passes = pass_spec_;
     bo.dispatch_ns = measured_dispatch_ns_;
-    if (!training && options_.quantized_inference) {
-      if (quantized_ == nullptr) {
-        quantized_ = std::make_unique<rnn::QuantizedNetwork>(net_);
-      }
-      bo.quantized = quantized_.get();
-    }
     it = cache
-             .emplace(ShapeKey{steps, rows, spec},
+             .emplace(ShapeKey{steps, rows},
                       std::make_unique<graph::TrainingProgram>(net_, rows, bo))
              .first;
     obs::program_cache_memory().on_alloc(program_graph_bytes(*it->second));
@@ -100,10 +96,6 @@ graph::TrainingProgram& BParExecutor::train_program(int seq_length,
 graph::TrainingProgram& BParExecutor::infer_program(int seq_length,
                                                     int batch_rows) {
   return program(/*training=*/false, seq_length, batch_rows);
-}
-
-void BParExecutor::refresh_quantized_weights() {
-  if (quantized_ != nullptr) quantized_->requantize(net_);
 }
 
 void BParExecutor::note_stats(const taskrt::RunStats& stats) {

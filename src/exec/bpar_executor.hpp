@@ -20,13 +20,11 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "exec/common_options.hpp"
 #include "exec/executor.hpp"
 #include "graph/brnn_graph.hpp"
-#include "rnn/quantized.hpp"
 
 namespace bpar::exec {
 
@@ -38,14 +36,10 @@ struct BParOptions {
   /// Per-task-class hardware counters (RunStats::kind_counters); no-op
   /// when perf_event_open is unavailable.
   bool sample_counters = false;
-  /// int8 inference (DESIGN.md §5g): quantize the trained fp32 weights
-  /// once (per output channel) and run inference-graph GEMMs in int8 with
-  /// fp32 dequantization at the activation boundary. Training always stays
-  /// fp32. Call refresh_quantized_weights() after mutating the Network.
-  bool quantized_inference = false;
   /// Graph-optimizer pass spec (graph/passes/registry.hpp): "default"
   /// resolves through BPAR_GRAPH_PASSES, "none"/"off" disables the
   /// pipeline, otherwise a comma list like "gate_fusion,coarsen:1200".
+  /// Resolved once, when the executor is constructed.
   std::string passes = "default";
   /// Schedule shape forwarded to BuildOptions::schedule_profile ("" =
   /// free-running B-Par; "bseq", "framework", "fused_merge", ...).
@@ -84,19 +78,10 @@ class BParExecutor final : public Executor {
     return training ? train_programs_.size() : infer_programs_.size();
   }
 
-  /// Re-quantizes the int8 weight sidecar from the current fp32 weights.
-  /// Required after in-place weight updates (training steps, load_weights)
-  /// when quantized_inference is on; cheap no-op otherwise.
-  void refresh_quantized_weights();
-  [[nodiscard]] bool quantized_inference() const {
-    return options_.quantized_inference;
-  }
-
  private:
-  // (seq_length, batch_rows, resolved pass spec) — the pass spec is part of
-  // the cache key so e.g. an env-var change between runs cannot alias a
-  // differently-optimized graph.
-  using ShapeKey = std::tuple<int, int, std::string>;
+  // (seq_length, batch_rows); every program of one executor is built under
+  // the same resolved pass spec.
+  using ShapeKey = std::pair<int, int>;
   graph::TrainingProgram& program(bool training, int seq_length,
                                   int batch_rows);
   /// Folds a run's measured per-task dispatch cost into the EMA that seeds
@@ -105,10 +90,10 @@ class BParExecutor final : public Executor {
 
   rnn::Network& net_;
   BParOptions options_;
+  /// options_.passes through passes::effective_pass_spec (env var, unknown
+  /// names), resolved once so a bad spec warns once per executor.
+  std::string pass_spec_;
   taskrt::Runtime runtime_;
-  /// int8 weight sidecar shared by every cached inference program; built
-  /// lazily the first time an inference graph is requested.
-  std::unique_ptr<rnn::QuantizedNetwork> quantized_;
   std::map<ShapeKey, std::unique_ptr<graph::TrainingProgram>> train_programs_;
   std::map<ShapeKey, std::unique_ptr<graph::TrainingProgram>> infer_programs_;
   graph::TrainingProgram* last_train_ = nullptr;

@@ -9,10 +9,8 @@
 #include "kernels/elementwise.hpp"
 #include "kernels/gemm.hpp"
 #include "obs/trace.hpp"
-#include "kernels/quant.hpp"
 #include "rnn/flops.hpp"
 #include "rnn/merge.hpp"
-#include "rnn/quantized.hpp"
 #include "util/check.hpp"
 
 namespace bpar::graph {
@@ -352,7 +350,7 @@ auto TrainingProgram::make_cell_fn(passes::CellInfo ci) {
           rows, ci.precomp_cols, ci.precomp_cols};
     }
     rnn::cell_forward_ex(
-        *ci.params, ci.qw, x, h_prev, c_prev,
+        *ci.params, x, h_prev, c_prev,
         ws->tape(ci.dir, ci.layer, ci.step).views_rows(row0, rows), fo);
     if (ci.fused_merge) {
       rnn::merge_forward(
@@ -373,7 +371,6 @@ void TrainingProgram::run_passes() {
       *this,
       opts_.executable,
       opts_.training,
-      opts_.executable && !opts_.training && opts_.quantized != nullptr,
       opts_.dispatch_ns == 0 ? 300 : opts_.dispatch_ns,
       &pass_report_,
       {}};
@@ -470,10 +467,6 @@ passes::OpList TrainingProgram::make_precompute_ops(int rep, int dir,
 
   const rnn::LayerParams* params =
       opts_.executable ? &net_.layer(dir, 0) : nullptr;
-  const kernels::QuantizedMatrix* qw =
-      (opts_.executable && !opts_.training && opts_.quantized != nullptr)
-          ? &opts_.quantized->layer(dir, 0)
-          : nullptr;
 
   passes::OpList ops;
   for (int c = 0; c < chunks; ++c) {
@@ -514,7 +507,7 @@ passes::OpList TrainingProgram::make_precompute_ops(int rep, int dir,
     op.accesses.push_back(out(addr));
     if (opts_.executable) {
       PrecompBuf* b = buf.get();
-      op.fn = [this, b, params, qw, t0, t1, rb, r0, in_width] {
+      op.fn = [this, b, params, t0, t1, rb, r0, in_width] {
         BPAR_SPAN("graph.input_precompute");
         for (int t = t0; t < t1; ++t) {
           tensor::copy(
@@ -526,12 +519,7 @@ passes::OpList TrainingProgram::make_precompute_ops(int rep, int dir,
             b->xpack.cview().block(t0 * rb, 0, (t1 - t0) * rb, in_width);
         MatrixView pv =
             b->proj.view().block(t0 * rb, 0, (t1 - t0) * rb, b->cols);
-        if (qw != nullptr) {
-          kernels::qgemm_nt(xv, qw->view().block(0, 0, qw->rows(), in_width),
-                            pv);
-        } else {
-          kernels::gemm_nt(xv, params->w_input(), pv);
-        }
+        kernels::gemm_nt(xv, params->w_input(), pv);
       };
     }
     ops.push_back(std::move(op));
@@ -668,11 +656,6 @@ void TrainingProgram::build_forward_layer(ReplicaCtx& ctx, int l) {
   auto emit_cells = [&](int dir) {
     const rnn::LayerParams* params =
         opts_.executable ? &net_.layer(dir, l) : nullptr;
-    // int8 path: inference graphs only — training reads fp32 weights.
-    const kernels::QuantizedMatrix* qw =
-        (opts_.executable && !opts_.training && opts_.quantized != nullptr)
-            ? &opts_.quantized->layer(dir, l)
-            : nullptr;
     for (int s = 0; s < steps; ++s) {
       // Input index this processing step consumes.
       const int ti = dir == 0 ? s : steps - 1 - s;
@@ -698,7 +681,6 @@ void TrainingProgram::build_forward_layer(ReplicaCtx& ctx, int l) {
       passes::CellInfo ci;
       ci.ws = ctx.ws;
       ci.params = params;
-      ci.qw = qw;
       ci.rep = ctx.rep;
       ci.dir = dir;
       ci.layer = l;
@@ -813,21 +795,13 @@ void TrainingProgram::build_loss_and_dense(ReplicaCtx& ctx) {
                             out(ctx.addr_loss(t))};
     std::function<void()> fn;
     if (opts_.executable) {
-      const kernels::QuantizedMatrix* q_out =
-          (!opts_.training && opts_.quantized != nullptr)
-              ? &opts_.quantized->w_out()
-              : nullptr;
       fn = [this, ws, t, weight, &losses = losses_, rep = ctx.rep,
             outputs = ctx.outputs(), m2m = cfg.many_to_many, last,
-            r0 = ctx.r0, rb = ctx.rb, q_out] {
+            r0 = ctx.r0, rb = ctx.rb] {
         ConstMatrixView y =
             m2m ? ws->merged(last, t).cview() : ws->final_merged.cview();
         MatrixView logits = ws->logits(t).view();
-        if (q_out != nullptr) {
-          kernels::qgemm_nt(y, q_out->view(), logits);
-        } else {
-          kernels::gemm_nt(y, net_.w_out.cview(), logits);
-        }
+        kernels::gemm_nt(y, net_.w_out.cview(), logits);
         kernels::add_bias_rows(logits, net_.b_out.cview().row(0));
         kernels::softmax_rows(logits, ws->probs(t).view());
         const std::size_t offset =

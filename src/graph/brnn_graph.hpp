@@ -44,10 +44,6 @@
 #include "rnn/network.hpp"
 #include "taskrt/task_graph.hpp"
 
-namespace bpar::rnn {
-class QuantizedNetwork;
-}
-
 namespace bpar::graph {
 
 struct BuildOptions {
@@ -69,12 +65,6 @@ struct BuildOptions {
   /// Also compute ∂L/∂x (per-timestep input gradients) during backward —
   /// off by default because layer 0 then pays an extra GEMM per cell.
   bool compute_input_grads = false;
-
-  /// Non-null → executable inference graphs (training == false) route
-  /// their cell and dense GEMMs through this int8 weight sidecar
-  /// (DESIGN.md §5g). Ignored for training graphs; must outlive the
-  /// program and be refreshed whenever the Network's weights change.
-  const rnn::QuantizedNetwork* quantized = nullptr;
 
   /// Optimizer pass spec (see graph/passes/registry.hpp). "" = no passes:
   /// the faithful paper graph. Executors resolve their user-facing

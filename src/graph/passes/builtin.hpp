@@ -17,8 +17,8 @@ namespace bpar::graph::passes {
 /// "input_precompute": hoist all timesteps' x·W_x^T of layer 0 into
 /// `chunks` sequence-wide GEMM tasks per (replica, direction); the
 /// per-timestep cells then row-slice the projection instead of launching
-/// their input GEMM. Bit-exact for fp32 and int8 (per-row quantization
-/// scales make row-partitioned qgemm results position-invariant).
+/// their input GEMM. Bit-exact: a row of a GEMM does not depend on which
+/// other rows the call computes.
 [[nodiscard]] std::unique_ptr<GraphPass> make_input_precompute(int chunks = 4);
 
 /// "coarsen": merge immediately-adjacent *dependent* non-cell tasks whose

@@ -7,8 +7,7 @@
 // h̄), into one 3H-wide GEMM: 4 launches → 3. The candidate block's *input*
 // contribution is computed before the z,r pointwise stage instead of after,
 // which is value-identical — the writes are disjoint and each output
-// element's dot product is unchanged. int8 inherits the rewrite through
-// QuantView::block (per-row scales make column/row slices exact).
+// element's dot product is unchanged.
 #include <string>
 
 #include "graph/passes/builtin.hpp"

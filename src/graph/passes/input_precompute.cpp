@@ -6,8 +6,7 @@
 // with nothing — taking that work OFF the serial recurrent chain
 // (Appleyard et al., PAPERS.md). Each per-timestep cell then depends on its
 // chunk and copies its row slice into the gate buffer before the recurrent
-// beta=1 GEMM, which accumulates in the same order as before: bit-exact for
-// fp32 and int8 (activation quantization is per batch row).
+// beta=1 GEMM, which accumulates in the same order as before: bit-exact.
 //
 // The buffers and closures live on TrainingProgram (make_precompute_ops);
 // this pass only decides where chunks go and rewrites the cell descriptors.

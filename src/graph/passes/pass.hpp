@@ -12,8 +12,8 @@
 //    written by ops earlier in the list;
 //  * the external dependency frontier of a rewritten region is unchanged
 //    (same addresses read and written, modes at least as strong);
-//  * default-pipeline rewrites are bit-exact versus the unfused graph for
-//    fp32 and int8, training and inference.
+//  * default-pipeline rewrites are bit-exact versus the unfused graph, for
+//    training and inference.
 #pragma once
 
 #include <cstdint>
@@ -31,10 +31,6 @@ struct LayerParams;
 class Workspace;
 }  // namespace bpar::rnn
 
-namespace bpar::kernels {
-class QuantizedMatrix;
-}
-
 namespace bpar::graph {
 class TrainingProgram;
 }
@@ -47,7 +43,6 @@ namespace bpar::graph::passes {
 struct CellInfo {
   rnn::Workspace* ws = nullptr;  // null in shape-only mode
   const rnn::LayerParams* params = nullptr;
-  const kernels::QuantizedMatrix* qw = nullptr;  // int8 inference only
   int rep = 0, dir = 0, layer = 0, step = 0, ti = 0;
   int r0 = 0, rb = 0, steps = 0;
   int in_width = 0;  // layer input width (flops bookkeeping)
@@ -103,7 +98,6 @@ struct PassContext {
   TrainingProgram& program;
   bool executable = false;
   bool training = true;
-  bool quantized = false;
   /// Per-task dispatch-cost estimate feeding TaskCoarsening (ns).
   std::uint64_t dispatch_ns = 300;
   PassReport* report = nullptr;

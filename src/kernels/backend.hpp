@@ -1,8 +1,8 @@
 // Runtime-dispatched kernel backends (DESIGN.md §5g).
 //
-// Every hot numeric kernel — the three GEMM variants, the fused
-// pointwise/activation chains, and the int8 dot product under the quantized
-// inference path — is reached through a `Backend` function-pointer table.
+// Every hot numeric kernel — the three GEMM variants and the fused
+// pointwise/activation chains — is reached through a `Backend`
+// function-pointer table.
 // The table is selected exactly once, at first use, by cpuid feature
 // detection (AVX-512 > AVX2 > NEON > scalar), and can be overridden with
 // the BPAR_KERNEL_BACKEND environment variable or set_backend() (the
@@ -17,7 +17,6 @@
 // bit-exact replay tests rely on.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -49,12 +48,6 @@ struct Backend {
                        std::span<float> dst) = nullptr;
   void (*axpy)(float s, std::span<const float> src,
                std::span<float> dst) = nullptr;
-
-  /// int8 x int8 -> int32 dot product of length k — the inner kernel of the
-  /// quantized GEMM (kernels/quant.hpp). Accumulation is exact (int32), so
-  /// this IS bit-consistent across backends.
-  std::int32_t (*dot_i8)(const std::int8_t* a, const std::int8_t* b,
-                         int k) = nullptr;
 };
 
 /// The scalar reference backend — always available, golden for parity.

@@ -54,34 +54,6 @@ struct Avx512Vec {
     s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
     return _mm_cvtss_f32(s);
   }
-
-  /// 32 int8 lanes widened to int16, madd into 16 int32 partials.
-  static std::int32_t dot_i8(const std::int8_t* a, const std::int8_t* b,
-                             int k) {
-    __m512i acc = _mm512_setzero_si512();
-    int p = 0;
-    for (; p + 32 <= k; p += 32) {
-      const __m256i av =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + p));
-      const __m256i bv =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + p));
-      const __m512i a16 = _mm512_cvtepi8_epi16(av);
-      const __m512i b16 = _mm512_cvtepi8_epi16(bv);
-      acc = _mm512_add_epi32(acc, _mm512_madd_epi16(a16, b16));
-    }
-    const __m256i lo8 = _mm512_castsi512_si256(acc);
-    const __m256i hi8 = _mm512_extracti64x4_epi64(acc, 1);
-    const __m256i s8 = _mm256_add_epi32(lo8, hi8);
-    __m128i s = _mm_add_epi32(_mm256_castsi256_si128(s8),
-                              _mm256_extracti128_si256(s8, 1));
-    s = _mm_add_epi32(s, _mm_unpackhi_epi64(s, s));
-    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 1));
-    std::int32_t sum = _mm_cvtsi128_si32(s);
-    for (; p < k; ++p) {
-      sum += static_cast<std::int32_t>(a[p]) * static_cast<std::int32_t>(b[p]);
-    }
-    return sum;
-  }
 };
 
 }  // namespace

@@ -120,14 +120,6 @@ void axpy(float s, std::span<const float> src, std::span<float> dst) {
   for (std::size_t i = 0; i < dst.size(); ++i) dst[i] += s * src[i];
 }
 
-std::int32_t dot_i8(const std::int8_t* a, const std::int8_t* b, int k) {
-  std::int32_t acc = 0;
-  for (int p = 0; p < k; ++p) {
-    acc += static_cast<std::int32_t>(a[p]) * static_cast<std::int32_t>(b[p]);
-  }
-  return acc;
-}
-
 }  // namespace
 }  // namespace scalar
 
@@ -143,7 +135,6 @@ const Backend& scalar_backend() {
       .hadamard = scalar::hadamard,
       .hadamard_acc = scalar::hadamard_acc,
       .axpy = scalar::axpy,
-      .dot_i8 = scalar::dot_i8,
   };
   return backend;
 }

@@ -13,7 +13,6 @@
 //   hsum(reg) -> float
 //   round_nearest(reg)
 //   scale_by_pow2(x, n) = x * 2^(int)n   (n integral-valued float reg)
-//   dot_i8(a, b, k) -> int32             (per-ISA widening int kernel)
 //
 // Tails (sizes not a multiple of kWidth) take scalar loops; the scalar
 // code matches what detail::scale_c + the vector body compute, so a
@@ -374,7 +373,6 @@ struct SimdKernels {
         .hadamard = hadamard,
         .hadamard_acc = hadamard_acc,
         .axpy = axpy,
-        .dot_i8 = V::dot_i8,
     };
   }
 };

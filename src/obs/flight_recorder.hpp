@@ -10,7 +10,7 @@
 //                                             (trigger, engine state,
 //                                             metrics, folded profile)
 //
-// trigger() is thread-safe, debounced (a breaker flapping at 10 Hz writes
+// trigger() is thread-safe, debounced (a trigger firing at 10 Hz writes
 // one bundle, not six hundred), and rotates the directory to both a
 // bundle-count and a total-byte bound so a long-lived server can never
 // fill a disk. Content comes from pluggable providers so obs stays

@@ -3,10 +3,8 @@
 #include <cmath>
 
 #include "kernels/elementwise.hpp"
-#include "kernels/quant.hpp"
 #include "obs/trace.hpp"
 #include "kernels/gemm.hpp"
-#include "rnn/quantized.hpp"
 #include "util/check.hpp"
 
 namespace bpar::rnn {
@@ -53,14 +51,22 @@ ConstCellTapeViews CellTape::cviews() const {
 
 namespace {
 
-/// Everything after the gate GEMMs: bias add, activations, state update.
-/// Shared by the fp32 and int8 forward paths — `tape.gates` must already
-/// hold x * Wx^T + h_prev * Wh^T (pre-bias, pre-activation).
-void lstm_pointwise(const LayerParams& p, ConstMatrixView c_prev,
-                    const CellTapeViews& tape) {
+void lstm_forward(const LayerParams& p, ConstMatrixView x,
+                  ConstMatrixView h_prev, ConstMatrixView c_prev,
+                  const CellTapeViews& tape, const CellForwardOpts& opts) {
   const int batch = tape.gates.rows;
   const int hidden = p.hidden_size;
   MatrixView gates = tape.gates;
+
+  // gates = x * Wx^T + h_prev * Wh^T + b. The input half may come
+  // precomputed sequence-wide; the recurrent GEMM then accumulates on top
+  // (beta=1) in the same order as the plain path.
+  if (opts.precomp.data != nullptr) {
+    tensor::copy(opts.precomp, gates);
+  } else {
+    gemm_nt(x, p.w_input(), gates);
+  }
+  gemm_nt(h_prev, p.w_recurrent(), gates, 1.0F, 1.0F);
   kernels::add_bias_rows(gates, p.b.cview().row(0));
 
   BPAR_SPAN("rnn.lstm_pointwise");
@@ -88,83 +94,9 @@ void lstm_pointwise(const LayerParams& p, ConstMatrixView c_prev,
   }
 }
 
-void lstm_forward(const LayerParams& p, const kernels::QuantizedMatrix* qw,
-                  ConstMatrixView x, ConstMatrixView h_prev,
-                  ConstMatrixView c_prev, const CellTapeViews& tape,
-                  const CellForwardOpts& o) {
-  // gates = x * Wx^T + h_prev * Wh^T (+ b inside the pointwise stage).
-  // The input half may come precomputed sequence-wide; the recurrent GEMM
-  // then accumulates on top (beta=1) in the same order as the plain path.
-  if (o.precomp.data != nullptr) {
-    tensor::copy(o.precomp, tape.gates);
-  } else if (qw != nullptr) {
-    kernels::qgemm_nt(x, qw->view().block(0, 0, qw->rows(), p.input_size),
-                      tape.gates);
-  } else {
-    gemm_nt(x, p.w_input(), tape.gates);
-  }
-  if (qw != nullptr) {
-    kernels::qgemm_nt(
-        h_prev, qw->view().block(0, p.input_size, qw->rows(), p.hidden_size),
-        tape.gates, 1.0F);
-  } else {
-    gemm_nt(h_prev, p.w_recurrent(), tape.gates, 1.0F, 1.0F);
-  }
-  lstm_pointwise(p, c_prev, tape);
-}
-
-/// Bias + sigmoid over the fused z,r block, then rh = r ⊙ h_prev. Shared by
-/// the fp32 and int8 paths; the z,r GEMMs must have run already.
-void gru_zr_pointwise(const LayerParams& p, ConstMatrixView h_prev,
-                      const CellTapeViews& tape) {
-  const int batch = tape.gates.rows;
-  const int hidden = p.hidden_size;
-  MatrixView gates = tape.gates;
-  MatrixView zr = gates.block(0, 0, batch, 2 * hidden);
-  for (int r = 0; r < batch; ++r) {
-    kernels::add_inplace(zr.row(r),
-                         p.b.cview().row(0).subspan(0, 2 * hidden));
-    kernels::sigmoid_inplace(zr.row(r));
-  }
-
-  // rh = r ⊙ h_prev, then the candidate block uses rh as recurrent input.
-  for (int r = 0; r < batch; ++r) {
-    const float* rr = gates.row(r).data() + hidden;
-    kernels::hadamard({rr, static_cast<std::size_t>(hidden)}, h_prev.row(r),
-                      tape.rh.row(r));
-  }
-}
-
-/// Bias + tanh over the candidate block, then h = z⊙h̄ + (1-z)⊙h_prev
-/// (Eq. 10). Shared by the fp32 and int8 paths.
-void gru_hbar_pointwise(const LayerParams& p, ConstMatrixView h_prev,
-                        const CellTapeViews& tape) {
-  const int batch = tape.gates.rows;
-  const int hidden = p.hidden_size;
-  MatrixView gates = tape.gates;
-  MatrixView hbar = gates.block(0, 2 * hidden, batch, hidden);
-  for (int r = 0; r < batch; ++r) {
-    kernels::add_inplace(hbar.row(r),
-                         p.b.cview().row(0).subspan(2 * hidden));
-    kernels::tanh_inplace(hbar.row(r));
-  }
-
-  BPAR_SPAN("rnn.gru_pointwise");
-  for (int r = 0; r < batch; ++r) {
-    const float* g = gates.row(r).data();
-    const float* z = g;
-    const float* hb = g + 2 * hidden;
-    const float* hp = h_prev.row(r).data();
-    float* h = tape.h.row(r).data();
-    for (int j = 0; j < hidden; ++j) {
-      h[j] = z[j] * hb[j] + (1.0F - z[j]) * hp[j];
-    }
-  }
-}
-
-void gru_forward(const LayerParams& p, const kernels::QuantizedMatrix* qw,
-                 ConstMatrixView x, ConstMatrixView h_prev,
-                 const CellTapeViews& tape, const CellForwardOpts& o) {
+void gru_forward(const LayerParams& p, ConstMatrixView x,
+                 ConstMatrixView h_prev, const CellTapeViews& tape,
+                 const CellForwardOpts& o) {
   const int batch = tape.gates.rows;
   const int hidden = p.hidden_size;
   MatrixView gates = tape.gates;
@@ -180,51 +112,52 @@ void gru_forward(const LayerParams& p, const kernels::QuantizedMatrix* qw,
   if (o.precomp.data != nullptr) {
     tensor::copy(o.precomp, gates);
   } else if (o.fuse_gates) {
-    if (qw != nullptr) {
-      kernels::qgemm_nt(x, qw->view().block(0, 0, 3 * hidden, p.input_size),
-                        gates);
-    } else {
-      gemm_nt(x, p.w_input(), gates);
-    }
-  } else if (qw != nullptr) {
-    kernels::qgemm_nt(x, qw->view().block(0, 0, 2 * hidden, p.input_size),
-                      zr);
+    gemm_nt(x, p.w_input(), gates);
   } else {
     gemm_nt(x, p.w.cview().block(0, 0, 2 * hidden, p.input_size), zr);
   }
 
-  // z, r recurrent half, then their pointwise stage (also builds rh).
-  if (qw != nullptr) {
-    kernels::qgemm_nt(h_prev,
-                      qw->view().block(0, p.input_size, 2 * hidden, hidden),
-                      zr, 1.0F);
-  } else {
-    gemm_nt(h_prev, p.w.cview().block(0, p.input_size, 2 * hidden, hidden),
-            zr, 1.0F, 1.0F);
+  // z, r recurrent half, then bias + sigmoid over the z,r block.
+  gemm_nt(h_prev, p.w.cview().block(0, p.input_size, 2 * hidden, hidden), zr,
+          1.0F, 1.0F);
+  for (int r = 0; r < batch; ++r) {
+    kernels::add_inplace(zr.row(r),
+                         p.b.cview().row(0).subspan(0, 2 * hidden));
+    kernels::sigmoid_inplace(zr.row(r));
   }
-  gru_zr_pointwise(p, h_prev, tape);
+
+  // rh = r ⊙ h_prev, then the candidate block uses rh as recurrent input.
+  for (int r = 0; r < batch; ++r) {
+    const float* rr = gates.row(r).data() + hidden;
+    kernels::hadamard({rr, static_cast<std::size_t>(hidden)}, h_prev.row(r),
+                      tape.rh.row(r));
+  }
 
   // Candidate block: input half (unless already written above), then the
-  // recurrent half against rh = r ⊙ h_prev.
+  // recurrent half against rh, then bias + tanh.
   if (!input_done) {
-    if (qw != nullptr) {
-      kernels::qgemm_nt(
-          x, qw->view().block(2 * hidden, 0, hidden, p.input_size), hbar);
-    } else {
-      gemm_nt(x, p.w.cview().block(2 * hidden, 0, hidden, p.input_size),
-              hbar);
+    gemm_nt(x, p.w.cview().block(2 * hidden, 0, hidden, p.input_size), hbar);
+  }
+  gemm_nt(tape.rh, p.w.cview().block(2 * hidden, p.input_size, hidden, hidden),
+          hbar, 1.0F, 1.0F);
+  for (int r = 0; r < batch; ++r) {
+    kernels::add_inplace(hbar.row(r),
+                         p.b.cview().row(0).subspan(2 * hidden));
+    kernels::tanh_inplace(hbar.row(r));
+  }
+
+  // h = z ⊙ h̄ + (1 - z) ⊙ h_prev   (Eq. 10)
+  BPAR_SPAN("rnn.gru_pointwise");
+  for (int r = 0; r < batch; ++r) {
+    const float* g = gates.row(r).data();
+    const float* z = g;
+    const float* hb = g + 2 * hidden;
+    const float* hp = h_prev.row(r).data();
+    float* h = tape.h.row(r).data();
+    for (int j = 0; j < hidden; ++j) {
+      h[j] = z[j] * hb[j] + (1.0F - z[j]) * hp[j];
     }
   }
-  if (qw != nullptr) {
-    kernels::qgemm_nt(
-        tape.rh, qw->view().block(2 * hidden, p.input_size, hidden, hidden),
-        hbar, 1.0F);
-  } else {
-    gemm_nt(tape.rh,
-            p.w.cview().block(2 * hidden, p.input_size, hidden, hidden), hbar,
-            1.0F, 1.0F);
-  }
-  gru_hbar_pointwise(p, h_prev, tape);
 }
 
 void lstm_backward(const LayerParams& p, ConstMatrixView x,
@@ -367,21 +300,12 @@ void gru_backward(const LayerParams& p, ConstMatrixView x,
 void cell_forward(const LayerParams& p, ConstMatrixView x,
                   ConstMatrixView h_prev, ConstMatrixView c_prev,
                   const CellTapeViews& tape) {
-  cell_forward_ex(p, nullptr, x, h_prev, c_prev, tape, {});
+  cell_forward_ex(p, x, h_prev, c_prev, tape, {});
 }
 
-void cell_forward_quantized(const LayerParams& p,
-                            const kernels::QuantizedMatrix& qw,
-                            ConstMatrixView x, ConstMatrixView h_prev,
-                            ConstMatrixView c_prev,
-                            const CellTapeViews& tape) {
-  cell_forward_ex(p, &qw, x, h_prev, c_prev, tape, {});
-}
-
-void cell_forward_ex(const LayerParams& p, const kernels::QuantizedMatrix* qw,
-                     ConstMatrixView x, ConstMatrixView h_prev,
-                     ConstMatrixView c_prev, const CellTapeViews& tape,
-                     const CellForwardOpts& opts) {
+void cell_forward_ex(const LayerParams& p, ConstMatrixView x,
+                     ConstMatrixView h_prev, ConstMatrixView c_prev,
+                     const CellTapeViews& tape, const CellForwardOpts& opts) {
   BPAR_SPAN("rnn.cell_forward");
   if (opts.precomp.data != nullptr) {
     BPAR_CHECK(opts.precomp.rows == h_prev.rows &&
@@ -393,15 +317,11 @@ void cell_forward_ex(const LayerParams& p, const kernels::QuantizedMatrix* qw,
     BPAR_CHECK(h_prev.rows == x.rows, "h_prev shape mismatch");
   }
   BPAR_CHECK(h_prev.cols == p.hidden_size, "h_prev shape mismatch");
-  if (qw != nullptr) {
-    BPAR_CHECK(qw->rows() == p.w.rows() && qw->cols() == p.w.cols(),
-               "quantized weight shape mismatch");
-  }
   if (p.cell == CellType::kLstm) {
     BPAR_CHECK(c_prev.data != nullptr, "LSTM needs c_prev");
-    lstm_forward(p, qw, x, h_prev, c_prev, tape, opts);
+    lstm_forward(p, x, h_prev, c_prev, tape, opts);
   } else {
-    gru_forward(p, qw, x, h_prev, tape, opts);
+    gru_forward(p, x, h_prev, tape, opts);
   }
 }
 

@@ -18,10 +18,6 @@
 #include "rnn/layer_params.hpp"
 #include "tensor/tensor.hpp"
 
-namespace bpar::kernels {
-class QuantizedMatrix;
-}
-
 namespace bpar::rnn {
 
 /// Mutable views over a cell's forward-state buffers. Row-sliceable, so the
@@ -76,10 +72,8 @@ void cell_forward(const LayerParams& p, tensor::ConstMatrixView x,
                   tensor::ConstMatrixView h_prev,
                   tensor::ConstMatrixView c_prev, const CellTapeViews& tape);
 
-/// Forward update with pass options; a non-null `qw` routes every gate GEMM
-/// through the int8 path (inference only — see rnn/quantized.hpp).
-void cell_forward_ex(const LayerParams& p, const kernels::QuantizedMatrix* qw,
-                     tensor::ConstMatrixView x,
+/// Forward update with pass options.
+void cell_forward_ex(const LayerParams& p, tensor::ConstMatrixView x,
                      tensor::ConstMatrixView h_prev,
                      tensor::ConstMatrixView c_prev, const CellTapeViews& tape,
                      const CellForwardOpts& opts);

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <utility>
 
-#include "kernels/backend.hpp"
 #include "obs/expo.hpp"
 #include "obs/json.hpp"
 #include "obs/memory.hpp"
@@ -193,42 +192,16 @@ InferenceEngine::InferenceEngine(const rnn::NetworkConfig& config,
           net_,
           exec::BParOptions{.common = options.executor,
                             .record_trace = options.record_trace,
-                            .quantized_inference = options.quantized,
                             .passes = options.passes})),
       started_(Clock::now()),
-      native_backend_(kernels::active_backend_name()),
       slo_(options.slo) {
   BPAR_CHECK(options_.max_batch >= 1, "max_batch must be >= 1");
   BPAR_CHECK(options_.max_queue >= 1, "max_queue must be >= 1");
   BPAR_CHECK(options_.max_batch_retries >= 0,
              "max_batch_retries must be >= 0");
 
-  // Degradation ladder, most valuable acceleration first: each rung keeps
-  // the flags of the previous one and switches one more thing off.
-  ladder_.push_back(DegradeStep{});  // level 0: full service
-  DegradeStep step;
-  if (options_.quantized) {
-    step.name = "fp32";
-    step.disable_quantized = true;
-    ladder_.push_back(step);
-  }
-  if (native_backend_ != std::string("scalar")) {
-    step.name = "scalar-backend";
-    step.scalar_backend = true;
-    ladder_.push_back(step);
-  }
-  if (options_.enable_batching && options_.max_batch > 1) {
-    step.name = "batch-1";
-    step.batch_one = true;
-    ladder_.push_back(step);
-  }
-
   start_flight_recorder();
   start_observability();
-  touch_progress();
-  if (options_.watchdog_ms > 0) {
-    watchdog_ = std::thread([this] { watchdog_loop(); });
-  }
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
@@ -333,7 +306,6 @@ void InferenceEngine::load_weights(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   BPAR_CHECK(in.good(), "cannot open ", path);
   net_.load(in);
-  executor_->refresh_quantized_weights();
 }
 
 void InferenceEngine::warmup(std::span<const int> seq_lengths) {
@@ -467,15 +439,7 @@ void InferenceEngine::shutdown() {
     set_health(Health::kDraining);
   }
   cv_.notify_all();
-  watchdog_cv_.notify_all();
   if (dispatcher_.joinable()) dispatcher_.join();
-  if (watchdog_.joinable()) watchdog_.join();
-  // A degraded engine may have switched the process-global kernel backend
-  // to scalar; leaving that behind would slow every later user.
-  if (degrade_level_.load(std::memory_order_relaxed) > 0 &&
-      !native_backend_.empty()) {
-    (void)kernels::set_backend(native_backend_);
-  }
   // Observability plane last: /statz handlers read stats(), so the
   // listener must not outlive anything it snapshots.
   if (stats_server_ != nullptr) stats_server_->stop();
@@ -524,7 +488,6 @@ void InferenceEngine::dispatcher_loop() {
       return stopping_.load(std::memory_order_relaxed) ||
              total_queued_locked() > 0;
     });
-    touch_progress();
     if (total_queued_locked() == 0) return;  // stopping && drained
 
     shed_overdue_locked(Clock::now());
@@ -536,13 +499,7 @@ void InferenceEngine::dispatcher_loop() {
     // coalesce (the batch dimension pads; timesteps never do).
     std::size_t head_cls = 0;
     while (queues_[head_cls].empty()) ++head_cls;
-    const int cap =
-        (options_.enable_batching &&
-         !ladder_[static_cast<std::size_t>(
-                      degrade_level_.load(std::memory_order_relaxed))]
-              .batch_one)
-            ? options_.max_batch
-            : 1;
+    const int cap = options_.enable_batching ? options_.max_batch : 1;
     const int steps = queues_[head_cls].front().request.steps;
     const Clock::time_point flush_at =
         queues_[head_cls].front().enqueued +
@@ -586,10 +543,7 @@ void InferenceEngine::dispatcher_loop() {
     }
 
     lock.unlock();
-    in_flight_.store(true, std::memory_order_relaxed);
     process_batch(std::move(taken), sealed);
-    in_flight_.store(false, std::memory_order_relaxed);
-    touch_progress();
   }
 }
 
@@ -632,22 +586,6 @@ void InferenceEngine::process_batch(std::vector<Pending> taken,
   }
 }
 
-exec::BParExecutor& InferenceEngine::active_executor() {
-  const auto level =
-      static_cast<std::size_t>(degrade_level_.load(std::memory_order_relaxed));
-  if (options_.quantized && ladder_[level].disable_quantized) {
-    if (fp32_executor_ == nullptr) {
-      fp32_executor_ = std::make_unique<exec::BParExecutor>(
-          net_, exec::BParOptions{.common = options_.executor,
-                                  .record_trace = options_.record_trace,
-                                  .quantized_inference = false,
-                                  .passes = options_.passes});
-    }
-    return *fp32_executor_;
-  }
-  return *executor_;
-}
-
 std::string InferenceEngine::try_execute(const rnn::BatchData& batch,
                                          bool need_logits, int steps,
                                          int rows,
@@ -657,23 +595,21 @@ std::string InferenceEngine::try_execute(const rnn::BatchData& batch,
       // Benchmark mode: pay graph construction on every batch.
       exec::BParExecutor fresh(
           net_, exec::BParOptions{.common = options_.executor,
-                                  .quantized_inference = options_.quantized,
                                   .passes = options_.passes});
       result = fresh.infer(batch, {.want_logits = need_logits});
     } else {
-      exec::BParExecutor& executor = active_executor();
-      result = executor.infer(batch, {.want_logits = need_logits});
-      if (options_.record_trace && &executor == executor_.get()) {
+      result = executor_->infer(batch, {.want_logits = need_logits});
+      if (options_.record_trace) {
         std::lock_guard<std::mutex> lock(trace_mu_);
-        last_traced_program_ = &executor.infer_program(steps, rows);
+        last_traced_program_ = &executor_->infer_program(steps, rows);
         last_traced_stats_ = result.stats;
       }
     }
-  } catch (const taskrt::WatchdogError& e) {
-    return std::string("watchdog: ") + e.what();
   } catch (const taskrt::InjectedFault& e) {
     return std::string("injected fault: ") + e.what();
   } catch (const std::exception& e) {
+    // A taskrt::WatchdogError's message already starts with "watchdog: ",
+    // the prefix serve_group keys its flight dump on.
     return e.what();
   }
   if (!result.finite()) {
@@ -687,12 +623,9 @@ void InferenceEngine::serve_group(std::vector<Pending> live,
   auto& registry = obs::Registry::instance();
   const auto& cfg = net_.config();
   const int real_rows = static_cast<int>(live.size());
-  const auto level =
-      static_cast<std::size_t>(degrade_level_.load(std::memory_order_relaxed));
-  const bool batching =
-      options_.enable_batching && !ladder_[level].batch_one;
-  const int rows =
-      batching ? bucket_rows(real_rows, options_.max_batch) : real_rows;
+  const int rows = options_.enable_batching
+                       ? bucket_rows(real_rows, options_.max_batch)
+                       : real_rows;
   const int steps = live.front().request.steps;
   const int outputs = cfg.many_to_many ? steps : 1;
   bool need_logits = false;
@@ -742,9 +675,7 @@ void InferenceEngine::serve_group(std::vector<Pending> live,
       for (const Pending& p : live) {
         record_request_event(p.id, RequestStage::kRetry, attempt);
       }
-      touch_progress();
-      if (!options_.rebuild_per_call &&
-          active_executor().runtime().poisoned()) {
+      if (!options_.rebuild_per_call && executor_->runtime().poisoned()) {
         rebuild_executor();
       }
       error = try_execute(batch, need_logits, steps, rows, result);
@@ -774,8 +705,12 @@ void InferenceEngine::serve_group(std::vector<Pending> live,
   exec_histogram().add(exec_us);
   batch_rows_histogram().add(static_cast<double>(real_rows));
 
+  // Degraded once a group exhausts its retries, healthy again after the
+  // next clean group; draining (set by shutdown()) sticks.
+  if (!stopping_.load(std::memory_order_relaxed)) {
+    set_health(error.empty() ? Health::kHealthy : Health::kDegraded);
+  }
   if (!error.empty()) {
-    note_group_failure();
     // A watchdog error means the runtime itself stalled mid-graph — the
     // most valuable moment to capture, and one retries often erase.
     if (error.rfind("watchdog: ", 0) == 0) {
@@ -821,7 +756,6 @@ void InferenceEngine::serve_group(std::vector<Pending> live,
     return;
   }
 
-  note_group_success();
   for (int r = 0; r < real_rows; ++r) {
     Pending& p = live[static_cast<std::size_t>(r)];
     Response response;
@@ -868,66 +802,6 @@ void InferenceEngine::serve_group(std::vector<Pending> live,
   }
 }
 
-void InferenceEngine::note_group_success() {
-  consecutive_failures_ = 0;
-  const int level = degrade_level_.load(std::memory_order_relaxed);
-  if (level == 0) {
-    if (!stopping_.load(std::memory_order_relaxed)) {
-      set_health(Health::kHealthy);
-    }
-    return;
-  }
-  // Half-open recovery probe: a long enough run of clean batches at the
-  // degraded level earns one step back up the ladder. A failure at the
-  // restored level trips the breaker again (and the probe run restarts).
-  if (++consecutive_successes_ >= options_.breaker_recovery) {
-    consecutive_successes_ = 0;
-    recovered_steps_.fetch_add(1, std::memory_order_relaxed);
-    obs::Registry::instance().counter("serve.recovered").add();
-    apply_degrade_level(level - 1);
-  }
-}
-
-void InferenceEngine::note_group_failure() {
-  consecutive_successes_ = 0;
-  if (!stopping_.load(std::memory_order_relaxed)) {
-    set_health(Health::kDegraded);
-  }
-  if (options_.breaker_threshold <= 0) return;
-  const int level = degrade_level_.load(std::memory_order_relaxed);
-  if (++consecutive_failures_ >= options_.breaker_threshold &&
-      level + 1 < static_cast<int>(ladder_.size())) {
-    consecutive_failures_ = 0;
-    degraded_steps_.fetch_add(1, std::memory_order_relaxed);
-    obs::Registry::instance().counter("serve.degraded").add();
-    apply_degrade_level(level + 1);
-    // The breaker just tripped: snapshot the evidence (last spans, task
-    // rows, request events, metrics) while it is still in the rings.
-    // Dispatcher thread, mu_ not held.
-    (void)trigger_dump("breaker-trip");
-  }
-}
-
-void InferenceEngine::apply_degrade_level(int level) {
-  BPAR_SPAN("serve.degrade");
-  const auto& step = ladder_[static_cast<std::size_t>(level)];
-  const auto& from =
-      ladder_[static_cast<std::size_t>(degrade_level_.load())];
-  BPAR_LOG_WARN << "serve: degradation ladder " << from.name << " -> "
-                << step.name << " (level " << level << ")";
-  if (step.scalar_backend) {
-    (void)kernels::set_backend("scalar");
-  } else if (from.scalar_backend && !native_backend_.empty()) {
-    (void)kernels::set_backend(native_backend_);
-  }
-  degrade_level_.store(level, std::memory_order_relaxed);
-  obs::Registry::instance().gauge("serve.degrade_level").set(
-      static_cast<double>(level));
-  if (!stopping_.load(std::memory_order_relaxed)) {
-    set_health(level > 0 ? Health::kDegraded : Health::kHealthy);
-  }
-}
-
 void InferenceEngine::rebuild_executor() {
   executor_rebuilds_.fetch_add(1, std::memory_order_relaxed);
   obs::Registry::instance().counter("serve.executor_rebuilds").add();
@@ -938,16 +812,10 @@ void InferenceEngine::rebuild_executor() {
     std::lock_guard<std::mutex> lock(trace_mu_);
     last_traced_program_ = nullptr;
   }
-  if (fp32_executor_ != nullptr && fp32_executor_->runtime().poisoned()) {
-    fp32_executor_.reset();
-  }
-  if (executor_->runtime().poisoned()) {
-    executor_ = std::make_unique<exec::BParExecutor>(
-        net_, exec::BParOptions{.common = options_.executor,
-                                .record_trace = options_.record_trace,
-                                .quantized_inference = options_.quantized,
-                                .passes = options_.passes});
-  }
+  executor_ = std::make_unique<exec::BParExecutor>(
+      net_, exec::BParOptions{.common = options_.executor,
+                              .record_trace = options_.record_trace,
+                              .passes = options_.passes});
 }
 
 void InferenceEngine::set_health(Health health) {
@@ -960,63 +828,6 @@ void InferenceEngine::set_health(Health health) {
   BPAR_LOG_INFO << "serve: health "
                 << health_name(static_cast<Health>(previous)) << " -> "
                 << health_name(health);
-}
-
-void InferenceEngine::touch_progress() {
-  last_progress_ns_.store(steady_ns(), std::memory_order_relaxed);
-}
-
-void InferenceEngine::watchdog_loop() {
-  const auto period = std::chrono::milliseconds(
-      std::max<std::uint32_t>(1, options_.watchdog_ms / 4));
-  const auto deadline_ns =
-      static_cast<std::uint64_t>(options_.watchdog_ms) * 1'000'000ULL;
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    watchdog_cv_.wait_for(lock, period);
-    if (stopping_.load(std::memory_order_relaxed) &&
-        total_queued_locked() == 0 &&
-        !in_flight_.load(std::memory_order_relaxed)) {
-      return;
-    }
-    const bool busy = in_flight_.load(std::memory_order_relaxed) ||
-                      total_queued_locked() > 0;
-    if (!busy) continue;
-    const std::uint64_t idle =
-        steady_ns() - last_progress_ns_.load(std::memory_order_relaxed);
-    if (idle < deadline_ns) continue;
-
-    // The dispatcher has work but made no progress for a full watchdog
-    // period. The only recoverable cause we can act on from here is an
-    // injected stall the runtime watchdog is not armed to catch: release
-    // it so the blocked infer() completes. Everything else just gets
-    // counted and logged loudly.
-    watchdog_fires_.fetch_add(1, std::memory_order_relaxed);
-    obs::Registry::instance().counter("serve.watchdog_fires").add();
-    if (!stopping_.load(std::memory_order_relaxed)) {
-      set_health(Health::kDegraded);
-    }
-    BPAR_LOG_ERROR << "serve: engine watchdog fired after "
-                   << options_.watchdog_ms
-                   << " ms without dispatcher progress (queued="
-                   << total_queued_locked() << ", in_flight="
-                   << in_flight_.load(std::memory_order_relaxed)
-                   << "); releasing injected stalls";
-    lock.unlock();
-    if (auto* injector = executor_->runtime().fault_injector()) {
-      injector->release_stalls();
-    }
-    if (fp32_executor_ != nullptr) {
-      if (auto* injector = fp32_executor_->runtime().fault_injector()) {
-        injector->release_stalls();
-      }
-    }
-    // mu_ is released here, so the dump's statz snapshot cannot deadlock
-    // against the stalled dispatcher.
-    (void)trigger_dump("engine-watchdog");
-    touch_progress();  // rate-limit: one fire per silent period
-    lock.lock();
-  }
 }
 
 void InferenceEngine::record_request_event(std::uint64_t id,
@@ -1100,11 +911,7 @@ std::string InferenceEngine::statz_json() const {
   out += ", \"padded_rows\": " + u64(s.padded_rows);
   out += ", \"retries\": " + u64(s.retries);
   out += ", \"bisections\": " + u64(s.bisections);
-  out += ", \"degraded_steps\": " + u64(s.degraded_steps);
-  out += ", \"recovered_steps\": " + u64(s.recovered_steps);
-  out += ", \"watchdog_fires\": " + u64(s.watchdog_fires);
   out += ", \"executor_rebuilds\": " + u64(s.executor_rebuilds);
-  out += ", \"degrade_level\": " + std::to_string(s.degrade_level);
   out += ", \"health\": " + obs::json_quote(health_name(s.health));
   out += ", \"queue_depth\": {\"total\": " + u64(s.queue_depth);
   for (int cls = 0; cls < kNumPriorities; ++cls) {
@@ -1241,11 +1048,7 @@ EngineStats InferenceEngine::stats() const {
   s.padded_rows = padded_rows_.load(std::memory_order_relaxed);
   s.retries = retries_.load(std::memory_order_relaxed);
   s.bisections = bisections_.load(std::memory_order_relaxed);
-  s.degraded_steps = degraded_steps_.load(std::memory_order_relaxed);
-  s.recovered_steps = recovered_steps_.load(std::memory_order_relaxed);
-  s.watchdog_fires = watchdog_fires_.load(std::memory_order_relaxed);
   s.executor_rebuilds = executor_rebuilds_.load(std::memory_order_relaxed);
-  s.degrade_level = degrade_level_.load(std::memory_order_relaxed);
   s.health = health();
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -22,29 +22,26 @@
 // stays flat. Already-expired deadlines are rejected at submit() so dead
 // requests never consume a queue slot.
 //
-// Fault-hardened execution: EngineOptions::executor.faults/watchdog_ms flow
-// into the executor's runtime (the PR-2 fault stack), and infer() is
+// Fault-hardened execution: every batch runs fp32 cells on the kernel
+// backend selected at start-up. EngineOptions::executor.faults/watchdog_ms
+// flow into the executor's runtime (the PR-2 fault stack), and infer() is
 // wrapped in a recovery loop: InjectedFault / WatchdogError / non-finite
 // outputs trigger bounded whole-batch retries (fault schedules decorrelate
 // across runtime sessions), then bisection — the batch splits in half until
 // a deterministically poisoned request is isolated and answered
-// kInternalError while its batchmates succeed bit-exactly. A poisoned
-// runtime (watchdog fired and the graph never drained) is replaced by
-// rebuilding the executor.
-//
-// Graceful degradation: a circuit breaker counts consecutive failed
-// batches and steps down a degradation ladder (int8 → fp32 sidecar off,
-// native kernels → scalar, batched → batch-1), then probes half-open
-// recovery after a run of successes. An engine watchdog thread releases
-// injected stalls when the dispatcher stops making progress, and a
-// healthy / degraded / draining health state machine is exposed through
-// EngineStats and the serve.* obs metrics.
+// kInternalError while its batchmates succeed bit-exactly. The runtime
+// watchdog (executor.watchdog_ms) turns a stalled graph into a
+// WatchdogError, releasing injected stalls on the way; a poisoned runtime
+// (the graph never drained) is replaced by rebuilding the executor.
+// Health is healthy / degraded / draining: degraded after a request group
+// exhausts its retries, healthy again after the next clean group, draining
+// once shutdown() begins — exposed through EngineStats and serve.health.
 //
 // Observability: per-stage latency histograms (serve.queue_us /
 // serve.batch_form_us / serve.exec_us), request/batch/shed/retry counters,
-// health + degrade-level gauges, and BPAR_SPAN tracing on the submit,
-// batch, retry, and bisect paths, so `bpar_prof analyze` attributes
-// retry/shed time on serving runs unchanged.
+// the health gauge, and BPAR_SPAN tracing on the submit, batch, retry, and
+// bisect paths, so `bpar_prof analyze` attributes retry/shed time on
+// serving runs unchanged.
 #pragma once
 
 #include <array>
@@ -106,9 +103,6 @@ struct EngineOptions {
   /// Record per-task timing in the executor so write_unified_trace() can
   /// export an analyzable trace (`bpar_prof analyze`) of the last batch.
   bool record_trace = false;
-  /// int8 inference (DESIGN.md §5g): serve with quantized weights.
-  /// load_weights() re-quantizes automatically.
-  bool quantized = false;
   /// Graph-optimizer pass spec forwarded to the executor ("default"
   /// resolves BPAR_GRAPH_PASSES; "none" serves unoptimized graphs).
   std::string passes = "default";
@@ -126,17 +120,6 @@ struct EngineOptions {
   /// Whole-batch retries after a fault (injected throw, watchdog error,
   /// non-finite outputs) before bisection isolates the poisoned request.
   int max_batch_retries = 2;
-  /// Circuit breaker: consecutive failed batches (retries exhausted) that
-  /// trip one step down the degradation ladder. 0 disables the breaker.
-  int breaker_threshold = 3;
-  /// Consecutive successful batches at a degraded level before the
-  /// breaker probes one step back up (half-open recovery).
-  int breaker_recovery = 16;
-  /// Engine watchdog: if the dispatcher makes no progress for this long
-  /// while work is pending, injected stalls are released and the fire is
-  /// counted/logged (the backstop when the runtime watchdog is off).
-  /// 0 → disabled.
-  std::uint32_t watchdog_ms = 0;
 
   // ---- live observability (DESIGN.md §5i) ----
   /// TCP port for the embedded stats endpoint (/metrics Prometheus text,
@@ -159,15 +142,15 @@ struct EngineOptions {
 
   // ---- flight recorder + profiler (DESIGN.md §5j) ----
   /// Directory for flight-recorder dump bundles. Non-empty arms the
-  /// recorder: the circuit breaker, the engine watchdog, runtime watchdog
-  /// errors, and SLO both-window alerting each snapshot the last N seconds
-  /// of spans / task rows / request events / metrics into a rotated,
-  /// size-bounded bundle here, and `GET /debug/dump` forces one manually.
-  /// Fatal signals leave an async-signal-safe marker file in the same
-  /// directory. Empty = no recorder.
+  /// recorder: runtime watchdog errors and SLO both-window alerting each
+  /// snapshot the last N seconds of spans / task rows / request events /
+  /// metrics into a rotated, size-bounded bundle here, and
+  /// `GET /debug/dump` forces one manually. Fatal signals leave an
+  /// async-signal-safe marker file in the same directory. Empty = no
+  /// recorder.
   std::string dump_dir;
-  /// Minimum spacing between automatic dumps (a flapping breaker writes
-  /// one bundle, not hundreds).
+  /// Minimum spacing between automatic dumps (a run of stalled batches
+  /// writes one bundle, not hundreds).
   std::uint32_t dump_debounce_ms = 5000;
   /// Rotation bounds for the dump directory.
   std::size_t dump_max_bundles = 8;
@@ -194,10 +177,9 @@ inline constexpr int kNumStatuses = 7;
 
 [[nodiscard]] const char* status_name(Status status);
 
-/// Engine health state machine (DESIGN.md §5h): healthy → degraded when
-/// the circuit breaker has stepped down the ladder (or failures are
-/// accumulating), back to healthy after a successful recovery probe;
-/// draining once shutdown() begins.
+/// Engine health state machine (DESIGN.md §5h): healthy → degraded when a
+/// request group exhausts its retries, back to healthy after the next clean
+/// group; draining once shutdown() begins.
 enum class Health { kHealthy, kDegraded, kDraining };
 
 [[nodiscard]] const char* health_name(Health health);
@@ -276,11 +258,7 @@ struct EngineStats {
   std::uint64_t padded_rows = 0;
   std::uint64_t retries = 0;          // whole-batch retry attempts
   std::uint64_t bisections = 0;       // batch splits isolating a fault
-  std::uint64_t degraded_steps = 0;   // breaker trips down the ladder
-  std::uint64_t recovered_steps = 0;  // successful half-open probes up
-  std::uint64_t watchdog_fires = 0;   // engine-watchdog interventions
   std::uint64_t executor_rebuilds = 0;  // poisoned-runtime replacements
-  int degrade_level = 0;  // current ladder level (0 = full service)
   Health health = Health::kHealthy;
   std::size_t queue_depth = 0;  // all classes together
   /// Per-class backlog, indexed by Priority.
@@ -329,11 +307,6 @@ class InferenceEngine {
   [[nodiscard]] EngineStats stats() const;
   [[nodiscard]] std::size_t queue_depth() const;
   [[nodiscard]] Health health() const;
-  /// Current degradation-ladder level: 0 = full service; each step disables
-  /// one acceleration (int8, SIMD backend, batching) in order.
-  [[nodiscard]] int degrade_level() const {
-    return degrade_level_.load(std::memory_order_relaxed);
-  }
 
   /// Writes a unified chrome-trace (task slices of the LAST served
   /// micro-batch + every obs span recorded so far + per-request stage
@@ -392,37 +365,22 @@ class InferenceEngine {
     std::uint64_t id = 0;
   };
 
-  /// One rung of the degradation ladder: what is switched OFF at this
-  /// level. Levels are cumulative (level 2 includes level 1's flags).
-  struct DegradeStep {
-    const char* name = "full";
-    bool disable_quantized = false;
-    bool scalar_backend = false;
-    bool batch_one = false;
-  };
-
   void dispatcher_loop();
-  void watchdog_loop();
   /// Serves one sealed micro-batch (dispatcher thread only).
   void process_batch(std::vector<Pending> taken, Clock::time_point sealed);
   /// Forms + executes a request group with bounded retries; bisects on
   /// exhaustion. Answers every promise exactly once. Dispatcher thread.
   void serve_group(std::vector<Pending> live, Clock::time_point sealed,
                    int depth);
-  /// One execution attempt under the current degradation level; never
-  /// throws. Returns an empty error string on success.
+  /// One execution attempt; never throws. Returns an empty error string on
+  /// success.
   std::string try_execute(const rnn::BatchData& batch, bool need_logits,
                           int steps, int rows, exec::InferResult& result);
   /// Answers overdue sheddable requests with kShed. Caller holds mu_.
   void shed_overdue_locked(Clock::time_point now);
-  /// Circuit breaker bookkeeping (dispatcher thread).
-  void note_group_success();
-  void note_group_failure();
-  void apply_degrade_level(int level);
   /// Replaces a poisoned executor with a fresh one (dispatcher thread).
   void rebuild_executor();
   void set_health(Health health);
-  void touch_progress();
   /// Appends to the bounded request-event ring (no-op unless
   /// EngineOptions::trace_requests). Any thread.
   void record_request_event(std::uint64_t id, RequestStage stage,
@@ -455,18 +413,11 @@ class InferenceEngine {
   [[nodiscard]] std::string validate(const Request& request) const;
   [[nodiscard]] std::size_t total_queued_locked() const;
   [[nodiscard]] std::uint32_t effective_shed_wait_us() const;
-  /// The executor serving at the current degradation level (fp32 sidecar
-  /// when the int8 path has been stepped off). Dispatcher thread.
-  [[nodiscard]] exec::BParExecutor& active_executor();
 
   rnn::Network net_;
   EngineOptions options_;
   std::unique_ptr<exec::BParExecutor> executor_;
-  /// fp32 fallback executor, built lazily the first time the ladder steps
-  /// off the int8 path (only ever non-null when options_.quantized).
-  std::unique_ptr<exec::BParExecutor> fp32_executor_;
   Clock::time_point started_;
-  std::string native_backend_;  // kernel backend at construction
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -495,17 +446,7 @@ class InferenceEngine {
   std::deque<RequestEvent> request_events_;
   std::uint64_t request_events_dropped_ = 0;
 
-  // ---- degradation ladder + circuit breaker (dispatcher thread) ----
-  std::vector<DegradeStep> ladder_;  // [0] = full service
-  int consecutive_failures_ = 0;
-  int consecutive_successes_ = 0;
-  std::atomic<int> degrade_level_{0};
   std::atomic<int> health_{0};  // Health as int, for lock-free reads
-
-  // ---- engine watchdog ----
-  std::atomic<std::uint64_t> last_progress_ns_{0};
-  std::atomic<bool> in_flight_{false};  // dispatcher inside process_batch
-  std::condition_variable watchdog_cv_;  // waits on mu_
 
   std::atomic<std::uint64_t> next_id_{1};
   std::atomic<std::uint64_t> submitted_{0};
@@ -519,13 +460,9 @@ class InferenceEngine {
   std::atomic<std::uint64_t> padded_rows_{0};
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> bisections_{0};
-  std::atomic<std::uint64_t> degraded_steps_{0};
-  std::atomic<std::uint64_t> recovered_steps_{0};
-  std::atomic<std::uint64_t> watchdog_fires_{0};
   std::atomic<std::uint64_t> executor_rebuilds_{0};
 
   // Threads last: they start after everything above is initialized.
-  std::thread watchdog_;
   std::thread dispatcher_;
 };
 

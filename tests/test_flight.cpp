@@ -1,7 +1,7 @@
 // Flight recorder suite (DESIGN.md §5j): bundle round-trip through the
 // report schema, trigger debouncing, rotation by count and by bytes, the
-// async-signal-safe fatal record, and the engine integrations — a
-// breaker trip writing a dump automatically, /debug/dump and /profilez
+// async-signal-safe fatal record, and the engine integrations — a runtime
+// watchdog error writing a dump automatically, /debug/dump and /profilez
 // over HTTP, and a dump whose trace feeds bpar_prof's analysis model.
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,6 +21,7 @@
 #include "rnn/network.hpp"
 #include "serve/engine.hpp"
 #include "serve/loadgen.hpp"
+#include "taskrt/fault.hpp"
 
 namespace bpar {
 namespace {
@@ -188,38 +188,43 @@ EngineOptions dump_options(const std::string& dir) {
   return options;
 }
 
-// The headline acceptance path: a fault-induced breaker trip must leave a
-// dump bundle behind without anyone asking for one.
-TEST(FlightEngine, BreakerTripWritesDumpBundleAutomatically) {
+// The headline acceptance path: a runtime watchdog error must leave a dump
+// bundle behind without anyone asking for one. A stall pinned to a task id
+// fires in every session, so with no retries the request ends
+// kInternalError and the dump captures the engine's /statz state.
+TEST(FlightEngine, RuntimeWatchdogErrorWritesDumpBundleAutomatically) {
   const auto cfg = small_config();
-  EngineOptions options = dump_options(fresh_dir("breaker"));
+  EngineOptions options = dump_options(fresh_dir("watchdog"));
+  options.executor.faults = taskrt::FaultSpec::parse("stall_tasks=5");
+  options.executor.watchdog_ms = 100;
   options.max_batch_retries = 0;
-  options.breaker_threshold = 1;  // first failed batch trips
   InferenceEngine engine(cfg, options);
   ASSERT_NE(engine.flight_recorder(), nullptr);
 
-  Request poison = serve::make_request(cfg, cfg.seq_length, 1, true);
-  poison.features[0] = std::numeric_limits<float>::quiet_NaN();
-  EXPECT_EQ(engine.infer(poison).status, Status::kInternalError);
-  EXPECT_GE(engine.degrade_level(), 1);
+  const Response r =
+      engine.infer(serve::make_request(cfg, cfg.seq_length, 1, true));
+  EXPECT_EQ(r.status, Status::kInternalError);
+  EXPECT_EQ(r.error.rfind("watchdog: ", 0), 0U) << r.error;
 
   ASSERT_GE(engine.flight_recorder()->dumps(), 1U);
   // With the debounce at 0 the 100%-error SLO alert may add a second
-  // bundle right behind the trip; find the breaker's.
+  // bundle right behind the watchdog's; find the watchdog's.
   const auto reports = engine.flight_recorder()->bundle_reports();
   ASSERT_FALSE(reports.empty());
-  std::string trip_report;
+  std::string watchdog_report;
   for (const auto& path : reports) {
-    if (path.find("breaker-trip") != std::string::npos) trip_report = path;
+    if (path.find("watchdog-error") != std::string::npos) {
+      watchdog_report = path;
+    }
   }
-  ASSERT_FALSE(trip_report.empty()) << reports.front();
-  const obs::JsonValue report = obs::json_parse(slurp(trip_report));
+  ASSERT_FALSE(watchdog_report.empty()) << reports.front();
+  const obs::JsonValue report = obs::json_parse(slurp(watchdog_report));
   EXPECT_EQ(report.at("type").str, "flight_dump");
-  EXPECT_EQ(report.at("reason").str, "breaker-trip");
+  EXPECT_EQ(report.at("reason").str, "watchdog-error");
   // The engine wires statz_json in as the state provider; the dump fires
-  // right after the breaker steps down, so the captured state shows it.
+  // once the failed batch is counted.
   EXPECT_EQ(report.at("state").at("type").str, "statz");
-  EXPECT_GE(report.at("state").at("engine").at("degrade_level").number, 1.0);
+  EXPECT_EQ(report.at("state").at("engine").at("batches").number, 1.0);
 }
 
 TEST(FlightEngine, DebugDumpEndpointAndProfilezServeOverHttp) {

@@ -5,7 +5,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -54,7 +53,7 @@ TEST(BackendSelection, ConcurrentSelectionIsRaceFree) {
       do {
         const kernels::Backend& b = kernels::active_backend();
         EXPECT_NE(b.name, nullptr);
-        EXPECT_NE(b.dot_i8, nullptr);
+        EXPECT_NE(b.gemm_nt, nullptr);
       } while (!stop.load());
     });
   }
@@ -487,28 +486,6 @@ TEST(BackendParity, PointwiseMatchesScalar) {
         EXPECT_NEAR(had_got[u], had_want[u], 1e-4F)
             << backend->name << " fused pointwise chain at " << i;
       }
-    }
-  }
-}
-
-// int8 dot products accumulate exactly in int32 → bit-identical across
-// backends, including every tail length.
-TEST(BackendParity, DotI8ExactAcrossBackends) {
-  const kernels::Backend& ref = kernels::scalar_backend();
-  for (const auto* backend : kernels::available_backends()) {
-    for (const int k : {0, 1, 15, 16, 17, 31, 32, 33, 64, 100}) {
-      util::Rng rng(17);
-      std::vector<std::int8_t> a(static_cast<std::size_t>(k));
-      std::vector<std::int8_t> b(static_cast<std::size_t>(k));
-      for (auto& v : a) {
-        v = static_cast<std::int8_t>(rng.uniform(-127.0, 127.0));
-      }
-      for (auto& v : b) {
-        v = static_cast<std::int8_t>(rng.uniform(-127.0, 127.0));
-      }
-      EXPECT_EQ(backend->dot_i8(a.data(), b.data(), k),
-                ref.dot_i8(a.data(), b.data(), k))
-          << backend->name << " k=" << k;
     }
   }
 }

@@ -1,21 +1,19 @@
 // Chaos serving soak (DESIGN.md §5h): 8 client threads blast a burst of
 // mixed-priority requests — roughly 2× what the engine can absorb — at an
-// engine whose runtime is injected with randomized throws, delays, and
-// stalls, with the RUNTIME watchdog off so only the ENGINE watchdog stands
-// between an injected stall and a dispatcher hang. The soak asserts the
-// three resilience invariants end to end:
+// engine with shipped defaults whose runtime is injected with randomized
+// throws, delays, and stalls. The runtime watchdog (executor.watchdog_ms)
+// is the only thing between an injected stall and a dispatcher hang: it
+// releases the stall and fails the attempt, and the engine retries it. The
+// soak asserts the three resilience invariants end to end:
 //
 //   1. Exactly-once: every submitted request receives exactly one terminal
 //      status, and the per-status counts conserve (promise semantics make
 //      duplicates throw, so conservation is the whole story).
 //   2. No hang: the run completes — injected stalls are converted into
-//      watchdog releases instead of wedging the dispatcher forever.
+//      watchdog errors and retries instead of wedging the dispatcher.
 //   3. Bit-parity: every kOk response is bit-identical to the fault-free
 //      reference for the same request — retries and bisection may re-run
 //      and re-shape micro-batches, but they must never change an answer.
-//      (The circuit breaker is disabled here: a mid-run backend downgrade
-//      would legitimately change float reassociation; the breaker has its
-//      own deterministic test in test_serve.cpp.)
 //
 // This file is part of the TSan CI target (the -R filter matches
 // 'test_serve*'), so the soak also proves the resilience layer adds no
@@ -96,16 +94,15 @@ TEST(ServeChaos, FaultedOverloadSoakIsExactlyOnceAndBitExact) {
   }
 
   // Chaos engine with the reference's exact weights. Probabilistic faults
-  // re-roll every runtime session, so retries can clear them; stalls have
-  // no runtime watchdog to catch them — only the engine watchdog.
+  // re-roll every runtime session, so retries can clear them; a stall is
+  // released by the runtime watchdog, which fails that attempt.
   EngineOptions chaos = clean;
   chaos.executor.faults = taskrt::FaultSpec::parse(
       "seed=9,throw=0.01,delay=0.02,delay_us=100,stall=0.003");
-  chaos.watchdog_ms = 100;
+  chaos.executor.watchdog_ms = 100;
   chaos.max_delay_us = 200;
   chaos.max_queue = 32;
   chaos.max_batch_retries = 2;
-  chaos.breaker_threshold = 0;  // keep the kernel backend fixed (bit-parity)
   InferenceEngine engine(cfg, chaos);
   {
     std::stringstream weights;

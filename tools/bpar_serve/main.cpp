@@ -87,8 +87,6 @@ int main(int argc, char** argv) {
   args.add_string("backend", "",
                   "kernel backend: scalar|avx2|avx512|neon|native "
                   "(default: auto-detect, or $BPAR_KERNEL_BACKEND)");
-  args.add_flag("quantized",
-                "serve with int8 quantized weights (DESIGN.md 5g)");
   args.add_string("passes", "default",
                   "graph-optimizer pass pipeline (DESIGN.md 5k): "
                   "comma-separated pass list, 'default', 'none', or 'list' "
@@ -103,14 +101,11 @@ int main(int argc, char** argv) {
                   "deterministic fault injection spec for the executor "
                   "runtime, e.g. 'seed=7,throw=0.02,stall=0.002'");
   args.add_int("watchdog-ms", 0,
-               "engine watchdog: release injected stalls after this long "
-               "without dispatcher progress (0 = off)");
+               "runtime watchdog: fail a batch whose graph completes no task "
+               "for this long, releasing injected stalls (0 = off)");
   args.add_int("shed-wait-us", 0,
                "load-shed queue-delay threshold (0 = 16 * max-delay-us)");
   args.add_int("max-retries", 2, "whole-batch retries before bisection");
-  args.add_int("breaker", 3,
-               "consecutive failed batches before a degradation step "
-               "(0 = breaker off)");
   args.add_int("stats-port", -1,
                "live stats endpoint port: /metrics /statz /healthz "
                "(-1 = off, 0 = ephemeral)");
@@ -121,9 +116,9 @@ int main(int argc, char** argv) {
   args.add_int("slo-target-ms", 50,
                "latency SLO target for the built-in SLO tracker");
   args.add_string("dump-dir", "",
-                  "arm the flight recorder: breaker trips, watchdog fires, "
-                  "SLO alerts, and GET /debug/dump write trace+report "
-                  "bundles here (empty = off)");
+                  "arm the flight recorder: runtime watchdog errors, SLO "
+                  "alerts, and GET /debug/dump write trace+report bundles "
+                  "here (empty = off)");
   args.add_int("dump-debounce-ms", 5000,
                "minimum spacing between flight-recorder dumps");
   args.add_flag("profile",
@@ -175,22 +170,19 @@ int main(int argc, char** argv) {
       static_cast<int>(args.get_int("workers"));
   engine_options.executor.num_replicas =
       static_cast<int>(args.get_int("replicas"));
+  engine_options.executor.watchdog_ms =
+      static_cast<std::uint32_t>(args.get_int("watchdog-ms"));
   engine_options.max_batch = static_cast<int>(args.get_int("max-batch"));
   engine_options.max_delay_us =
       static_cast<std::uint32_t>(args.get_int("max-delay-us"));
   engine_options.max_queue =
       static_cast<std::size_t>(args.get_int("queue"));
   engine_options.enable_batching = !args.flag("no-batching");
-  engine_options.quantized = args.flag("quantized");
   engine_options.passes = args.get_string("passes");
   engine_options.shed_wait_us =
       static_cast<std::uint32_t>(args.get_int("shed-wait-us"));
   engine_options.max_batch_retries =
       static_cast<int>(args.get_int("max-retries"));
-  engine_options.breaker_threshold =
-      static_cast<int>(args.get_int("breaker"));
-  engine_options.watchdog_ms =
-      static_cast<std::uint32_t>(args.get_int("watchdog-ms"));
   engine_options.stats_port = static_cast<int>(args.get_int("stats-port"));
   engine_options.sampler_period_ms =
       static_cast<std::uint32_t>(args.get_int("sampler-period-ms"));
@@ -287,15 +279,13 @@ int main(int argc, char** argv) {
           ? "open loop @ " + std::to_string(args.get_int("rate")) + " rps"
           : std::string("closed loop");
   std::printf("bpar_serve: %d clients x %d requests (%s), max_batch=%d, "
-              "max_delay=%ldus, batching=%s, backend=%s, weights=%s, "
-              "faults=%s\n\n",
+              "max_delay=%ldus, batching=%s, backend=%s, faults=%s\n\n",
               load_options.clients, load_options.requests_per_client,
               traffic.c_str(),
               engine_options.max_batch,
               static_cast<long>(engine_options.max_delay_us),
               engine_options.enable_batching ? "on" : "off",
               bpar::kernels::active_backend_name(),
-              engine_options.quantized ? "int8" : "fp32",
               engine_options.executor.faults.enabled() ? "on" : "off");
 
   bpar::util::Table table({"mode", "offered rps", "throughput rps", "p50 ms",
@@ -305,8 +295,7 @@ int main(int argc, char** argv) {
   bpar::util::Table status_table(
       {"mode", "status", "count", "p50 ms", "p95 ms", "p99 ms"});
   bpar::util::Table resilience_table(
-      {"mode", "retries", "bisections", "internal errors", "degraded",
-       "recovered", "degrade level", "watchdog fires", "rebuilds",
+      {"mode", "retries", "bisections", "internal errors", "rebuilds",
        "health"});
   for (const auto& [name, rebuild] : modes) {
     const RunOutcome outcome = run_one(rebuild);
@@ -337,10 +326,6 @@ int main(int argc, char** argv) {
         {name, std::to_string(outcome.stats.retries),
          std::to_string(outcome.stats.bisections),
          std::to_string(outcome.stats.internal_errors),
-         std::to_string(outcome.stats.degraded_steps),
-         std::to_string(outcome.stats.recovered_steps),
-         std::to_string(outcome.stats.degrade_level),
-         std::to_string(outcome.stats.watchdog_fires),
          std::to_string(outcome.stats.executor_rebuilds),
          bpar::serve::health_name(outcome.stats.health)});
   }

@@ -112,10 +112,8 @@ void print_frame(const JsonValue& statz, const std::string& endpoint) {
   if (engine != nullptr) {
     const JsonValue* qd = engine->find("queue_depth");
     std::printf(
-        "health %-9s degrade L%d   queue %d (high %d / normal %d / "
-        "batch %d)\n",
+        "health %-9s queue %d (high %d / normal %d / batch %d)\n",
         str(engine->find("health")).c_str(),
-        static_cast<int>(num(engine->find("degrade_level"))),
         qd != nullptr ? static_cast<int>(num(qd->find("total"))) : 0,
         qd != nullptr ? static_cast<int>(num(qd->find("high"))) : 0,
         qd != nullptr ? static_cast<int>(num(qd->find("normal"))) : 0,
@@ -131,15 +129,12 @@ void print_frame(const JsonValue& statz, const std::string& endpoint) {
         static_cast<unsigned long long>(
             num(engine->find("internal_errors"))));
     std::printf(
-        "batches %llu   retries %llu   bisections %llu   rebuilds %llu   "
-        "watchdog %llu\n",
+        "batches %llu   retries %llu   bisections %llu   rebuilds %llu\n",
         static_cast<unsigned long long>(num(engine->find("batches"))),
         static_cast<unsigned long long>(num(engine->find("retries"))),
         static_cast<unsigned long long>(num(engine->find("bisections"))),
         static_cast<unsigned long long>(
-            num(engine->find("executor_rebuilds"))),
-        static_cast<unsigned long long>(
-            num(engine->find("watchdog_fires"))));
+            num(engine->find("executor_rebuilds"))));
   }
 
   if (sampler != nullptr && sampler->is_object()) {
