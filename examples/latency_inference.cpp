@@ -17,7 +17,10 @@ int main(int argc, char** argv) {
   bpar::util::ArgParser args("latency_inference",
                              "batch-1 streaming inference latency");
   args.add_int("requests", 200, "inference requests to time");
-  args.add_int("workers", 4, "worker threads");
+  args.add_int("workers", 2,
+               "worker threads (default 2: a batch-1 BRNN graph is two "
+               "chains wide, one per direction; more workers only add "
+               "dispatch and stealing, and 4 ran slower than sequential)");
   args.add_int("hidden", 64, "hidden size");
   args.add_int("layers", 4, "BLSTM layers");
   args.add_int("seq", 40, "frames per utterance");

@@ -519,7 +519,7 @@ passes::OpList TrainingProgram::make_precompute_ops(int rep, int dir,
             b->xpack.cview().block(t0 * rb, 0, (t1 - t0) * rb, in_width);
         MatrixView pv =
             b->proj.view().block(t0 * rb, 0, (t1 - t0) * rb, b->cols);
-        kernels::gemm_nt(xv, params->w_input(), pv);
+        kernels::gemm_nn(xv, params->w_input(), pv);
       };
     }
     ops.push_back(std::move(op));

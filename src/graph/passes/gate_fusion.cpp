@@ -1,13 +1,13 @@
 // GateFusion: one wide input-side gate GEMM per forward cell.
 //
-// The fused weight layout (LayerParams stores [gate blocks] x [x | h_prev])
-// means the LSTM forward is already a single 4H-wide GEMM per operand; this
-// pass marks those cells as wide (so analyze can attribute them) and
-// rewrites GRU cells, whose input side currently runs as two GEMMs (z,r and
-// h̄), into one 3H-wide GEMM: 4 launches → 3. The candidate block's *input*
-// contribution is computed before the z,r pointwise stage instead of after,
-// which is value-identical — the writes are disjoint and each output
-// element's dot product is unchanged.
+// The fused weight layout (LayerParams stores [x | h_prev] rows x [gate
+// blocks] columns) means the LSTM forward is already a single 4H-wide GEMM
+// per operand; this pass marks those cells as wide (so analyze can
+// attribute them) and rewrites GRU cells, whose input side currently runs
+// as two GEMMs (z,r and h̄), into one 3H-wide GEMM: 4 launches → 3. The
+// candidate block's *input* contribution is computed before the z,r
+// pointwise stage instead of after, which is value-identical — the writes
+// are disjoint and each output element's dot product is unchanged.
 #include <string>
 
 #include "graph/passes/builtin.hpp"

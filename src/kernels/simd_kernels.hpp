@@ -77,8 +77,11 @@ struct SimdKernels {
   // ---- vectorized exp / sigmoid / tanh ----
 
   static reg exp_ps(reg x) {
-    x = V::min(x, V::set1(kExpHi));
-    x = V::max(x, V::set1(kExpLo));
+    // x86 min/max return their second operand when either is NaN, so x
+    // goes second: NaN passes through the clamp (and out of sigmoid/tanh)
+    // as it does in exp_scalar and the scalar backend.
+    x = V::min(V::set1(kExpHi), x);
+    x = V::max(V::set1(kExpLo), x);
     const reg n = V::round_nearest(V::mul(x, V::set1(kLog2e)));
     reg r = V::fma(n, V::set1(-kLn2Hi), x);
     r = V::fma(n, V::set1(-kLn2Lo), r);

@@ -1,7 +1,5 @@
 #include "rnn/cell_kernels.hpp"
 
-#include <cmath>
-
 #include "kernels/elementwise.hpp"
 #include "obs/trace.hpp"
 #include "kernels/gemm.hpp"
@@ -58,15 +56,15 @@ void lstm_forward(const LayerParams& p, ConstMatrixView x,
   const int hidden = p.hidden_size;
   MatrixView gates = tape.gates;
 
-  // gates = x * Wx^T + h_prev * Wh^T + b. The input half may come
-  // precomputed sequence-wide; the recurrent GEMM then accumulates on top
-  // (beta=1) in the same order as the plain path.
+  // gates = x · Wx + h_prev · Wh + b. The input half may come precomputed
+  // sequence-wide; the recurrent GEMM then accumulates on top (beta=1) in
+  // the same order as the plain path.
   if (opts.precomp.data != nullptr) {
     tensor::copy(opts.precomp, gates);
   } else {
-    gemm_nt(x, p.w_input(), gates);
+    gemm_nn(x, p.w_input(), gates);
   }
-  gemm_nt(h_prev, p.w_recurrent(), gates, 1.0F, 1.0F);
+  gemm_nn(h_prev, p.w_recurrent(), gates, 1.0F, 1.0F);
   kernels::add_bias_rows(gates, p.b.cview().row(0));
 
   BPAR_SPAN("rnn.lstm_pointwise");
@@ -88,9 +86,10 @@ void lstm_forward(const LayerParams& p, ConstMatrixView x,
     float* h = tape.h.row(r).data();
     for (int j = 0; j < hidden; ++j) {
       c[j] = f[j] * cp[j] + i[j] * gbar[j];
-      tc[j] = std::tanh(c[j]);
-      h[j] = o[j] * tc[j];
+      tc[j] = c[j];
     }
+    kernels::tanh_inplace({tc, static_cast<std::size_t>(hidden)});
+    for (int j = 0; j < hidden; ++j) h[j] = o[j] * tc[j];
   }
 }
 
@@ -102,6 +101,9 @@ void gru_forward(const LayerParams& p, ConstMatrixView x,
   MatrixView gates = tape.gates;
   MatrixView zr = gates.block(0, 0, batch, 2 * hidden);
   MatrixView hbar = gates.block(0, 2 * hidden, batch, hidden);
+  // Gate blocks are column blocks of the input and recurrent rows of W.
+  const ConstMatrixView wx = p.w_input();
+  const ConstMatrixView wh = p.w_recurrent();
 
   // Input-side contribution. The gate-fusion pass computes all three gate
   // blocks with one 3H-wide GEMM; writing the candidate block before the
@@ -112,14 +114,13 @@ void gru_forward(const LayerParams& p, ConstMatrixView x,
   if (o.precomp.data != nullptr) {
     tensor::copy(o.precomp, gates);
   } else if (o.fuse_gates) {
-    gemm_nt(x, p.w_input(), gates);
+    gemm_nn(x, wx, gates);
   } else {
-    gemm_nt(x, p.w.cview().block(0, 0, 2 * hidden, p.input_size), zr);
+    gemm_nn(x, wx.block(0, 0, p.input_size, 2 * hidden), zr);
   }
 
   // z, r recurrent half, then bias + sigmoid over the z,r block.
-  gemm_nt(h_prev, p.w.cview().block(0, p.input_size, 2 * hidden, hidden), zr,
-          1.0F, 1.0F);
+  gemm_nn(h_prev, wh.block(0, 0, hidden, 2 * hidden), zr, 1.0F, 1.0F);
   for (int r = 0; r < batch; ++r) {
     kernels::add_inplace(zr.row(r),
                          p.b.cview().row(0).subspan(0, 2 * hidden));
@@ -136,10 +137,9 @@ void gru_forward(const LayerParams& p, ConstMatrixView x,
   // Candidate block: input half (unless already written above), then the
   // recurrent half against rh, then bias + tanh.
   if (!input_done) {
-    gemm_nt(x, p.w.cview().block(2 * hidden, 0, hidden, p.input_size), hbar);
+    gemm_nn(x, wx.block(0, 2 * hidden, p.input_size, hidden), hbar);
   }
-  gemm_nt(tape.rh, p.w.cview().block(2 * hidden, p.input_size, hidden, hidden),
-          hbar, 1.0F, 1.0F);
+  gemm_nn(tape.rh, wh.block(0, 2 * hidden, hidden, hidden), hbar, 1.0F, 1.0F);
   for (int r = 0; r < batch; ++r) {
     kernels::add_inplace(hbar.row(r),
                          p.b.cview().row(0).subspan(2 * hidden));
@@ -201,16 +201,16 @@ void lstm_backward(const LayerParams& p, ConstMatrixView x,
   }
 
   // Weight/bias gradients (shared per layer; caller serializes).
-  gemm_tn(dg_view, x, grads.dw_input(p.input_size), 1.0F, 1.0F);
-  gemm_tn(dg_view, h_prev, grads.dw_recurrent(p.input_size, hidden), 1.0F,
+  gemm_tn(x, dg_view, grads.dw_input(p.input_size), 1.0F, 1.0F);
+  gemm_tn(h_prev, dg_view, grads.dw_recurrent(p.input_size, hidden), 1.0F,
           1.0F);
   kernels::sum_rows_acc(dg_view, grads.db.view().row(0));
 
-  // Input and recurrent-state gradients.
+  // Input and recurrent-state gradients: dG · Wᵀ against the K-major W.
   if (dx_acc.data != nullptr) {
-    gemm_nn(dg_view, p.w_input(), dx_acc, 1.0F, 1.0F);
+    gemm_nt(dg_view, p.w_input(), dx_acc, 1.0F, 1.0F);
   }
-  gemm_nn(dg_view, p.w_recurrent(), dh_prev_acc, 1.0F, 1.0F);
+  gemm_nt(dg_view, p.w_recurrent(), dh_prev_acc, 1.0F, 1.0F);
 }
 
 void gru_backward(const LayerParams& p, ConstMatrixView x,
@@ -236,26 +236,28 @@ void gru_backward(const LayerParams& p, ConstMatrixView x,
     }
   }
 
-  const ConstMatrixView w_h_x =
-      p.w.cview().block(2 * hidden, 0, hidden, p.input_size);
-  const ConstMatrixView w_h_h =
-      p.w.cview().block(2 * hidden, p.input_size, hidden, hidden);
+  // Gate blocks are column blocks of the input and recurrent rows of W and
+  // dW; dx and dh are dG · Wᵀ against them.
+  const ConstMatrixView wx = p.w_input();
+  const ConstMatrixView wh = p.w_recurrent();
+  const MatrixView dwx = grads.dw_input(p.input_size);
+  const MatrixView dwh = grads.dw_recurrent(p.input_size, hidden);
   // dW for the candidate block: inputs were [x, rh].
-  gemm_tn(dg_hbar.cview(), x,
-          grads.dw.view().block(2 * hidden, 0, hidden, p.input_size), 1.0F,
-          1.0F);
-  gemm_tn(dg_hbar.cview(), tape.rh,
-          grads.dw.view().block(2 * hidden, p.input_size, hidden, hidden),
+  gemm_tn(x, dg_hbar.cview(), dwx.block(0, 2 * hidden, p.input_size, hidden),
+          1.0F, 1.0F);
+  gemm_tn(tape.rh, dg_hbar.cview(), dwh.block(0, 2 * hidden, hidden, hidden),
           1.0F, 1.0F);
   kernels::sum_rows_acc(dg_hbar.cview(),
                         grads.db.view().row(0).subspan(2 * hidden));
   if (dx_acc.data != nullptr) {
-    gemm_nn(dg_hbar.cview(), w_h_x, dx_acc, 1.0F, 1.0F);
+    gemm_nt(dg_hbar.cview(), wx.block(0, 2 * hidden, p.input_size, hidden),
+            dx_acc, 1.0F, 1.0F);
   }
 
-  // drh = dG_h̄ * W_h̄h, then split into dr and the gated h_prev path.
+  // drh = dG_h̄ · W_h̄hᵀ, then split into dr and the gated h_prev path.
   Matrix drh(batch, hidden);
-  gemm_nn(dg_hbar.cview(), w_h_h, drh.view());
+  gemm_nt(dg_hbar.cview(), wh.block(0, 2 * hidden, hidden, hidden),
+          drh.view());
 
   // z and r pre-activation gradients.
   Matrix dg_zr(batch, 2 * hidden);
@@ -278,21 +280,18 @@ void gru_backward(const LayerParams& p, ConstMatrixView x,
     }
   }
 
-  const ConstMatrixView w_zr_x =
-      p.w.cview().block(0, 0, 2 * hidden, p.input_size);
-  const ConstMatrixView w_zr_h =
-      p.w.cview().block(0, p.input_size, 2 * hidden, hidden);
-  gemm_tn(dg_zr.cview(), x,
-          grads.dw.view().block(0, 0, 2 * hidden, p.input_size), 1.0F, 1.0F);
-  gemm_tn(dg_zr.cview(), h_prev,
-          grads.dw.view().block(0, p.input_size, 2 * hidden, hidden), 1.0F,
+  gemm_tn(x, dg_zr.cview(), dwx.block(0, 0, p.input_size, 2 * hidden), 1.0F,
+          1.0F);
+  gemm_tn(h_prev, dg_zr.cview(), dwh.block(0, 0, hidden, 2 * hidden), 1.0F,
           1.0F);
   kernels::sum_rows_acc(dg_zr.cview(),
                         grads.db.view().row(0).subspan(0, 2 * hidden));
   if (dx_acc.data != nullptr) {
-    gemm_nn(dg_zr.cview(), w_zr_x, dx_acc, 1.0F, 1.0F);
+    gemm_nt(dg_zr.cview(), wx.block(0, 0, p.input_size, 2 * hidden), dx_acc,
+            1.0F, 1.0F);
   }
-  gemm_nn(dg_zr.cview(), w_zr_h, dh_prev_acc, 1.0F, 1.0F);
+  gemm_nt(dg_zr.cview(), wh.block(0, 0, hidden, 2 * hidden), dh_prev_acc,
+          1.0F, 1.0F);
 }
 
 }  // namespace

@@ -11,8 +11,12 @@
 //   h_prev  B x H      recurrent state from the previous timestep
 //   c_prev  B x H      LSTM cell state from the previous timestep
 //   gates   B x G*H    fused gate buffer (activated in place)
+//   W       (N+H) x G*H  K-major gate weights (LayerParams::w)
 //
-// Gate block order matches LayerParams: LSTM [f, i, g, o], GRU [z, r, h̄].
+// Forward: gates = x · W[0:N) + h_prev · W[N:N+H) + b, both gemm_nn.
+// Backward: dW += [x | h_prev]ᵀ · dG (gemm_tn), dx and dh_prev += dG · Wᵀ
+// (gemm_nt). Gate block order matches LayerParams: LSTM [f, i, g, o], GRU
+// [z, r, h̄], each a column block of W and a block of the gate buffer.
 #pragma once
 
 #include "rnn/layer_params.hpp"
@@ -60,7 +64,7 @@ struct CellForwardOpts {
   /// GRU: one 3H-wide input-side GEMM across z, r and h̄ instead of two
   /// (the LSTM input GEMM is already a single 4H-wide launch).
   bool fuse_gates = false;
-  /// Non-empty → x·Wx^T was precomputed sequence-wide; this view holds this
+  /// Non-empty → x·Wx was precomputed sequence-wide; this view holds this
   /// timestep's B x G*H rows and `x` may be {}. The recurrent GEMMs then
   /// accumulate on top with beta=1 — the same order as the unfused path,
   /// so results stay bit-exact.

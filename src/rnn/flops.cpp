@@ -10,7 +10,7 @@ double cell_forward_flops(CellType cell, int batch, int input, int hidden) {
 }
 
 double cell_backward_flops(CellType cell, int batch, int input, int hidden) {
-  // dW (gemm_tn) + dx/dh (gemm_nn) are each the size of the forward GEMM.
+  // dW (gemm_tn) + dx/dh (gemm_nt) are each the size of the forward GEMM.
   return 2.0 * cell_forward_flops(cell, batch, input, hidden);
 }
 

@@ -1,6 +1,9 @@
 #include "rnn/layer_params.hpp"
 
 #include <cmath>
+#include <istream>
+#include <ostream>
+#include <vector>
 
 #include "kernels/elementwise.hpp"
 
@@ -16,14 +19,19 @@ void LayerParams::init_shape(CellType cell_type, int input, int hidden) {
 void LayerParams::init(CellType cell_type, int input, int hidden,
                        util::Rng& rng) {
   init_shape(cell_type, input, hidden);
-  const int rows = gates() * hidden;
-  w.resize(rows, input + hidden);
-  b.resize(1, rows);
-  // Xavier-style uniform init over fan-in.
-  const float scale =
-      1.0F / std::sqrt(static_cast<float>(input + hidden));
-  tensor::fill_weights(w.view(), rng, scale);
-  b.zero();
+  const int cols = gates() * hidden;
+  w.resize(input + hidden, cols);
+  b.resize(1, cols);
+  // Xavier-style uniform init over fan-in, drawn in tensor::fill_weights'
+  // gate-major order and stored transposed.
+  const float scale = 1.0F / std::sqrt(static_cast<float>(input + hidden));
+  const auto lo = static_cast<double>(-scale);
+  const auto hi = static_cast<double>(scale);
+  for (int g = 0; g < cols; ++g) {
+    for (int k = 0; k < input + hidden; ++k) {
+      w.at(k, g) = static_cast<float>(rng.uniform(lo, hi));
+    }
+  }
   if (cell == CellType::kLstm) {
     // Forget-gate bias of 1.0 — the standard trick for stable training.
     auto bias = b.view();
@@ -44,6 +52,39 @@ void LayerGrads::zero() {
 void LayerGrads::accumulate(const LayerGrads& other) {
   kernels::accumulate(dw.view(), other.dw.cview());
   kernels::accumulate(db.view(), other.db.cview());
+}
+
+// Both directions stream one gate-major row (one column of w) at a time,
+// so the conversion holds no second copy of the matrix.
+void write_gate_matrix(std::ostream& os, const tensor::Matrix& w) {
+  const int shape[2] = {w.cols(), w.rows()};
+  os.write(reinterpret_cast<const char*>(shape), sizeof shape);
+  std::vector<float> row(static_cast<std::size_t>(w.rows()));
+  for (int g = 0; g < w.cols(); ++g) {
+    for (int k = 0; k < w.rows(); ++k) {
+      row[static_cast<std::size_t>(k)] = w.at(k, g);
+    }
+    os.write(reinterpret_cast<const char*>(row.data()),
+             static_cast<std::streamsize>(row.size() * sizeof(float)));
+  }
+}
+
+void read_gate_matrix(std::istream& is, tensor::Matrix& w) {
+  int shape[2] = {0, 0};
+  is.read(reinterpret_cast<char*>(shape), sizeof shape);
+  BPAR_CHECK(is.good(), "truncated matrix stream");
+  BPAR_CHECK(shape[0] == w.cols() && shape[1] == w.rows(),
+             "matrix shape mismatch: got ", shape[0], "x", shape[1], " want ",
+             w.cols(), "x", w.rows());
+  std::vector<float> row(static_cast<std::size_t>(w.rows()));
+  for (int g = 0; g < w.cols(); ++g) {
+    is.read(reinterpret_cast<char*>(row.data()),
+            static_cast<std::streamsize>(row.size() * sizeof(float)));
+    BPAR_CHECK(is.good(), "truncated matrix payload");
+    for (int k = 0; k < w.rows(); ++k) {
+      w.at(k, g) = row[static_cast<std::size_t>(k)];
+    }
+  }
 }
 
 }  // namespace bpar::rnn

@@ -2,12 +2,18 @@
 //
 // As in the paper (§II), the unrolled timesteps of a layer share a single
 // copy of the weights; only outputs and internal states are per-timestep.
-// The fused weight matrix W has shape (gates*H) x (in + H): the left `in`
-// columns multiply the layer input x_t, the right `H` columns multiply the
-// recurrent state h_{t-1}. Gate row-block order is:
+// The fused weight matrix W is stored K-major, (in + H) x (gates*H): the
+// layout the forward GEMM reads, so a cell's gates are [x_t, h_{t-1}] · W
+// with no transpose (gemm_nn). Rows [0, in) multiply the layer input x_t,
+// rows [in, in + H) multiply the recurrent state h_{t-1}. Gate g owns
+// columns [g*H, (g+1)*H), in the order:
 //   LSTM: f, i, g (=c̄), o     (Eqs. 1-4)
 //   GRU:  z, r, h̄             (Eqs. 7-9)
+// Weight files and optimizer state keep the gate-major (gates*H) x (in + H)
+// record; write_gate_matrix / read_gate_matrix convert at the stream.
 #pragma once
+
+#include <iosfwd>
 
 #include "rnn/types.hpp"
 #include "tensor/tensor.hpp"
@@ -19,9 +25,12 @@ struct LayerParams {
   CellType cell = CellType::kLstm;
   int input_size = 0;
   int hidden_size = 0;
-  tensor::Matrix w;  // (gates*H) x (input + H)
+  tensor::Matrix w;  // (input + H) x (gates*H)
   tensor::Matrix b;  // 1 x (gates*H)
 
+  /// Draws W in gate-major order (gate row, then input column) and stores
+  /// each value at its K-major position, so the weights equal a gate-major
+  /// tensor::fill_weights draw element for element.
   void init(CellType cell_type, int input, int hidden, util::Rng& rng);
   /// Records only the shape — no weight buffers (shape-only simulations).
   void init_shape(CellType cell_type, int input, int hidden);
@@ -33,13 +42,13 @@ struct LayerParams {
     const auto rows = static_cast<std::size_t>(gates()) * hidden_size;
     return rows * (static_cast<std::size_t>(input_size) + hidden_size) + rows;
   }
-  /// Columns [0, input) of W — the input projection.
+  /// Rows [0, input) of W — the input projection, input x (gates*H).
   [[nodiscard]] tensor::ConstMatrixView w_input() const {
-    return w.cview().block(0, 0, w.rows(), input_size);
+    return w.cview().block(0, 0, input_size, w.cols());
   }
-  /// Columns [input, input+H) of W — the recurrent projection.
+  /// Rows [input, input+H) of W — the recurrent projection, H x (gates*H).
   [[nodiscard]] tensor::ConstMatrixView w_recurrent() const {
-    return w.cview().block(0, input_size, w.rows(), hidden_size);
+    return w.cview().block(input_size, 0, hidden_size, w.cols());
   }
 };
 
@@ -52,12 +61,20 @@ struct LayerGrads {
   void accumulate(const LayerGrads& other);
 
   [[nodiscard]] tensor::MatrixView dw_input(int input_size) {
-    return dw.view().block(0, 0, dw.rows(), input_size);
+    return dw.view().block(0, 0, input_size, dw.cols());
   }
   [[nodiscard]] tensor::MatrixView dw_recurrent(int input_size,
                                                 int hidden_size) {
-    return dw.view().block(0, input_size, dw.rows(), hidden_size);
+    return dw.view().block(input_size, 0, hidden_size, dw.cols());
   }
 };
+
+/// Writes a K-major gate matrix (LayerParams::w, LayerGrads::dw or an
+/// optimizer buffer of that shape) as the tensor::write_matrix record of
+/// its gate-major (gates*H) x (in + H) transpose.
+void write_gate_matrix(std::ostream& os, const tensor::Matrix& w);
+/// Reads a write_gate_matrix record into the K-major `w`; the stored shape
+/// must be w's transpose.
+void read_gate_matrix(std::istream& is, tensor::Matrix& w);
 
 }  // namespace bpar::rnn

@@ -72,7 +72,7 @@ void Network::save(std::ostream& os) const {
   os.write(kMagic, sizeof kMagic);
   for (int dir = 0; dir < 2; ++dir) {
     for (const auto& p : params_[dir]) {
-      write_matrix(os, p.w);
+      write_gate_matrix(os, p.w);
       write_matrix(os, p.b);
     }
   }
@@ -87,7 +87,7 @@ void Network::load(std::istream& is) {
              "not a B-Par weight file");
   for (int dir = 0; dir < 2; ++dir) {
     for (auto& p : params_[dir]) {
-      read_matrix(is, p.w);
+      read_gate_matrix(is, p.w);
       read_matrix(is, p.b);
     }
   }

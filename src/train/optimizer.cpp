@@ -58,7 +58,7 @@ void for_each_param(
 void write_grads_state(std::ostream& os, const rnn::NetworkGrads& g) {
   for (const auto& dir : g.layers) {
     for (const auto& lg : dir) {
-      tensor::write_matrix(os, lg.dw);
+      rnn::write_gate_matrix(os, lg.dw);
       tensor::write_matrix(os, lg.db);
     }
   }
@@ -69,7 +69,7 @@ void write_grads_state(std::ostream& os, const rnn::NetworkGrads& g) {
 void read_grads_state(std::istream& is, rnn::NetworkGrads& g) {
   for (auto& dir : g.layers) {
     for (auto& lg : dir) {
-      tensor::read_matrix(is, lg.dw);
+      rnn::read_gate_matrix(is, lg.dw);
       tensor::read_matrix(is, lg.db);
     }
   }

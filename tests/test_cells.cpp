@@ -277,9 +277,22 @@ TEST(LayerParams, InitShapesAndForgetBias) {
   util::Rng rng(1);
   LayerParams p;
   p.init(CellType::kLstm, 10, 16, rng);
-  EXPECT_EQ(p.w.rows(), 64);
-  EXPECT_EQ(p.w.cols(), 26);
+  EXPECT_EQ(p.w.rows(), 26);  // K-major: input + hidden rows
+  EXPECT_EQ(p.w.cols(), 64);  // gates * hidden columns
   EXPECT_EQ(p.b.cols(), 64);
+  // The draws are a gate-major [64, 26] fill_weights from the same seed,
+  // each stored at its K-major position.
+  util::Rng same(1);
+  tensor::Matrix gate_major(64, 26);
+  tensor::fill_weights(gate_major.view(), same,
+                       1.0F / std::sqrt(static_cast<float>(26)));
+  int mismatches = 0;
+  for (int g = 0; g < 64; ++g) {
+    for (int k = 0; k < 26; ++k) {
+      if (p.w.at(k, g) != gate_major.at(g, k)) ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
   // Forget-gate bias initialized to 1.
   for (int j = 0; j < 16; ++j) EXPECT_EQ(p.b.at(0, j), 1.0F);
   for (int j = 16; j < 64; ++j) EXPECT_EQ(p.b.at(0, j), 0.0F);

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "core/bpar.hpp"
 #include "core/checkpoint.hpp"
@@ -88,6 +89,59 @@ TEST(Checkpoint, AdamResumesBitExactly) {
     return std::make_unique<train::Adam>(
         train::Adam::Config{.learning_rate = 3e-3F});
   });
+
+  // The saved moments keep the gate-major file record: each gate matrix
+  // reads back with tensor::read_matrix as [gates*H, in + H], element
+  // (g, k) holding the moment of w(k, g). One step from zero state makes
+  // m = (1 - beta1) g and v = (1 - beta2) g g exactly.
+  const NetworkConfig cfg = small_config();
+  rnn::Network net(cfg);
+  rnn::NetworkGrads grads;
+  grads.init_like(net);
+  util::Rng rng(8);
+  for (auto& dir : grads.layers) {
+    for (auto& lg : dir) tensor::fill_uniform(lg.dw.view(), rng, -1.0F, 1.0F);
+  }
+  const train::Adam::Config config{.learning_rate = 3e-3F};
+  train::Adam adam(config);
+  adam.step(net, grads);
+  std::stringstream state;
+  adam.save_state(state);
+  char has_state = 0;
+  long step_count = 0;
+  state.read(&has_state, 1);
+  state.read(reinterpret_cast<char*>(&step_count), sizeof step_count);
+  ASSERT_EQ(has_state, 1);
+  for (int moment = 0; moment < 2; ++moment) {
+    for (int dir = 0; dir < 2; ++dir) {
+      for (int l = 0; l < cfg.num_layers; ++l) {
+        const rnn::LayerParams& p = net.layer(dir, l);
+        const tensor::Matrix& g =
+            grads.layers[dir][static_cast<std::size_t>(l)].dw;
+        const int gate_rows = p.gates() * p.hidden_size;
+        const int k_cols = p.input_size + p.hidden_size;
+        tensor::Matrix file(gate_rows, k_cols);
+        tensor::read_matrix(state, file);
+        int mismatches = 0;
+        for (int gi = 0; gi < gate_rows; ++gi) {
+          for (int k = 0; k < k_cols; ++k) {
+            const float gv = g.at(k, gi);
+            const float want = moment == 0 ? (1.0F - config.beta1) * gv
+                                           : (1.0F - config.beta2) * gv * gv;
+            if (file.at(gi, k) != want) ++mismatches;
+          }
+        }
+        EXPECT_EQ(mismatches, 0)
+            << "moment " << moment << " dir " << dir << " layer " << l;
+        tensor::Matrix db(1, gate_rows);
+        tensor::read_matrix(state, db);
+      }
+    }
+    tensor::Matrix dw_out(net.w_out.rows(), net.w_out.cols());
+    tensor::read_matrix(state, dw_out);
+    tensor::Matrix db_out(net.b_out.rows(), net.b_out.cols());
+    tensor::read_matrix(state, db_out);
+  }
 }
 
 TEST(Checkpoint, AdamWResumesBitExactly) {

@@ -455,18 +455,35 @@ TEST(BackendParity, PointwiseMatchesScalar) {
         base[0] = -95.0F;
         base[1] = 95.0F;
       }
-      auto sig_got = base, sig_want = base;
+      // Non-finite inputs: NaN must come back NaN from the vector body as
+      // from the tail (index n/2 lies in the vector body at 16 and above),
+      // and ±Inf saturate like the scalar reference.
+      std::vector<float> acts = base;
+      if (n > 4) {
+        acts[2] = std::numeric_limits<float>::infinity();
+        acts[3] = -std::numeric_limits<float>::infinity();
+      }
+      if (n > 0) acts[static_cast<std::size_t>(n - 1)] = kNaN;
+      if (n > 8) acts[static_cast<std::size_t>(n / 2)] = kNaN;
+      auto sig_got = acts, sig_want = acts;
       backend->sigmoid_inplace(sig_got);
       ref.sigmoid_inplace(sig_want);
-      auto tanh_got = base, tanh_want = base;
+      auto tanh_got = acts, tanh_want = acts;
       backend->tanh_inplace(tanh_got);
       ref.tanh_inplace(tanh_want);
       for (int i = 0; i < n; ++i) {
         const auto u = static_cast<std::size_t>(i);
+        EXPECT_EQ(std::isnan(sig_got[u]), std::isnan(sig_want[u]))
+            << backend->name << " n=" << n << " sigmoid(" << acts[u]
+            << ") = " << sig_got[u];
+        EXPECT_EQ(std::isnan(tanh_got[u]), std::isnan(tanh_want[u]))
+            << backend->name << " n=" << n << " tanh(" << acts[u]
+            << ") = " << tanh_got[u];
+        if (std::isnan(sig_want[u])) continue;
         EXPECT_NEAR(sig_got[u], sig_want[u], 1e-5F)
-            << backend->name << " sigmoid(" << base[u] << ")";
+            << backend->name << " sigmoid(" << acts[u] << ")";
         EXPECT_NEAR(tanh_got[u], tanh_want[u], 1e-5F)
-            << backend->name << " tanh(" << base[u] << ")";
+            << backend->name << " tanh(" << acts[u] << ")";
       }
 
       std::vector<float> other(static_cast<std::size_t>(n));

@@ -495,8 +495,9 @@ TEST(ServeShedding, OverdueLowClassesShedHighNever) {
 // are computed independently, so results do not depend on batch shape).
 // Sealed first, the poisoned request fails at bisection depths 0, 1 and 2;
 // none of that may touch the process-wide kernel backend.
-TEST(ServeRecovery, BisectionIsolatesPoisonedRequestBitExactly) {
-  const auto cfg = small_config();
+void expect_bisection_isolates_poison(int hidden) {
+  auto cfg = small_config();
+  cfg.hidden_size = hidden;
   const std::string backend = kernels::active_backend_name();
   EngineOptions options = quiet_options(/*max_batch=*/4);
   options.max_delay_us = 50000;  // let all four coalesce
@@ -541,6 +542,16 @@ TEST(ServeRecovery, BisectionIsolatesPoisonedRequestBitExactly) {
     EXPECT_EQ(served[i].logits, solo.logits);  // float-exact
     EXPECT_EQ(served[i].loss, solo.loss);
   }
+}
+
+TEST(ServeRecovery, BisectionIsolatesPoisonedRequestBitExactly) {
+  expect_bisection_isolates_poison(8);
+}
+
+// At hidden 32 the gate rows (128 floats) run the vector sigmoid/tanh body
+// on every SIMD backend, so the NaN must survive it, not only the tails.
+TEST(ServeRecovery, BisectionIsolatesPoisonedRequestOnVectorActivations) {
+  expect_bisection_isolates_poison(32);
 }
 
 // Queue-depth gauges: while requests of each class sit in the queue
