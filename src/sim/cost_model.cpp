@@ -28,22 +28,23 @@ double time_once_ns(const std::function<void()>& fn) {
 Calibration calibrate() {
   Calibration cal;
 
-  // GEMM throughput: a 128x512x512 gemm_nt resembles one gate-block update.
+  // GEMM throughput: a 128x512x512 gemm_nn against a K-major B, the kernel
+  // and layout of one forward gate-block product G = X·W.
   {
     constexpr int m = 128;
     constexpr int n = 512;
     constexpr int k = 512;
     tensor::Matrix a(m, k);
-    tensor::Matrix b(n, k);
+    tensor::Matrix b(k, n);
     tensor::Matrix c(m, n);
     util::Rng rng(7);
     tensor::fill_uniform(a.view(), rng, -1.0F, 1.0F);
     tensor::fill_uniform(b.view(), rng, -1.0F, 1.0F);
-    kernels::gemm_nt(a.cview(), b.cview(), c.view());  // warm-up
+    kernels::gemm_nn(a.cview(), b.cview(), c.view());  // warm-up
     double best_ns = 1e18;
     for (int rep = 0; rep < 3; ++rep) {
       best_ns = std::min(best_ns, time_once_ns([&] {
-                           kernels::gemm_nt(a.cview(), b.cview(), c.view());
+                           kernels::gemm_nn(a.cview(), b.cview(), c.view());
                          }));
     }
     cal.gflops = kernels::gemm_flops(m, n, k) / best_ns;  // flops/ns = Gflop/s
