@@ -1,11 +1,7 @@
 #include "common.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <optional>
-
-#include "graph/passes/registry.hpp"
 
 #include "obs/analysis.hpp"
 #include "obs/metrics.hpp"
@@ -25,7 +21,6 @@ namespace {
 bool g_capture_analysis = false;
 std::optional<bpar::obs::analysis::TraceModel> g_last_model;
 std::uint64_t g_last_model_cp_ns = 0;
-std::string g_last_pass_signature;
 
 }  // namespace
 
@@ -52,10 +47,6 @@ void add_common_flags(bpar::util::ArgParser& args) {
                 "Xeon-8160 paper calibration");
   args.add_flag("full", "run the full (slow) configuration sweep");
   args.add_string("csv-dir", "bench_results", "directory for CSV output");
-  args.add_string("passes", "",
-                  "graph-optimizer pass spec for B-Par graphs (\"default\", "
-                  "\"none\", \"list\", or e.g. \"gate_fusion,coarsen:1200\"; "
-                  "empty = off)");
   bpar::obs::add_cli_flags(args);  // --trace / --metrics
 }
 
@@ -72,31 +63,14 @@ Calibration resolve_calibration(const bpar::util::ArgParser& args) {
                                        : paper_core_calibration();
 }
 
-std::string resolve_passes(const bpar::util::ArgParser& args) {
-  const std::string spec = args.get_string("passes");
-  if (spec == "list") {
-    std::printf("registered graph passes:\n");
-    for (const std::string& name : bpar::graph::passes::known_passes()) {
-      std::printf("  %s\n", name.c_str());
-    }
-    std::printf("default pipeline: %s\n",
-                std::string(bpar::graph::passes::kDefaultPassSpec).c_str());
-    std::exit(0);
-  }
-  if (spec.empty()) return "";
-  return bpar::graph::passes::effective_pass_spec(spec);
-}
-
 double simulate_bpar(bpar::rnn::Network& net, const SimSetup& setup,
                      int replicas, SimResult* result,
-                     const std::string& schedule_profile,
-                     const std::string& passes) {
+                     const std::string& schedule_profile) {
   BuildOptions bo;
   bo.num_replicas = std::min(replicas, net.config().batch_size);
   bo.training = setup.training;
   bo.executable = false;
   bo.schedule_profile = schedule_profile;
-  bo.passes = passes;
   TrainingProgram program(net, net.config().batch_size, bo);
   const auto costs =
       bpar::sim::modeled_costs(program.graph(), setup.calibration);
@@ -109,7 +83,6 @@ double simulate_bpar(bpar::rnn::Network& net, const SimSetup& setup,
         program.graph(), std::span<const bpar::taskrt::TaskTrace>(r.trace),
         setup.cores);
     g_last_model_cp_ns = program.graph().critical_path_cost(costs);
-    g_last_pass_signature = program.pass_signature();
   }
   if (result != nullptr) *result = r;
   return r.makespan_ms;
@@ -180,10 +153,8 @@ void emit_csv(const bpar::util::ArgParser& args, const bpar::util::Table& t,
   }
   report.add_table(name, t.header(), t.data());
   if (g_last_model.has_value()) {
-    bpar::obs::analysis::Analysis analysis =
-        bpar::obs::analysis::analyze(*g_last_model, g_last_model_cp_ns);
-    analysis.pass_signature = g_last_pass_signature;
-    report.analysis_json = bpar::obs::analysis::to_json(analysis);
+    report.analysis_json = bpar::obs::analysis::to_json(
+        bpar::obs::analysis::analyze(*g_last_model, g_last_model_cp_ns));
   }
   if (const std::string& metrics_path = args.get_string("metrics");
       !metrics_path.empty()) {

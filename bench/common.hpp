@@ -49,19 +49,11 @@ struct SimSetup {
 /// Simulated per-batch time (ms) of B-Par with `replicas` mini-batches.
 /// Optionally returns the full simulator result. `schedule_profile` picks
 /// another schedule of the same graph ("bseq" — the B-Seq baseline —
-/// "fused_merge", "layer_barriers", "sequential", "framework"); `passes`
-/// runs the graph-optimizer pipeline ("" = off, the faithful paper graph).
+/// "fused_merge", "layer_barriers", "sequential", "framework").
 [[nodiscard]] double simulate_bpar(bpar::rnn::Network& net,
                                    const SimSetup& setup, int replicas,
                                    bpar::sim::SimResult* result = nullptr,
-                                   const std::string& schedule_profile = "",
-                                   const std::string& passes = "");
-
-/// Resolves the --passes flag: "" → off (bench default), "list" prints the
-/// registry and exits, anything else resolves through
-/// graph::passes::effective_pass_spec (so "default" and BPAR_GRAPH_PASSES
-/// work like they do in the executors).
-[[nodiscard]] std::string resolve_passes(const bpar::util::ArgParser& args);
+                                   const std::string& schedule_profile = "");
 
 /// Simulated per-batch time (ms) of a framework baseline (per-layer
 /// barriers + intra-op chunking under `profile`).

@@ -21,7 +21,6 @@ int main(int argc, char** argv) {
 
   bench::SimSetup setup;
   setup.calibration = bench::resolve_calibration(args);
-  const std::string passes = bench::resolve_passes(args);
   const int replicas = static_cast<int>(args.get_int("replicas"));
   const auto cfg = bench::table_network(
       bpar::rnn::CellType::kLstm, 256,
@@ -43,7 +42,7 @@ int main(int argc, char** argv) {
     const double bseq =
         bench::simulate_bpar(net, s, replicas, nullptr, "bseq");
     const double bpar_ms =
-        bench::simulate_bpar(net, s, replicas, nullptr, "", passes);
+        bench::simulate_bpar(net, s, replicas);
     table.add_row({std::to_string(cores), bpar::util::fmt_ms(keras),
                    bpar::util::fmt_ms(bseq), bpar::util::fmt_ms(pytorch),
                    bpar::util::fmt_ms(bpar_ms)});

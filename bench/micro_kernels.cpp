@@ -198,17 +198,15 @@ struct BackendGemm {
 // The unsuffixed rows predate the workload shapes and keep their baseline
 // keys; the rest are the GEMMs of the workloads, each in its role against
 // the K-major gate weights: nn is the forward G = X·W (train-blstm
-// 16x512x256; infer-b1 1x256x16 layer-0 input, 1x256x64 recurrent,
-// 40x256x16 input precompute), nt the backward dX = dG·Wᵀ (train-blstm
-// 16x256x512) and tn the weight gradient (train-blstm 512x256x16,
-// train-bgru-m2m 96x64x8).
+// 16x512x256; infer-b1 1x256x16 layer-0 input, 1x256x64 recurrent),
+// nt the backward dX = dG·Wᵀ (train-blstm 16x256x512) and tn the weight
+// gradient (train-blstm 512x256x16, train-bgru-m2m 96x64x8).
 const BackendGemm kBackendGemms[] = {
     {"BM_GemmNtBackend", GemmOp::kNt, 128, 1024, 512, false},
     {"BM_GemmNnBackend", GemmOp::kNn, 128, 512, 1024, false},
     {"BM_GemmNnBackend", GemmOp::kNn, 16, 512, 256, true},
     {"BM_GemmNnBackend", GemmOp::kNn, 1, 256, 16, true},
     {"BM_GemmNnBackend", GemmOp::kNn, 1, 256, 64, true},
-    {"BM_GemmNnBackend", GemmOp::kNn, 40, 256, 16, true},
     {"BM_GemmTnBackend", GemmOp::kTn, 512, 256, 16, true},
     {"BM_GemmTnBackend", GemmOp::kTn, 96, 64, 8, true},
     {"BM_GemmNtBackend", GemmOp::kNt, 16, 256, 512, true},

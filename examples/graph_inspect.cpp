@@ -8,7 +8,6 @@
 
 #include "core/bpar.hpp"
 #include "graph/brnn_graph.hpp"
-#include "graph/passes/registry.hpp"
 #include "taskrt/export.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -26,20 +25,7 @@ int main(int argc, char** argv) {
                   "Chrome-tracing output path (empty = skip)");
   args.add_flag("barriers",
                 "emulate per-layer barriers (schedule profile 'framework')");
-  args.add_string("passes", "default",
-                  "graph-optimizer pass pipeline: comma-separated list, "
-                  "'default', 'none', or 'list' to print the registry");
   if (!args.parse(argc, argv)) return 1;
-
-  if (args.get_string("passes") == "list") {
-    std::printf("registered graph passes:\n");
-    for (const std::string& name : bpar::graph::passes::known_passes()) {
-      std::printf("  %s\n", name.c_str());
-    }
-    std::printf("default pipeline: %s\n",
-                std::string(bpar::graph::passes::kDefaultPassSpec).c_str());
-    return 0;
-  }
 
   bpar::rnn::NetworkConfig cfg;
   cfg.cell = bpar::rnn::CellType::kLstm;
@@ -53,21 +39,17 @@ int main(int argc, char** argv) {
 
   bpar::graph::BuildOptions bo;
   if (args.flag("barriers")) bo.schedule_profile = "framework";
-  bo.passes = args.get_string("passes");
   bpar::graph::TrainingProgram program(net, cfg.batch_size, bo);
   const auto& graph = program.graph();
 
   std::printf("graph: %zu tasks, %zu edges, critical path %zu\n",
               graph.size(), graph.edge_count(),
               graph.critical_path_length());
-  if (!program.pass_signature().empty()) {
-    std::printf("graph passes: %s\n", program.pass_signature().c_str());
-  }
-  std::size_t counts[16] = {};
+  std::size_t counts[bpar::taskrt::kNumTaskKinds] = {};
   for (bpar::taskrt::TaskId id = 0; id < graph.size(); ++id) {
     ++counts[static_cast<std::size_t>(graph.task(id).spec.kind)];
   }
-  for (std::size_t k = 0; k < 16; ++k) {
+  for (std::size_t k = 0; k < bpar::taskrt::kNumTaskKinds; ++k) {
     if (counts[k] == 0) continue;
     std::printf("  %-12s %zu\n",
                 bpar::taskrt::task_kind_name(

@@ -23,9 +23,6 @@ int main(int argc, char** argv) {
   args.add_int("hidden", 32, "hidden size");
   args.add_int("batch", 16, "batch size");
   args.add_int("replicas", 4, "mini-batches");
-  args.add_string("passes", "default",
-                  "graph-optimizer pass pipeline ('default', 'none', or a "
-                  "comma-separated pass list)");
   if (!args.parse(argc, argv)) return 1;
 
   bpar::rnn::NetworkConfig cfg;
@@ -42,7 +39,6 @@ int main(int argc, char** argv) {
   // measure per-task costs on this machine.
   bpar::graph::BuildOptions bo;
   bo.num_replicas = static_cast<int>(args.get_int("replicas"));
-  bo.passes = args.get_string("passes");
   bpar::graph::TrainingProgram program(net, cfg.batch_size, bo);
 
   bpar::util::Rng rng(3);

@@ -10,7 +10,7 @@ FrameworkProfile keras_cpu_profile() {
   // Keras-CPU times within ~15% across the Table III batch sizes.
   return {.name = "keras",
           .gemm_cost_multiplier = 1.15,
-          .per_task_dispatch_ns = 15000.0,
+          .per_op_overhead_ns = 15000.0,
           .intra_op_efficiency = 0.55,
           .max_intra_op_chunks = 12};
 }
@@ -18,7 +18,7 @@ FrameworkProfile keras_cpu_profile() {
 FrameworkProfile pytorch_cpu_profile() {
   return {.name = "pytorch",
           .gemm_cost_multiplier = 1.8,
-          .per_task_dispatch_ns = 60000.0,
+          .per_op_overhead_ns = 60000.0,
           .intra_op_efficiency = 0.50,
           .max_intra_op_chunks = 12};
 }
@@ -26,7 +26,7 @@ FrameworkProfile pytorch_cpu_profile() {
 FrameworkProfile native_profile() {
   return {.name = "native",
           .gemm_cost_multiplier = 1.0,
-          .per_task_dispatch_ns = 0.0,
+          .per_op_overhead_ns = 0.0,
           .intra_op_efficiency = 1.0,
           .max_intra_op_chunks = 1};
 }
@@ -67,7 +67,7 @@ std::vector<std::uint64_t> profile_costs(const taskrt::TaskGraph& graph,
       ns = static_cast<double>(
           std::max<std::uint64_t>(spec.cost_hint_ns, 300));
     }
-    ns += profile.per_task_dispatch_ns;
+    ns += profile.per_op_overhead_ns;
     costs[id] = static_cast<std::uint64_t>(ns);
   }
   return costs;

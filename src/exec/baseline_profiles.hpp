@@ -10,7 +10,7 @@
 //   * gemm_cost_multiplier — kernel quality relative to our mini-BLAS.
 //     The paper measures PyTorch-CPU 2-5x slower than Keras-CPU at
 //     identical math (Tables III/IV), dominated by op-by-op execution.
-//   * per_task_dispatch_ns — per-op dispatch/framework overhead.
+//   * per_op_overhead_ns   — per-op dispatch/framework overhead.
 //   * intra_op_efficiency  — fraction of ideal speedup the fork-join
 //     chunking achieves (MKL-parallel loses to task parallelism; ~0.7
 //     is typical for the gate-GEMM sizes involved).
@@ -29,7 +29,7 @@ namespace bpar::exec {
 struct FrameworkProfile {
   std::string name;
   double gemm_cost_multiplier = 1.0;
-  double per_task_dispatch_ns = 0.0;
+  double per_op_overhead_ns = 0.0;
   double intra_op_efficiency = 1.0;
   int max_intra_op_chunks = 48;
 };

@@ -4,7 +4,6 @@
 
 #include "exec/baseline_profiles.hpp"
 #include "exec/reference_pass.hpp"
-#include "graph/passes/registry.hpp"
 #include "obs/memory.hpp"
 #include "obs/trace.hpp"
 #include "perf/timer.hpp"
@@ -39,7 +38,6 @@ taskrt::RuntimeOptions runtime_options(const BParOptions& options) {
 BParExecutor::BParExecutor(rnn::Network& net, BParOptions options)
     : net_(net),
       options_(options),
-      pass_spec_(graph::passes::effective_pass_spec(options_.passes)),
       runtime_(runtime_options(options)) {}
 
 BParExecutor::~BParExecutor() {
@@ -71,8 +69,6 @@ graph::TrainingProgram& BParExecutor::program(bool training, int seq_length,
     }
     bo.compute_input_grads = options_.compute_input_grads;
     bo.seq_length_override = steps;
-    bo.passes = pass_spec_;
-    bo.dispatch_ns = measured_dispatch_ns_;
     it = cache
              .emplace(ShapeKey{steps, rows},
                       std::make_unique<graph::TrainingProgram>(net_, rows, bo))
@@ -98,22 +94,6 @@ graph::TrainingProgram& BParExecutor::infer_program(int seq_length,
   return program(/*training=*/false, seq_length, batch_rows);
 }
 
-void BParExecutor::note_stats(const taskrt::RunStats& stats) {
-  if (stats.tasks_executed == 0) return;
-  std::uint64_t busy = 0;
-  for (const std::uint64_t w : stats.worker_busy_ns) busy += w;
-  const std::uint64_t pool =
-      stats.wall_ns * stats.worker_busy_ns.size();
-  if (pool <= busy) return;
-  // Idle-time-per-task proxy for dispatch overhead: crude, but it tracks
-  // the regime (tiny-task-dominated runs push it up) and only feeds the
-  // coarsening threshold, where a factor of 2 barely moves the cut.
-  const std::uint64_t per_task =
-      std::clamp<std::uint64_t>((pool - busy) / stats.tasks_executed,
-                                100, 2000);
-  measured_dispatch_ns_ = (3 * measured_dispatch_ns_ + per_task) / 4;
-}
-
 StepResult BParExecutor::train_batch(const rnn::BatchData& batch) {
   BPAR_SPAN("exec.train_batch");
   auto& program = train_program(batch.steps(), batch.batch());
@@ -123,7 +103,6 @@ StepResult BParExecutor::train_batch(const rnn::BatchData& batch) {
   program.prepare();
   StepResult result;
   result.stats = runtime_.run(program.graph());
-  note_stats(result.stats);
   result.loss = program.loss();
   result.wall_ms = timer.elapsed_ms();
   return result;
@@ -138,7 +117,6 @@ InferResult BParExecutor::infer(const rnn::BatchData& batch,
   program.prepare();
   InferResult result;
   result.stats = runtime_.run(program.graph());
-  note_stats(result.stats);
   result.loss = program.loss();
   // Stitch replica outputs back into batch order.
   init_infer_outputs(program.replica(0), program.total_batch(),

@@ -16,7 +16,6 @@
 // worker count (the Keras/PyTorch CPU style).
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -36,11 +35,9 @@ struct BParOptions {
   /// Per-task-class hardware counters (RunStats::kind_counters); no-op
   /// when perf_event_open is unavailable.
   bool sample_counters = false;
-  /// Graph-optimizer pass spec (graph/passes/registry.hpp): "default"
-  /// resolves through BPAR_GRAPH_PASSES, "none"/"off" disables the
-  /// pipeline, otherwise a comma list like "gate_fusion,coarsen:1200".
-  /// Resolved once, when the executor is constructed.
-  std::string passes = "default";
+  /// Ignored: kept only so bench/e2e, which sets it, builds unchanged.
+  /// Goes with the next change to that benchmark.
+  std::string passes = "none";
   /// Schedule shape forwarded to BuildOptions::schedule_profile ("" =
   /// free-running B-Par; "bseq", "framework", "fused_merge", ...).
   std::string schedule_profile;
@@ -79,26 +76,17 @@ class BParExecutor final : public Executor {
   }
 
  private:
-  // (seq_length, batch_rows); every program of one executor is built under
-  // the same resolved pass spec.
+  // Program-cache key: (seq_length, batch_rows).
   using ShapeKey = std::pair<int, int>;
   graph::TrainingProgram& program(bool training, int seq_length,
                                   int batch_rows);
-  /// Folds a run's measured per-task dispatch cost into the EMA that seeds
-  /// the coarsening pass's threshold for future program builds.
-  void note_stats(const taskrt::RunStats& stats);
 
   rnn::Network& net_;
   BParOptions options_;
-  /// options_.passes through passes::effective_pass_spec (env var, unknown
-  /// names), resolved once so a bad spec warns once per executor.
-  std::string pass_spec_;
   taskrt::Runtime runtime_;
   std::map<ShapeKey, std::unique_ptr<graph::TrainingProgram>> train_programs_;
   std::map<ShapeKey, std::unique_ptr<graph::TrainingProgram>> infer_programs_;
   graph::TrainingProgram* last_train_ = nullptr;
-  /// EMA of measured per-task dispatch overhead (ns), fed to new builds.
-  std::uint64_t measured_dispatch_ns_ = 300;
 };
 
 }  // namespace bpar::exec

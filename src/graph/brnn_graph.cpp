@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "graph/passes/registry.hpp"
 #include "kernels/elementwise.hpp"
 #include "kernels/gemm.hpp"
 #include "obs/trace.hpp"
@@ -131,35 +130,6 @@ struct TrainingProgram::ReplicaCtx {
   [[nodiscard]] const void* addr_loss(int t) const {
     return &prog.losses_[static_cast<std::size_t>(rep) * outputs() + t];
   }
-
-  // ---- executable-mode views ----
-  [[nodiscard]] ConstMatrixView x_view(int t) const {
-    return prog.x_[static_cast<std::size_t>(t)].cview().block(
-        r0, 0, rb, cfg().input_size);
-  }
-  [[nodiscard]] ConstMatrixView layer_input(int l, int t) const {
-    return l == 0 ? x_view(t) : ws->merged(l - 1, t).cview();
-  }
-  [[nodiscard]] std::span<const int> label_view(int t) const {
-    const std::size_t offset =
-        cfg().many_to_many
-            ? static_cast<std::size_t>(t) * prog.total_batch_ + r0
-            : static_cast<std::size_t>(r0);
-    return std::span<const int>(prog.labels_)
-        .subspan(offset, static_cast<std::size_t>(rb));
-  }
-};
-
-// Sequence-wide input projection of layer 0 for one (replica, direction):
-// a packed copy of this replica's input rows and its x·W_x^T image, built
-// in time chunks by the input_precompute pass's ops.
-struct TrainingProgram::PrecompBuf {
-  tensor::Matrix xpack;  // (T*rb) x in_width
-  tensor::Matrix proj;   // (T*rb) x gates*hidden
-  std::vector<const void*> chunk_addrs;  // dependency address per chunk
-  std::vector<int> chunk_begin;          // timestep begin per chunk + T
-  int rb = 0;
-  int cols = 0;  // gates * hidden
 };
 
 TrainingProgram::~TrainingProgram() = default;
@@ -243,8 +213,6 @@ TrainingProgram::TrainingProgram(rnn::Network& net, int total_batch,
   }
 
   build();
-  run_passes();
-  lower();
   graph_.seal();
 }
 
@@ -273,33 +241,6 @@ void TrainingProgram::prepare() {
   if (opts_.training) master_grads_.zero();
 }
 
-void TrainingProgram::push_op(passes::Op op) {
-  if (chain_token_ != nullptr) op.accesses.push_back(inout(chain_token_));
-  ops_.push_back(std::move(op));
-}
-
-void TrainingProgram::add_op(std::function<void()> fn,
-                             std::vector<Access> accesses, TaskSpec spec,
-                             int gemms) {
-  passes::Op op;
-  op.fn = std::move(fn);
-  op.accesses = std::move(accesses);
-  op.spec = std::move(spec);
-  op.gemms = gemms;
-  push_op(std::move(op));
-}
-
-void TrainingProgram::add_cell_op(std::vector<Access> accesses, TaskSpec spec,
-                                  passes::CellInfo cell) {
-  passes::Op op;
-  op.accesses = std::move(accesses);
-  op.spec = std::move(spec);
-  op.chunkable = true;
-  op.gemms = passes::cell_forward_gemms(cell.lstm, false, false);
-  op.cell = std::move(cell);
-  push_op(std::move(op));
-}
-
 namespace {
 
 /// Batch rows [row0, row0 + rows) of a replica buffer (empty stays empty).
@@ -308,250 +249,57 @@ View row_slice(View v, int row0, int rows) {
   return v.data == nullptr ? v : v.block(row0, 0, rows, v.cols);
 }
 
-/// Installs a chunkable op's row-sliceable body: kept whole for the
-/// intra-op split, else bound to all `rows` rows of its replica.
-template <typename Body>
-void set_rows_body(passes::Op& op, Body body, int chunks, int rows) {
-  if (chunks > 1) {
-    op.rows_fn = std::move(body);
-  } else {
-    op.fn = [body = std::move(body), rows] { body(-1, 0, rows); };
-  }
-}
-
 }  // namespace
 
-auto TrainingProgram::make_cell_fn(passes::CellInfo ci) {
-  return [this, ci](int /*chunk*/, int row0, int rows) {
-    const NetworkConfig& c = cfg_;
-    rnn::Workspace* ws = ci.ws;
-    const auto slice = [&](auto v) { return row_slice(v, row0, rows); };
-    ConstMatrixView x{};
-    if (!ci.precomputed) {
-      x = ci.layer == 0
-              ? x_[static_cast<std::size_t>(ci.ti)].cview().block(
-                    ci.r0 + row0, 0, rows, c.input_size)
-              : slice(ws->merged(ci.layer - 1, ci.ti).cview());
-    }
-    ConstMatrixView h_prev = slice(
-        ci.step == 0 ? ws->zero_state.cview()
-                     : ws->tape(ci.dir, ci.layer, ci.step - 1).h.cview());
-    ConstMatrixView c_prev;
-    if (ci.lstm) {
-      c_prev = slice(ci.step == 0
-                         ? ws->zero_state.cview()
-                         : ws->tape(ci.dir, ci.layer, ci.step - 1).c.cview());
-    }
-    rnn::CellForwardOpts fo;
-    fo.fuse_gates = ci.fuse_gates;
-    if (ci.precomputed) {
-      fo.precomp = ConstMatrixView{
-          ci.precomp_row0 + static_cast<std::size_t>(row0) * ci.precomp_cols,
-          rows, ci.precomp_cols, ci.precomp_cols};
-    }
-    rnn::cell_forward_ex(
-        *ci.params, x, h_prev, c_prev,
-        ws->tape(ci.dir, ci.layer, ci.step).views_rows(row0, rows), fo);
-    if (ci.fused_merge) {
-      rnn::merge_forward(
-          c.merge, slice(ws->tape(0, ci.layer, ci.step).h.cview()),
-          slice(ws->tape(1, ci.layer, ci.steps - 1 - ci.step).h.cview()),
-          slice(ws->merged(ci.layer, ci.step).view()));
-    }
-  };
-}
-
-void TrainingProgram::run_passes() {
-  pass_report_ = {};
-  const passes::PassPipeline pipe = passes::make_pipeline(opts_.passes);
-  pass_report_.signature = pipe.signature();
-  if (pipe.empty()) return;
-  BPAR_SPAN("graph.passes");
-  passes::PassContext ctx{
-      *this,
-      opts_.executable,
-      opts_.training,
-      opts_.dispatch_ns == 0 ? 300 : opts_.dispatch_ns,
-      &pass_report_,
-      {}};
-  pipe.run(ops_, ctx);
-}
-
-void TrainingProgram::lower() {
-  BPAR_SPAN("graph.lower");
-  for (passes::Op& op : ops_) {
-    if (op.dead) continue;
-    gemm_launches_ += static_cast<std::size_t>(op.gemms);
-    if (op.cell.has_value() && opts_.executable) {
-      set_rows_body(op, make_cell_fn(*op.cell), opts_.intra_op_chunks,
-                    replica_rows(op.spec.replica));
-    }
-    lower_one(op);
-    op = {};  // free it now, so the graph's own allocations can reuse it
-  }
-  ops_.clear();
-  ops_.shrink_to_fit();
-}
-
-void TrainingProgram::lower_one(passes::Op& op) {
-  const int n = op.chunkable ? opts_.intra_op_chunks : 1;
+void TrainingProgram::add_task(std::vector<Access> accesses, TaskSpec spec,
+                               int gemms, std::function<void()> fn,
+                               RowsFn rows, bool cell) {
+  if (chain_token_ != nullptr) accesses.push_back(inout(chain_token_));
+  gemm_launches_ += static_cast<std::size_t>(gemms);
+  const int n = cell ? opts_.intra_op_chunks : 1;
   if (n <= 1) {
-    if (!op.fn) op.fn = [] {};  // barrier tokens and shape-only graphs
-    graph_.add(std::move(op.fn), op.accesses, std::move(op.spec));
+    if (rows) {
+      fn = [rows = std::move(rows), count = replica_rows(spec.replica)] {
+        rows(-1, 0, count);
+      };
+    }
+    if (!fn) fn = [] {};  // barrier tokens and shape-only graphs
+    graph_.add(std::move(fn), accesses, std::move(spec));
     return;
   }
-  const int rows = replica_rows(op.spec.replica);
+  const int count = replica_rows(spec.replica);
   // Intra-op split, the fork-join region of a framework that spreads each
   // cell's GEMMs across cores: N chunk tasks over batch-row slices, each
-  // ordered after every earlier access to what the op touches, then a join
-  // carrying the op's writes for its consumers.
+  // ordered after every earlier access to what the cell touches, then a
+  // join carrying the cell's writes for its consumers.
   std::vector<Access> chunk_acc;
-  for (const Access& a : op.accesses) chunk_acc.push_back(in(a.addr));
-  std::vector<Access> join_acc = op.accesses;
+  for (const Access& a : accesses) chunk_acc.push_back(in(a.addr));
+  std::vector<Access> join_acc = std::move(accesses);
   for (int c = 0; c < n; ++c) {
-    const int row0 = c * rows / n;
-    const int count = (c + 1) * rows / n - row0;
-    TaskSpec chunk_spec = op.spec;
+    const int row0 = c * count / n;
+    const int chunk_rows = (c + 1) * count / n - row0;
+    TaskSpec chunk_spec = spec;
     chunk_spec.kind = TaskKind::kGemmChunk;
-    chunk_spec.flops = op.spec.flops / n;
-    chunk_spec.working_set_bytes = op.spec.working_set_bytes / n;
-    std::function<void()> fn = [] {};
-    if (op.rows_fn) {
-      fn = [body = op.rows_fn, c, row0, count] { body(c, row0, count); };
+    chunk_spec.flops = spec.flops / n;
+    chunk_spec.working_set_bytes = spec.working_set_bytes / n;
+    std::function<void()> chunk_fn = [] {};
+    if (rows) {
+      chunk_fn = [rows, c, row0, chunk_rows] { rows(c, row0, chunk_rows); };
     }
     const void* token = fresh_token();
     chunk_acc.push_back(out(token));
-    graph_.add(std::move(fn), chunk_acc, std::move(chunk_spec));
+    graph_.add(std::move(chunk_fn), chunk_acc, std::move(chunk_spec));
     chunk_acc.pop_back();
     join_acc.push_back(in(token));
   }
-  TaskSpec join_spec = std::move(op.spec);
-  join_spec.flops = 0.0;
-  join_spec.working_set_bytes = 0;
-  join_spec.cost_hint_ns = 500;
-  graph_.add([] {}, join_acc, std::move(join_spec));
+  spec.flops = 0.0;
+  spec.working_set_bytes = 0;
+  spec.cost_hint_ns = 500;
+  graph_.add([] {}, join_acc, std::move(spec));
 }
 
-// ---- pass hooks ----
+// ---- graph construction ----
 
-passes::OpList TrainingProgram::make_precompute_ops(int rep, int dir,
-                                                    int chunks) {
-  const NetworkConfig& cfg = cfg_;
-  const int steps = cfg.seq_length;
-  const int rb = replica_rows(rep);
-  const int r0 = row_begin_[static_cast<std::size_t>(rep)];
-  const int in_width = cfg.input_size;
-  const int gcols = rnn::gate_count(cfg.cell) * cfg.hidden_size;
-  const std::size_t key = static_cast<std::size_t>(rep) * 2 + dir;
-  if (precomp_.size() < static_cast<std::size_t>(opts_.num_replicas) * 2) {
-    precomp_.resize(static_cast<std::size_t>(opts_.num_replicas) * 2);
-  }
-  if (precomp_[key] != nullptr) return {};
-  chunks = std::clamp(chunks, 1, steps);
-
-  auto buf = std::make_unique<PrecompBuf>();
-  buf->rb = rb;
-  buf->cols = gcols;
-  if (opts_.executable) {
-    buf->xpack.resize(steps * rb, in_width);
-    buf->proj.resize(steps * rb, gcols);
-  }
-  const int tbase = steps / chunks;
-  const int textra = steps % chunks;
-  int tcur = 0;
-  for (int c = 0; c < chunks; ++c) {
-    buf->chunk_begin.push_back(tcur);
-    tcur += tbase + (c < textra ? 1 : 0);
-  }
-  buf->chunk_begin.push_back(steps);
-
-  const rnn::LayerParams* params =
-      opts_.executable ? &net_.layer(dir, 0) : nullptr;
-
-  passes::OpList ops;
-  for (int c = 0; c < chunks; ++c) {
-    const int t0 = buf->chunk_begin[static_cast<std::size_t>(c)];
-    const int t1 = buf->chunk_begin[static_cast<std::size_t>(c + 1)];
-    const void* addr =
-        opts_.executable
-            ? static_cast<const void*>(
-                  buf->proj.data() +
-                  static_cast<std::size_t>(t0) * rb * gcols)
-            : fresh_token();
-    buf->chunk_addrs.push_back(addr);
-
-    passes::Op op;
-    op.spec.kind = TaskKind::kInputPrecompute;
-    op.spec.name = std::string("x") + (dir == 0 ? "f" : "r") + "0.c" +
-                   std::to_string(c);
-    op.spec.layer = 0;
-    op.spec.step = t0;
-    op.spec.replica = rep;
-    op.spec.flops = 2.0 * (t1 - t0) * rb * in_width *
-                    static_cast<double>(gcols);
-    op.spec.working_set_bytes =
-        (static_cast<std::size_t>(t1 - t0) * rb * (in_width + gcols) +
-         static_cast<std::size_t>(in_width) * gcols) *
-        sizeof(float);
-    op.gemms = 1;
-    for (int t = t0; t < t1; ++t) {
-      op.accesses.push_back(in(
-          opts_.executable
-              ? static_cast<const void*>(
-                    x_[static_cast<std::size_t>(t)].data() +
-                    static_cast<std::size_t>(r0) * in_width)
-              : static_cast<const void*>(
-                    arenas_[static_cast<std::size_t>(rep)].data() +
-                    x_bases_[static_cast<std::size_t>(rep)] + t)));
-    }
-    op.accesses.push_back(out(addr));
-    if (opts_.executable) {
-      PrecompBuf* b = buf.get();
-      op.fn = [this, b, params, t0, t1, rb, r0, in_width] {
-        BPAR_SPAN("graph.input_precompute");
-        for (int t = t0; t < t1; ++t) {
-          tensor::copy(
-              x_[static_cast<std::size_t>(t)].cview().block(r0, 0, rb,
-                                                            in_width),
-              b->xpack.view().block(t * rb, 0, rb, in_width));
-        }
-        const ConstMatrixView xv =
-            b->xpack.cview().block(t0 * rb, 0, (t1 - t0) * rb, in_width);
-        MatrixView pv =
-            b->proj.view().block(t0 * rb, 0, (t1 - t0) * rb, b->cols);
-        kernels::gemm_nn(xv, params->w_input(), pv);
-      };
-    }
-    ops.push_back(std::move(op));
-  }
-  precomp_[key] = std::move(buf);
-  return ops;
-}
-
-const void* TrainingProgram::precompute_chunk_addr(int rep, int dir,
-                                                   int ti) const {
-  const auto& buf = precomp_[static_cast<std::size_t>(rep) * 2 + dir];
-  BPAR_CHECK(buf != nullptr, "precompute buffers not built");
-  for (std::size_t c = 0; c + 1 < buf->chunk_begin.size(); ++c) {
-    if (ti < buf->chunk_begin[c + 1]) return buf->chunk_addrs[c];
-  }
-  BPAR_CHECK(false, "timestep ", ti, " outside precompute chunks");
-  return nullptr;
-}
-
-const float* TrainingProgram::precompute_row(int rep, int dir, int ti) const {
-  const auto& buf = precomp_[static_cast<std::size_t>(rep) * 2 + dir];
-  if (buf == nullptr || !opts_.executable) return nullptr;
-  return buf->proj.data() +
-         static_cast<std::size_t>(ti) * buf->rb * buf->cols;
-}
-
-int TrainingProgram::precompute_cols(int rep, int dir) const {
-  const auto& buf = precomp_[static_cast<std::size_t>(rep) * 2 + dir];
-  return buf == nullptr ? 0 : buf->cols;
-}
-
-// ---- graph construction (intermediate op form) ----
 
 void TrainingProgram::build() {
   for (int rep = 0; rep < opts_.num_replicas; ++rep) build_replica(rep);
@@ -603,7 +351,6 @@ void TrainingProgram::build_replica(int rep) {
     arenas_.emplace_back(off, 0);
     ctx.arena_data = arenas_.back().data();
     grads_bases_.push_back(ctx.grads_base);
-    x_bases_.push_back(ctx.x_base);
   }
 
   // Fresh forward-barrier tokens for this replica (framework emulation).
@@ -652,6 +399,10 @@ void TrainingProgram::build_forward_layer(ReplicaCtx& ctx, int l) {
     }
   };
 
+  // One input-side and one recurrent GEMM per cell; GRU adds the
+  // candidate block's recurrent GEMM, which needs r ⊙ h_prev first.
+  const int gemms = lstm ? 2 : 3;
+
   // One lambda per direction to emit the cell chain.
   auto emit_cells = [&](int dir) {
     const rnn::LayerParams* params =
@@ -678,28 +429,41 @@ void TrainingProgram::build_forward_layer(ReplicaCtx& ctx, int l) {
       }
       acc.push_back(out(ctx.addr_h(dir, l, s)));
 
-      passes::CellInfo ci;
-      ci.ws = ctx.ws;
-      ci.params = params;
-      ci.rep = ctx.rep;
-      ci.dir = dir;
-      ci.layer = l;
-      ci.step = s;
-      ci.ti = ti;
-      ci.r0 = ctx.r0;
-      ci.rb = ctx.rb;
-      ci.steps = steps;
-      ci.in_width = in_width;
-      ci.hidden = cfg.hidden_size;
-      ci.gates = rnn::gate_count(cfg.cell);
-      ci.lstm = lstm;
-      ci.fused_merge = fused_merge;
+      RowsFn body;
+      if (opts_.executable) {
+        body = [this, ws = ctx.ws, params, dir, l, s, ti, lstm, fused_merge,
+                steps, r0 = ctx.r0](int /*chunk*/, int row0, int nrows) {
+          const NetworkConfig& c = cfg_;
+          const auto slice = [&](auto v) { return row_slice(v, row0, nrows); };
+          const ConstMatrixView x =
+              l == 0 ? x_[static_cast<std::size_t>(ti)].cview().block(
+                           r0 + row0, 0, nrows, c.input_size)
+                     : slice(ws->merged(l - 1, ti).cview());
+          const ConstMatrixView h_prev =
+              slice(s == 0 ? ws->zero_state.cview()
+                           : ws->tape(dir, l, s - 1).h.cview());
+          ConstMatrixView c_prev;
+          if (lstm) {
+            c_prev = slice(s == 0 ? ws->zero_state.cview()
+                                  : ws->tape(dir, l, s - 1).c.cview());
+          }
+          rnn::cell_forward(*params, x, h_prev, c_prev,
+                            ws->tape(dir, l, s).views_rows(row0, nrows));
+          if (fused_merge) {
+            rnn::merge_forward(
+                c.merge, slice(ws->tape(0, l, s).h.cview()),
+                slice(ws->tape(1, l, steps - 1 - s).h.cview()),
+                slice(ws->merged(l, s).view()));
+          }
+        };
+      }
 
       TaskSpec spec = cell_spec(dir, s);
       if (fused_merge) {
         spec.flops += rnn::merge_flops(cfg.merge, ctx.rb, cfg.hidden_size);
       }
-      add_cell_op(std::move(acc), std::move(spec), std::move(ci));
+      add_task(std::move(acc), std::move(spec), gemms, {}, std::move(body),
+               /*cell=*/true);
     }
   };
 
@@ -735,7 +499,7 @@ void TrainingProgram::build_forward_layer(ReplicaCtx& ctx, int l) {
       spec.step = t;
       spec.replica = ctx.rep;
       spec.name = "m" + std::to_string(l) + "." + std::to_string(t);
-      add_op(std::move(fn), std::move(acc), std::move(spec));
+      add_task(std::move(acc), std::move(spec), 0, std::move(fn));
     }
   }
 
@@ -750,7 +514,7 @@ void TrainingProgram::build_forward_layer(ReplicaCtx& ctx, int l) {
     spec.cost_hint_ns = 1000;
     spec.layer = l;
     spec.replica = ctx.rep;
-    add_op({}, std::move(acc), std::move(spec));
+    add_task(std::move(acc), std::move(spec), 0, {});
   }
 }
 
@@ -782,7 +546,7 @@ void TrainingProgram::build_loss_and_dense(ReplicaCtx& ctx) {
     spec.layer = last;
     spec.replica = ctx.rep;
     spec.name = "final_merge";
-    add_op(std::move(fn), std::move(acc), std::move(spec));
+    add_task(std::move(acc), std::move(spec), 0, std::move(fn));
   }
 
   const double weight =
@@ -823,7 +587,7 @@ void TrainingProgram::build_loss_and_dense(ReplicaCtx& ctx) {
     spec.step = t;
     spec.replica = ctx.rep;
     spec.name = "dense_fwd." + std::to_string(t);
-    add_op(std::move(fn), std::move(acc), std::move(spec), 1);
+    add_task(std::move(acc), std::move(spec), 1, std::move(fn));
   }
 }
 
@@ -865,7 +629,7 @@ void TrainingProgram::build_dense_backward(ReplicaCtx& ctx) {
       spec.step = t;
       spec.replica = ctx.rep;
       spec.name = "loss_grad." + std::to_string(t);
-      add_op(std::move(fn), std::move(acc), std::move(spec));
+      add_task(std::move(acc), std::move(spec), 0, std::move(fn));
     }
     // Dense backward: dw_out += dlogits^T y; dy += dlogits * W.
     {
@@ -898,7 +662,7 @@ void TrainingProgram::build_dense_backward(ReplicaCtx& ctx) {
       spec.step = t;
       spec.replica = ctx.rep;
       spec.name = "dense_bwd." + std::to_string(t);
-      add_op(std::move(fn), std::move(acc), std::move(spec), 2);
+      add_task(std::move(acc), std::move(spec), 2, std::move(fn));
     }
   }
 
@@ -926,7 +690,7 @@ void TrainingProgram::build_dense_backward(ReplicaCtx& ctx) {
     spec.layer = last;
     spec.replica = ctx.rep;
     spec.name = "final_merge_bwd";
-    add_op(std::move(fn), std::move(acc), std::move(spec));
+    add_task(std::move(acc), std::move(spec), 0, std::move(fn));
   }
 }
 
@@ -958,7 +722,7 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
     spec.cost_hint_ns = 1000;
     spec.layer = l;
     spec.replica = ctx.rep;
-    add_op({}, std::move(acc), std::move(spec));
+    add_task(std::move(acc), std::move(spec), 0, {});
   }
 
   // Merge backward tasks: both directions' dmerged halves → dh of both
@@ -994,7 +758,7 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
       spec.step = t;
       spec.replica = ctx.rep;
       spec.name = "mb" + std::to_string(l) + "." + std::to_string(t);
-      add_op(std::move(fn), std::move(acc), std::move(spec));
+      add_task(std::move(acc), std::move(spec), 0, std::move(fn));
     }
   }
 
@@ -1037,11 +801,11 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
         acc.push_back(out(ctx.addr_sink(dir, l)));
       }
 
-      passes::Op op;
+      RowsFn body;
       if (opts_.executable) {
-        auto body = [this, ws, grads, params, dir, l, s, ti, lstm,
-                     fused_merge, steps, r0 = ctx.r0,
-                     rep = ctx.rep](int chunk, int row0, int rows) {
+        body = [this, ws, grads, params, dir, l, s, ti, lstm, fused_merge,
+                steps, r0 = ctx.r0,
+                rep = ctx.rep](int chunk, int row0, int rows) {
           const NetworkConfig& c = cfg_;
           const auto slice = [&](auto v) { return row_slice(v, row0, rows); };
           if (fused_merge) {
@@ -1093,7 +857,6 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
               slice(ws->dh(dir, l, s).cview()), dc_in, dx_acc, dh_prev,
               dc_prev, target.layers[dir][static_cast<std::size_t>(l)]);
         };
-        set_rows_body(op, std::move(body), opts_.intra_op_chunks, ctx.rb);
       }
       TaskSpec spec;
       spec.kind = TaskKind::kCellBackward;
@@ -1107,11 +870,8 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
       spec.replica = ctx.rep;
       spec.name = std::string(dir == 0 ? "bf" : "br") + std::to_string(l) +
                   "." + std::to_string(s);
-      op.accesses = std::move(acc);
-      op.spec = std::move(spec);
-      op.chunkable = true;
-      op.gemms = gemms;
-      push_op(std::move(op));
+      add_task(std::move(acc), std::move(spec), gemms, {}, std::move(body),
+               /*cell=*/true);
     }
   };
   emit_bwd(0);
@@ -1142,7 +902,8 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
     spec.layer = l;
     spec.replica = ctx.rep;
     spec.name = "fold." + std::to_string(dir) + "." + std::to_string(l);
-    add_op(std::move(fn), {inout(ctx.addr_grads(dir, l))}, std::move(spec));
+    add_task({inout(ctx.addr_grads(dir, l))}, std::move(spec), 0,
+             std::move(fn));
   }
 }
 
@@ -1164,7 +925,7 @@ void TrainingProgram::build_reduction() {
     TaskSpec spec;
     spec.kind = TaskKind::kLoss;
     spec.name = "reduce.loss";
-    add_op(std::move(fn), std::move(acc), std::move(spec));
+    add_task(std::move(acc), std::move(spec), 0, std::move(fn));
   }
   if (!opts_.training) return;
 
@@ -1222,7 +983,7 @@ void TrainingProgram::build_reduction() {
           (opts_.num_replicas + 1) * shape_ref.param_count() * sizeof(float);
       spec.layer = l;
       spec.name = "reduce." + std::to_string(dir) + "." + std::to_string(l);
-      add_op(std::move(fn), std::move(acc), std::move(spec));
+      add_task(std::move(acc), std::move(spec), 0, std::move(fn));
     }
   }
 
@@ -1255,7 +1016,7 @@ void TrainingProgram::build_reduction() {
     spec.flops = 2.0 * opts_.num_replicas *
                  static_cast<double>(cfg.num_classes) * cfg.merged_size();
     spec.name = "reduce.dense";
-    add_op(std::move(fn), std::move(acc), std::move(spec));
+    add_task(std::move(acc), std::move(spec), 0, std::move(fn));
   }
 }
 

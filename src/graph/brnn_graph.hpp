@@ -1,6 +1,5 @@
 // Task-graph construction for BRNN training and inference — the C++
-// realization of the paper's Algorithms 1-3, plus the pass-pipeline
-// optimizer layered on top (DESIGN.md §5k).
+// realization of the paper's Algorithms 1-3.
 //
 // A `TrainingProgram` owns every buffer a batch pass touches (input copies,
 // per-replica workspaces and gradients, the master gradients) and a
@@ -15,17 +14,14 @@
 //                                 grads, dh of predecessor, dmerged below)
 //   * gradient reduction:         in(all replica grads) inout(master)
 //
-// Construction happens in three stages: build() emits an intermediate op
-// list (closures + access lists + specs, forward cells as rewritable
-// descriptors), the `BuildOptions::passes` pipeline rewrites that list, and
-// lower() resolves the surviving ops into the TaskGraph. With an empty pass
-// spec (the default here) the graph is the faithful per-cell-per-timestep
-// form the paper describes; executors opt into the optimizer pipeline.
+// The build_* steps emit each task straight into the TaskGraph, one task per
+// cell and timestep, in creation order; every task body is a closure built
+// where the task is emitted (DESIGN.md §5k).
 //
 // Baseline schedules (per-layer barriers, sequential directions, fused
-// merge, B-Seq replica chains) are selected with
+// merge, B-Seq replica chains, intra-op row chunks) are selected with
 // `BuildOptions::schedule_profile` and add only constraints to the same
-// ops, so one program both runs and feeds the simulator; see
+// tasks, so one program both runs and feeds the simulator; see
 // exec/baseline_profiles.hpp.
 //
 // The same program can be re-run for many batches: `load_batch` copies new
@@ -33,13 +29,13 @@
 // the graph (built once) stays valid.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "graph/passes/pass.hpp"
 #include "rnn/batch.hpp"
 #include "rnn/network.hpp"
 #include "taskrt/task_graph.hpp"
@@ -66,22 +62,12 @@ struct BuildOptions {
   /// off by default because layer 0 then pays an extra GEMM per cell.
   bool compute_input_grads = false;
 
-  /// Optimizer pass spec (see graph/passes/registry.hpp). "" = no passes:
-  /// the faithful paper graph. Executors resolve their user-facing
-  /// default ("default" / BPAR_GRAPH_PASSES) through
-  /// passes::effective_pass_spec before setting this.
-  std::string passes;
-
   /// Named schedule shape: "" or "bpar" (default — free-running task
   /// schedule), "fused_merge" (merge folded into forward cells, the
   /// ablation), "layer_barriers", "sequential", "framework" (barriers +
   /// sequential directions — the Keras/PyTorch emulation), "bseq" (each
   /// replica one serial chain — data parallelism only, the paper's B-Seq).
   std::string schedule_profile;
-
-  /// Measured per-task dispatch cost feeding the coarsening pass's
-  /// threshold (4×). Executors update this from RunStats.
-  std::uint64_t dispatch_ns = 300;
 };
 
 class TrainingProgram {
@@ -120,32 +106,20 @@ class TrainingProgram {
     return replica(r).probs(t);
   }
 
-  /// What the pass pipeline rewrote (signature "none" when no passes ran).
-  [[nodiscard]] const passes::PassReport& pass_report() const {
-    return pass_report_;
-  }
-  [[nodiscard]] const std::string& pass_signature() const {
-    return pass_report_.signature;
-  }
+  /// Always "none": kept only for bench/e2e, which reports it, until the
+  /// next change to that benchmark.
+  [[nodiscard]] std::string pass_signature() const { return "none"; }
   /// GEMM launches one full graph execution performs (reporting).
   [[nodiscard]] std::size_t gemm_launches() const { return gemm_launches_; }
 
-  // ---- pass-pipeline hooks (called from src/graph/passes, not users) ----
-  /// Allocates the sequence-wide input-projection buffers of layer 0 for
-  /// (rep, dir) and returns the chunked GEMM ops computing them. Returns
-  /// an empty list when already built for that (rep, dir).
-  passes::OpList make_precompute_ops(int rep, int dir, int chunks);
-  /// Dependency address of the precompute chunk covering input step `ti`.
-  [[nodiscard]] const void* precompute_chunk_addr(int rep, int dir,
-                                                  int ti) const;
-  /// First element of the projection rows for input step `ti` (executable
-  /// mode; null for shape-only graphs).
-  [[nodiscard]] const float* precompute_row(int rep, int dir, int ti) const;
-  [[nodiscard]] int precompute_cols(int rep, int dir) const;
-
  private:
   struct ReplicaCtx;  // defined in the .cpp
-  struct PrecompBuf;  // defined in the .cpp
+
+  /// Body of a row-sliceable task over batch rows [row0, row0 + rows) of
+  /// its replica. `chunk` >= 0 names the intra-op chunk (whose scratch
+  /// weight gradients a backward cell accumulates into); -1 runs the task
+  /// unsplit.
+  using RowsFn = std::function<void(int chunk, int row0, int rows)>;
 
   // Schedule shape resolved from BuildOptions::schedule_profile.
   struct Schedule {
@@ -163,24 +137,16 @@ class TrainingProgram {
   void build_loss_and_dense(ReplicaCtx& ctx);
   void build_dense_backward(ReplicaCtx& ctx);
   void build_reduction();
-  void run_passes();
-  void lower();
 
-  /// Appends an op to the intermediate list; ops of a "bseq" replica also
-  /// join that replica's serial chain.
-  void push_op(passes::Op op);
-  /// Appends a closure op.
-  void add_op(std::function<void()> fn, std::vector<taskrt::Access> accesses,
-              taskrt::TaskSpec spec, int gemms = 0);
-  /// Appends a forward-cell descriptor op (body generated at lowering).
-  void add_cell_op(std::vector<taskrt::Access> accesses, taskrt::TaskSpec spec,
-                   passes::CellInfo cell);
-  /// Generates the row-sliceable executable body (a passes::RowsFn
-  /// callable) of a (possibly rewritten) forward cell.
-  [[nodiscard]] auto make_cell_fn(passes::CellInfo ci);
-  /// Adds one op to the TaskGraph, split into intra-op chunks when it is
-  /// chunkable and BuildOptions::intra_op_chunks > 1.
-  void lower_one(passes::Op& op);
+  /// Adds one task to the graph and counts its `gemms` launches; tasks of
+  /// a "bseq" replica also join that replica's serial chain. A `cell` task
+  /// runs `rows` over all its replica's rows or, with
+  /// BuildOptions::intra_op_chunks > 1, becomes that many row-chunk tasks
+  /// plus a join carrying its writes; any other task runs `fn`. Shape-only
+  /// graphs pass no bodies.
+  void add_task(std::vector<taskrt::Access> accesses, taskrt::TaskSpec spec,
+                int gemms, std::function<void()> fn, RowsFn rows = {},
+                bool cell = false);
   [[nodiscard]] int replica_rows(int rep) const {
     return row_begin_[static_cast<std::size_t>(rep + 1)] -
            row_begin_[static_cast<std::size_t>(rep)];
@@ -212,20 +178,12 @@ class TrainingProgram {
   // "bseq": chain token of the replica currently being built (else null).
   const void* chain_token_ = nullptr;
 
-  // Intermediate form: filled by build(), rewritten by run_passes(),
-  // consumed (and cleared) by lower().
-  passes::OpList ops_;
-  passes::PassReport pass_report_;
   std::size_t gemm_launches_ = 0;
-  // Sequence-wide input projections, indexed rep * 2 + dir (null until the
-  // precompute pass asks for them).
-  std::vector<std::unique_ptr<PrecompBuf>> precomp_;
 
   // Shape-only mode: one synthetic-address arena per replica (the inner
   // buffers never move; only their data pointers are handed out).
   std::vector<std::vector<char>> arenas_;
   std::vector<std::size_t> grads_bases_;  // per replica, into its arena
-  std::vector<std::size_t> x_bases_;      // per replica, into its arena
   // Per-layer forward barrier tokens of the replica currently being built.
   std::vector<const void*> fwd_tokens_;
 };

@@ -1,52 +1,13 @@
-// Pass registry + spec-string parsing (DESIGN.md §5k).
-//
-// A pass spec is a comma list of "name" or "name:param" entries:
-//   ""            no passes (graph::BuildOptions default — the faithful
-//                 Algorithms 1-3 graph)
-//   "default"     the standard bit-exact pipeline (kDefaultPassSpec)
-//   "none"/"off"  explicitly no passes
-//   "gate_fusion,input_precompute:8,coarsen:1500"
-//
-// `effective_pass_spec` is the executor/CLI entry point and mirrors the
-// BPAR_KERNEL_BACKEND pattern: the BPAR_GRAPH_PASSES env var overrides the
-// default, and unknown pass names warn once on stderr and fall back to the
-// default pipeline.
+// Stub kept so bench/e2e, which names it, builds unchanged. The builder
+// emits the paper's Algorithms 1-3 straight into the task graph with no
+// rewrite stage (DESIGN.md §5k); this header goes with the next change to
+// that benchmark.
 #pragma once
 
-#include <memory>
-#include <string>
 #include <string_view>
-#include <vector>
-
-#include "graph/passes/pass.hpp"
 
 namespace bpar::graph::passes {
 
-inline constexpr std::string_view kDefaultPassSpec =
-    "gate_fusion,input_precompute,coarsen";
-
-struct PassSpec {
-  std::string name;
-  std::string param;  // after ':', "" when absent
-};
-
-/// Splits a spec string; "" / "none" / "off" → empty, "default" expands.
-[[nodiscard]] std::vector<PassSpec> parse_pass_spec(std::string_view spec);
-
-/// Registered pass names, registry order.
-[[nodiscard]] std::vector<std::string> known_passes();
-
-/// nullptr when spec.name is unknown.
-[[nodiscard]] std::unique_ptr<GraphPass> make_pass(const PassSpec& spec);
-
-/// Pipeline from a spec string; unknown names are skipped with a one-line
-/// stderr warning.
-[[nodiscard]] PassPipeline make_pipeline(std::string_view spec);
-
-/// Resolves a user/executor-level request into a canonical
-/// graph::BuildOptions::passes value: "" and "default" expand through
-/// BPAR_GRAPH_PASSES, "none"/"off" → "", and any unknown pass name warns
-/// and falls back to the default pipeline.
-[[nodiscard]] std::string effective_pass_spec(std::string_view requested);
+inline constexpr std::string_view kDefaultPassSpec = "none";
 
 }  // namespace bpar::graph::passes

@@ -104,7 +104,6 @@ class ReadyFn {
 
 char TaskRecord::direction() const {
   std::size_t i = 0;
-  if (name.size() >= 2 && name[0] == 'x') i = 1;  // precompute: xf0.c0 / xr0.c1
   if (i + 1 < name.size() && name[i] == 'b') ++i;  // backward pass: bf / br
   if (i + 1 < name.size() && (name[i] == 'f' || name[i] == 'r') &&
       name[i + 1] >= '0' && name[i + 1] <= '9') {

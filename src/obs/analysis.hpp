@@ -181,9 +181,6 @@ struct Analysis {
   IdleAttribution idle;
   Scorecard card;
   std::vector<ClassHwRow> hw;  // empty unless counters were sampled
-  /// Graph-optimizer pipeline that produced the traced program ("none" or
-  /// e.g. "gate_fusion+input_precompute+coarsen"); empty when unknown.
-  std::string pass_signature;
 };
 
 [[nodiscard]] Scorecard make_scorecard(const TraceModel& model,

@@ -164,9 +164,6 @@ TraceModel model_from_trace_json(const JsonValue& doc) {
 std::string to_json(const Analysis& analysis) {
   const Scorecard& c = analysis.card;
   std::string out = "{\"schema_version\": 1, \"type\": \"bpar_prof_analysis\"";
-  if (!analysis.pass_signature.empty()) {
-    out += ", \"pass_signature\": " + json_quote(analysis.pass_signature);
-  }
   out += ",\n \"scorecard\": {";
   out += "\"workers\": " + std::to_string(c.workers);
   out += ", \"tasks\": " + std::to_string(c.tasks);
@@ -232,9 +229,6 @@ std::string to_json(const Analysis& analysis) {
 void print_human(const Analysis& analysis, std::ostream& os) {
   const Scorecard& c = analysis.card;
   os << "scheduler scorecard\n";
-  if (!analysis.pass_signature.empty()) {
-    os << "  graph passes          " << analysis.pass_signature << "\n";
-  }
   os << "  workers               " << c.workers << "\n";
   os << "  tasks                 " << c.tasks << "\n";
   os << "  makespan              " << fmt_ms(c.makespan_ns) << " ms\n";

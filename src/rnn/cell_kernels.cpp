@@ -51,19 +51,13 @@ namespace {
 
 void lstm_forward(const LayerParams& p, ConstMatrixView x,
                   ConstMatrixView h_prev, ConstMatrixView c_prev,
-                  const CellTapeViews& tape, const CellForwardOpts& opts) {
+                  const CellTapeViews& tape) {
   const int batch = tape.gates.rows;
   const int hidden = p.hidden_size;
   MatrixView gates = tape.gates;
 
-  // gates = x · Wx + h_prev · Wh + b. The input half may come precomputed
-  // sequence-wide; the recurrent GEMM then accumulates on top (beta=1) in
-  // the same order as the plain path.
-  if (opts.precomp.data != nullptr) {
-    tensor::copy(opts.precomp, gates);
-  } else {
-    gemm_nn(x, p.w_input(), gates);
-  }
+  // gates = x · Wx + h_prev · Wh + b.
+  gemm_nn(x, p.w_input(), gates);
   gemm_nn(h_prev, p.w_recurrent(), gates, 1.0F, 1.0F);
   kernels::add_bias_rows(gates, p.b.cview().row(0));
 
@@ -94,8 +88,7 @@ void lstm_forward(const LayerParams& p, ConstMatrixView x,
 }
 
 void gru_forward(const LayerParams& p, ConstMatrixView x,
-                 ConstMatrixView h_prev, const CellTapeViews& tape,
-                 const CellForwardOpts& o) {
+                 ConstMatrixView h_prev, const CellTapeViews& tape) {
   const int batch = tape.gates.rows;
   const int hidden = p.hidden_size;
   MatrixView gates = tape.gates;
@@ -105,19 +98,11 @@ void gru_forward(const LayerParams& p, ConstMatrixView x,
   const ConstMatrixView wx = p.w_input();
   const ConstMatrixView wh = p.w_recurrent();
 
-  // Input-side contribution. The gate-fusion pass computes all three gate
-  // blocks with one 3H-wide GEMM; writing the candidate block before the
-  // z,r pointwise stage is value-identical — the blocks are disjoint and
-  // each output element's dot product is unchanged.
-  const bool input_done =
-      o.precomp.data != nullptr || o.fuse_gates;
-  if (o.precomp.data != nullptr) {
-    tensor::copy(o.precomp, gates);
-  } else if (o.fuse_gates) {
-    gemm_nn(x, wx, gates);
-  } else {
-    gemm_nn(x, wx.block(0, 0, p.input_size, 2 * hidden), zr);
-  }
+  // Input side of all three gate blocks as one 3H-wide GEMM. Writing the
+  // candidate block before the z,r pointwise stage is value-identical to
+  // two narrower GEMMs: the blocks are disjoint, and a GEMM row's output
+  // element does not depend on which other columns the call computes.
+  gemm_nn(x, wx, gates);
 
   // z, r recurrent half, then bias + sigmoid over the z,r block.
   gemm_nn(h_prev, wh.block(0, 0, hidden, 2 * hidden), zr, 1.0F, 1.0F);
@@ -134,11 +119,8 @@ void gru_forward(const LayerParams& p, ConstMatrixView x,
                       tape.rh.row(r));
   }
 
-  // Candidate block: input half (unless already written above), then the
-  // recurrent half against rh, then bias + tanh.
-  if (!input_done) {
-    gemm_nn(x, wx.block(0, 2 * hidden, p.input_size, hidden), hbar);
-  }
+  // Candidate block: recurrent half against rh on top of the input half,
+  // then bias + tanh.
   gemm_nn(tape.rh, wh.block(0, 2 * hidden, hidden, hidden), hbar, 1.0F, 1.0F);
   for (int r = 0; r < batch; ++r) {
     kernels::add_inplace(hbar.row(r),
@@ -299,28 +281,16 @@ void gru_backward(const LayerParams& p, ConstMatrixView x,
 void cell_forward(const LayerParams& p, ConstMatrixView x,
                   ConstMatrixView h_prev, ConstMatrixView c_prev,
                   const CellTapeViews& tape) {
-  cell_forward_ex(p, x, h_prev, c_prev, tape, {});
-}
-
-void cell_forward_ex(const LayerParams& p, ConstMatrixView x,
-                     ConstMatrixView h_prev, ConstMatrixView c_prev,
-                     const CellTapeViews& tape, const CellForwardOpts& opts) {
   BPAR_SPAN("rnn.cell_forward");
-  if (opts.precomp.data != nullptr) {
-    BPAR_CHECK(opts.precomp.rows == h_prev.rows &&
-                   opts.precomp.cols == tape.gates.cols,
-               "precomputed projection shape mismatch");
-  } else {
-    BPAR_CHECK(x.cols == p.input_size, "cell input width ", x.cols,
-               " != layer input size ", p.input_size);
-    BPAR_CHECK(h_prev.rows == x.rows, "h_prev shape mismatch");
-  }
+  BPAR_CHECK(x.cols == p.input_size, "cell input width ", x.cols,
+             " != layer input size ", p.input_size);
+  BPAR_CHECK(h_prev.rows == x.rows, "h_prev shape mismatch");
   BPAR_CHECK(h_prev.cols == p.hidden_size, "h_prev shape mismatch");
   if (p.cell == CellType::kLstm) {
     BPAR_CHECK(c_prev.data != nullptr, "LSTM needs c_prev");
-    lstm_forward(p, x, h_prev, c_prev, tape, opts);
+    lstm_forward(p, x, h_prev, c_prev, tape);
   } else {
-    gru_forward(p, x, h_prev, tape, opts);
+    gru_forward(p, x, h_prev, tape);
   }
 }
 

@@ -13,7 +13,9 @@
 //   gates   B x G*H    fused gate buffer (activated in place)
 //   W       (N+H) x G*H  K-major gate weights (LayerParams::w)
 //
-// Forward: gates = x · W[0:N) + h_prev · W[N:N+H) + b, both gemm_nn.
+// Forward: gates = x · W[0:N) + h_prev · W[N:N+H) + b, both gemm_nn. The
+// input side is one G*H-wide GEMM for both cells. GRU splits only the
+// recurrent side: the z,r blocks use h_prev, the candidate block r ⊙ h_prev.
 // Backward: dW += [x | h_prev]ᵀ · dG (gemm_tn), dx and dh_prev += dG · Wᵀ
 // (gemm_nt). Gate block order matches LayerParams: LSTM [f, i, g, o], GRU
 // [z, r, h̄], each a column block of W and a block of the gate buffer.
@@ -59,28 +61,10 @@ struct CellTape {
   [[nodiscard]] ConstCellTapeViews cviews() const;
 };
 
-/// Optimizer-pass rewrites of the forward path (graph/passes, DESIGN §5k).
-struct CellForwardOpts {
-  /// GRU: one 3H-wide input-side GEMM across z, r and h̄ instead of two
-  /// (the LSTM input GEMM is already a single 4H-wide launch).
-  bool fuse_gates = false;
-  /// Non-empty → x·Wx was precomputed sequence-wide; this view holds this
-  /// timestep's B x G*H rows and `x` may be {}. The recurrent GEMMs then
-  /// accumulate on top with beta=1 — the same order as the unfused path,
-  /// so results stay bit-exact.
-  tensor::ConstMatrixView precomp;
-};
-
 /// Forward update of one cell. For GRU, `c_prev` is ignored (pass {}).
 void cell_forward(const LayerParams& p, tensor::ConstMatrixView x,
                   tensor::ConstMatrixView h_prev,
                   tensor::ConstMatrixView c_prev, const CellTapeViews& tape);
-
-/// Forward update with pass options.
-void cell_forward_ex(const LayerParams& p, tensor::ConstMatrixView x,
-                     tensor::ConstMatrixView h_prev,
-                     tensor::ConstMatrixView c_prev, const CellTapeViews& tape,
-                     const CellForwardOpts& opts);
 
 /// Convenience overload writing a whole owned tape.
 inline void cell_forward(const LayerParams& p, tensor::ConstMatrixView x,

@@ -191,14 +191,16 @@ InferenceEngine::InferenceEngine(const rnn::NetworkConfig& config,
       executor_(std::make_unique<exec::BParExecutor>(
           net_,
           exec::BParOptions{.common = options.executor,
-                            .record_trace = options.record_trace,
-                            .passes = options.passes})),
+                            .record_trace = options.record_trace})),
       started_(Clock::now()),
       slo_(options.slo) {
   BPAR_CHECK(options_.max_batch >= 1, "max_batch must be >= 1");
   BPAR_CHECK(options_.max_queue >= 1, "max_queue must be >= 1");
   BPAR_CHECK(options_.max_batch_retries >= 0,
              "max_batch_retries must be >= 0");
+  if (options_.trace_requests) {
+    request_events_.assign(kMaxRequestEvents, RequestEvent{});
+  }
 
   start_flight_recorder();
   start_observability();
@@ -594,8 +596,7 @@ std::string InferenceEngine::try_execute(const rnn::BatchData& batch,
     if (options_.rebuild_per_call) {
       // Benchmark mode: pay graph construction on every batch.
       exec::BParExecutor fresh(
-          net_, exec::BParOptions{.common = options_.executor,
-                                  .passes = options_.passes});
+          net_, exec::BParOptions{.common = options_.executor});
       result = fresh.infer(batch, {.want_logits = need_logits});
     } else {
       result = executor_->infer(batch, {.want_logits = need_logits});
@@ -814,8 +815,7 @@ void InferenceEngine::rebuild_executor() {
   }
   executor_ = std::make_unique<exec::BParExecutor>(
       net_, exec::BParOptions{.common = options_.executor,
-                              .record_trace = options_.record_trace,
-                              .passes = options_.passes});
+                              .record_trace = options_.record_trace});
 }
 
 void InferenceEngine::set_health(Health health) {
@@ -840,11 +840,9 @@ void InferenceEngine::record_request_event(std::uint64_t id,
   event.stage = stage;
   event.arg = arg;
   const std::lock_guard<std::mutex> lock(req_mu_);
-  while (request_events_.size() >= kMaxRequestEvents) {
-    request_events_.pop_front();
-    ++request_events_dropped_;
-  }
-  request_events_.push_back(event);
+  request_events_[request_events_next_] = event;
+  request_events_next_ = (request_events_next_ + 1) % request_events_.size();
+  ++request_events_recorded_;
 }
 
 void InferenceEngine::record_slo(Status status, double latency_us) {
@@ -879,12 +877,25 @@ void InferenceEngine::publish_queue_depths_locked() {
 
 std::vector<RequestEvent> InferenceEngine::request_events() const {
   const std::lock_guard<std::mutex> lock(req_mu_);
-  return {request_events_.begin(), request_events_.end()};
+  const std::size_t slots = request_events_.size();
+  const auto held = static_cast<std::size_t>(
+      std::min<std::uint64_t>(request_events_recorded_, slots));
+  // Until the ring wraps, the oldest event is in slot 0; after, it is the
+  // one the next event will overwrite.
+  const std::size_t oldest = held < slots ? 0 : request_events_next_;
+  std::vector<RequestEvent> events;
+  events.reserve(held);
+  for (std::size_t i = 0; i < held; ++i) {
+    events.push_back(request_events_[(oldest + i) % slots]);
+  }
+  return events;
 }
 
 std::uint64_t InferenceEngine::request_events_dropped() const {
   const std::lock_guard<std::mutex> lock(req_mu_);
-  return request_events_dropped_;
+  const std::uint64_t slots = request_events_.size();
+  return request_events_recorded_ > slots ? request_events_recorded_ - slots
+                                          : 0;
 }
 
 int InferenceEngine::stats_port() const {

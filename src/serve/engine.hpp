@@ -103,9 +103,9 @@ struct EngineOptions {
   /// Record per-task timing in the executor so write_unified_trace() can
   /// export an analyzable trace (`bpar_prof analyze`) of the last batch.
   bool record_trace = false;
-  /// Graph-optimizer pass spec forwarded to the executor ("default"
-  /// resolves BPAR_GRAPH_PASSES; "none" serves unoptimized graphs).
-  std::string passes = "default";
+  /// Ignored: kept only so bench/e2e, which sets it, builds unchanged.
+  /// Goes with the next change to that benchmark.
+  std::string passes = "none";
 
   // ---- resilience (DESIGN.md §5h) ----
   /// Per-class queue quotas, indexed by Priority: how many of the
@@ -327,6 +327,8 @@ class InferenceEngine {
   [[nodiscard]] const obs::MetricsSampler* sampler() const {
     return sampler_.get();
   }
+  /// Capacity of the request-event ring: it keeps the newest this many.
+  static constexpr std::size_t kMaxRequestEvents = 1U << 16;
   /// Copy of the request-event ring (oldest first) and how many events the
   /// bounded ring has discarded.
   [[nodiscard]] std::vector<RequestEvent> request_events() const;
@@ -438,13 +440,15 @@ class InferenceEngine {
   std::unique_ptr<obs::FlightRecorder> flight_;
   std::unique_ptr<obs::SpanProfiler> profiler_;
   bool slo_alerting_prev_ = false;  // dispatcher thread only
-  /// Bounded drop-oldest request-event log. Its own mutex: recording
-  /// happens on the submit path and inside serve_group, where mu_ is not
-  /// (or must not be) held.
-  static constexpr std::size_t kMaxRequestEvents = 1U << 16;
+  /// Drop-oldest request-event ring of kMaxRequestEvents slots, allocated
+  /// and zeroed once in the constructor (when trace_requests), so its
+  /// footprint does not depend on how many requests were answered. Its own
+  /// mutex: recording happens on the submit path and inside serve_group,
+  /// where mu_ is not (or must not be) held.
   mutable std::mutex req_mu_;
-  std::deque<RequestEvent> request_events_;
-  std::uint64_t request_events_dropped_ = 0;
+  std::vector<RequestEvent> request_events_;
+  std::size_t request_events_next_ = 0;        // slot the next event takes
+  std::uint64_t request_events_recorded_ = 0;  // events ever recorded
 
   std::atomic<int> health_{0};  // Health as int, for lock-free reads
 

@@ -32,12 +32,6 @@ const char* kind_color(TaskKind kind) {
       return "#9a9a9a";
     case TaskKind::kBarrier:
       return "#4d4d4d";
-    case TaskKind::kCellForwardFused:
-      return "#5c8aa8";
-    case TaskKind::kInputPrecompute:
-      return "#7a8fc2";
-    case TaskKind::kCoarsened:
-      return "#a8a85c";
     case TaskKind::kGeneric:
       return "#cccccc";
   }

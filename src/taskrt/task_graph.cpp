@@ -29,12 +29,6 @@ const char* task_kind_name(TaskKind kind) {
       return "gemm_chunk";
     case TaskKind::kBarrier:
       return "barrier";
-    case TaskKind::kCellForwardFused:
-      return "cell_fwd_fused";
-    case TaskKind::kInputPrecompute:
-      return "input_precompute";
-    case TaskKind::kCoarsened:
-      return "coarsened";
   }
   return "unknown";
 }

@@ -54,13 +54,10 @@ enum class TaskKind : std::uint8_t {
   kWeightUpdate,
   kGemmChunk,     // intra-op row chunk (baseline emulation)
   kBarrier,       // explicit per-layer barrier (baseline emulation)
-  kCellForwardFused,  // wide-gate fused forward cell (graph passes)
-  kInputPrecompute,   // sequence-wide input-projection GEMM (graph passes)
-  kCoarsened,         // dispatch-amortizing fusion of tiny adjacent tasks
 };
 
 inline constexpr std::size_t kNumTaskKinds =
-    static_cast<std::size_t>(TaskKind::kCoarsened) + 1;
+    static_cast<std::size_t>(TaskKind::kBarrier) + 1;
 
 [[nodiscard]] const char* task_kind_name(TaskKind kind);
 

@@ -258,8 +258,20 @@ TEST(Analysis, RealRuntimeScorecardMatchesRuntimeAccounting) {
   EXPECT_GT(a.card.utilization, 0.0);
   EXPECT_LE(a.card.utilization, 1.0 + 1e-9);
   ASSERT_GT(a.card.runtime_efficiency, 0.0);
-  EXPECT_NEAR(a.card.utilization, a.card.runtime_efficiency,
-              0.05 * a.card.runtime_efficiency);
+  // Both views come from one accounting source. Each traced task duration
+  // and each worker's busy_ns are finish - start of the same two clock
+  // samples, so the trace's total work equals the runtime's busy time
+  // exactly. Utilization divides it by the traced window [first start,
+  // last end], runtime efficiency by the session's wall_ns, which contains
+  // that window; so utilization >= runtime efficiency (a descheduled caller
+  // stretches only wall_ns). Cross-multiplied to compare in integers.
+  const std::uint64_t busy = step.stats.total_busy_ns();
+  EXPECT_EQ(a.card.total_work_ns, busy);
+  using u128 = unsigned __int128;
+  EXPECT_TRUE(u128{a.card.total_work_ns} * step.stats.wall_ns >=
+              u128{busy} * a.card.makespan_ns)
+      << "traced window " << a.card.makespan_ns << " ns, wall "
+      << step.stats.wall_ns << " ns";
 
   // The measured critical path bounds the window from below, the total
   // work from above.

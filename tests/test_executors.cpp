@@ -16,7 +16,6 @@
 #include "exec/bpar_executor.hpp"
 #include "exec/sequential.hpp"
 #include "graph/brnn_graph.hpp"
-#include "graph/passes/registry.hpp"
 #include "util/rng.hpp"
 
 namespace bpar {
@@ -357,10 +356,10 @@ TEST(ScheduleProfiles, KindsAreBParProfiles) {
   }
 }
 
-// The intra-op split for real: 3 row chunks per cell (with the default
-// passes and input gradients on), scratch weight gradients folded per
-// layer, matching the sequential reference — and bitwise stable across
-// runs, so prepare() re-zeroes the scratch.
+// The intra-op split for real: 3 row chunks per cell (with input gradients
+// on), scratch weight gradients folded per layer, matching the sequential
+// reference — and bitwise stable across runs, so prepare() re-zeroes the
+// scratch.
 TEST(ScheduleProfiles, IntraOpChunksMatchSequential) {
   for (const CellType cell : {CellType::kLstm, CellType::kGru}) {
     const NetworkConfig cfg =
@@ -376,7 +375,6 @@ TEST(ScheduleProfiles, IntraOpChunksMatchSequential) {
     bo.schedule_profile = "framework";
     bo.intra_op_chunks = 3;
     bo.compute_input_grads = true;
-    bo.passes = std::string(graph::passes::kDefaultPassSpec);
     graph::TrainingProgram program(net, cfg.batch_size, bo);
     taskrt::Runtime runtime({.num_workers = 4});
     double losses[2] = {};

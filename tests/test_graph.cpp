@@ -211,29 +211,25 @@ TEST(GraphStructure, BaselineProfilesShapeOnlyMatchesExecutable) {
   const NetworkConfig cfg = small_config(true, 3, 4);
   rnn::Network net(cfg);
   for (const bool training : {true, false}) {
-    for (const char* passes : {"", "gate_fusion,input_precompute,coarsen"}) {
-      BuildOptions bseq;
-      bseq.num_replicas = 2;
-      bseq.schedule_profile = "bseq";
-      BuildOptions framework;
-      framework.schedule_profile = "framework";
-      framework.intra_op_chunks = 2;
-      for (BuildOptions bo : {bseq, framework}) {
-        bo.training = training;
-        bo.passes = passes;
-        const TrainingProgram executable(net, cfg.batch_size, bo);
-        bo.executable = false;
-        const TrainingProgram shaped(net, cfg.batch_size, bo);
-        const std::string tag =
-            bo.schedule_profile + (training ? " train " : " infer ") + passes;
-        EXPECT_EQ(executable.graph().size(), shaped.graph().size()) << tag;
-        EXPECT_EQ(executable.graph().edge_count(),
-                  shaped.graph().edge_count())
-            << tag;
-        EXPECT_EQ(kind_histogram(executable.graph()),
-                  kind_histogram(shaped.graph()))
-            << tag;
-      }
+    BuildOptions bseq;
+    bseq.num_replicas = 2;
+    bseq.schedule_profile = "bseq";
+    BuildOptions framework;
+    framework.schedule_profile = "framework";
+    framework.intra_op_chunks = 2;
+    for (BuildOptions bo : {bseq, framework}) {
+      bo.training = training;
+      const TrainingProgram executable(net, cfg.batch_size, bo);
+      bo.executable = false;
+      const TrainingProgram shaped(net, cfg.batch_size, bo);
+      const std::string tag =
+          bo.schedule_profile + (training ? " train" : " infer");
+      EXPECT_EQ(executable.graph().size(), shaped.graph().size()) << tag;
+      EXPECT_EQ(executable.graph().edge_count(), shaped.graph().edge_count())
+          << tag;
+      EXPECT_EQ(kind_histogram(executable.graph()),
+                kind_histogram(shaped.graph()))
+          << tag;
     }
   }
 }

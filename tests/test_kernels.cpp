@@ -149,13 +149,13 @@ bool same_bits(const Matrix& x, const Matrix& y) {
 TEST(Gemm, BlockViewsComputeSubsets) {
   // Three invariants of every backend's tiling, checked bitwise:
   //  (a) each row of a gemm_nn / gemm_nt call equals the same call on that
-  //      row alone — intra-op row splitting, input_precompute pass parity
-  //      and batched-vs-batch-1 serving all rely on it;
+  //      row alone — intra-op row splitting and batched-vs-batch-1 serving
+  //      both rely on it;
   //  (b) gemm_tn over k rows equals k successive beta = 1 single-row
   //      calls, which pins its per-element rank-1 FMA order;
   //  (c) each column of a gemm_nn / gemm_nt / gemm_tn call equals the same
-  //      call with B cut to that column (that row, for nt) — gate fusion
-  //      relies on one 3H-wide call matching its 2H- and H-wide parts, and
+  //      call with B cut to that column (that row, for nt) — the GRU
+  //      cell's one 3H-wide input GEMM matches its 2H- and H-wide parts, and
   //      the nt tile takes a column through a wide or a one-column tile
   //      depending on where the column falls.
   for (const auto* backend : kernels::available_backends()) {

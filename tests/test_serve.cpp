@@ -667,6 +667,47 @@ TEST(ServeObservability, RequestIdsUniqueAndTracedThroughRetryBisect) {
   EXPECT_EQ(ok, 3);
 }
 
+// The request-event ring has a fixed capacity: recording more events than
+// it holds keeps exactly the newest kMaxRequestEvents, oldest first, and
+// counts the rest as dropped.
+TEST(ServeObservability, RequestEventRingKeepsNewestAtCapacity) {
+  const auto cfg = small_config();
+  InferenceEngine engine(cfg, quiet_options());
+  constexpr std::size_t kCapacity = InferenceEngine::kMaxRequestEvents;
+
+  // An already-expired request is answered inside submit() with two events
+  // (submitted, responded) and never executes, so overfilling stays cheap.
+  Request expired = serve::make_request(cfg, cfg.seq_length, 1, false);
+  expired.deadline =
+      std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  const std::size_t expired_count = kCapacity / 2 + 100;
+  for (std::size_t i = 0; i < expired_count; ++i) {
+    ASSERT_EQ(engine.submit(expired).get().status,
+              Status::kDeadlineExceeded);
+  }
+  const Response newest =
+      engine.infer(serve::make_request(cfg, cfg.seq_length, 2, true));
+  ASSERT_EQ(newest.status, Status::kOk);
+
+  const std::vector<serve::RequestEvent> events = engine.request_events();
+  ASSERT_EQ(events.size(), kCapacity);
+  std::size_t newest_events = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (i > 0) {
+      ASSERT_LE(events[i - 1].id, events[i].id) << "slot " << i;
+    }
+    if (events[i].id == newest.id) ++newest_events;
+  }
+  EXPECT_EQ(engine.request_events_dropped(),
+            2 * expired_count + newest_events - kCapacity);
+  // The newest request's whole lifecycle closes the ring.
+  ASSERT_GE(newest_events, 3U);
+  EXPECT_EQ(events[kCapacity - newest_events].stage,
+            serve::RequestStage::kSubmitted);
+  EXPECT_EQ(events.back().id, newest.id);
+  EXPECT_EQ(events.back().stage, serve::RequestStage::kResponded);
+}
+
 // End-to-end stats endpoint on a live engine: /healthz, /statz (parse +
 // schema spot-checks), and /metrics exposition.
 TEST(ServeObservability, StatzJsonParsesWithSchema) {

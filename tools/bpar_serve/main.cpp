@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/passes/registry.hpp"
 #include "kernels/backend.hpp"
 #include "obs/session.hpp"
 #include "serve/engine.hpp"
@@ -87,10 +86,6 @@ int main(int argc, char** argv) {
   args.add_string("backend", "",
                   "kernel backend: scalar|avx2|avx512|neon|native "
                   "(default: auto-detect, or $BPAR_KERNEL_BACKEND)");
-  args.add_string("passes", "default",
-                  "graph-optimizer pass pipeline (DESIGN.md 5k): "
-                  "comma-separated pass list, 'default', 'none', or 'list' "
-                  "to print the registry (env: $BPAR_GRAPH_PASSES)");
   args.add_int("rate", 0,
                "open-loop offered load in requests/s, Poisson arrivals "
                "(0 = closed loop)");
@@ -128,16 +123,6 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 1;
   bpar::obs::ObsSession session("bpar_serve", args,
                                 bpar::obs::ReportMode::kJson);
-
-  if (args.get_string("passes") == "list") {
-    std::printf("registered graph passes:\n");
-    for (const std::string& name : bpar::graph::passes::known_passes()) {
-      std::printf("  %s\n", name.c_str());
-    }
-    std::printf("default pipeline: %s\n",
-                std::string(bpar::graph::passes::kDefaultPassSpec).c_str());
-    return 0;
-  }
 
   const std::string backend = args.get_string("backend");
   if (!backend.empty() && !bpar::kernels::set_backend(backend)) {
@@ -178,7 +163,6 @@ int main(int argc, char** argv) {
   engine_options.max_queue =
       static_cast<std::size_t>(args.get_int("queue"));
   engine_options.enable_batching = !args.flag("no-batching");
-  engine_options.passes = args.get_string("passes");
   engine_options.shed_wait_us =
       static_cast<std::uint32_t>(args.get_int("shed-wait-us"));
   engine_options.max_batch_retries =
