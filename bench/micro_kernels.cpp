@@ -11,6 +11,7 @@
 #include "kernels/gemm.hpp"
 #include "rnn/cell_kernels.hpp"
 #include "rnn/flops.hpp"
+#include "rnn/layer_params.hpp"
 #include "rnn/merge.hpp"
 #include "util/rng.hpp"
 
@@ -87,14 +88,19 @@ BENCHMARK(BM_CellForward<bpar::rnn::CellType::kGru>)
     ->Args({16, 256})
     ->Args({128, 256});
 
+/// Args: batch rows, hidden, layer input width. The backward GEMMs read a
+/// gate-major copy of W, made outside the timed loop: a training program
+/// makes it once per step, not once per cell.
 template <bpar::rnn::CellType kCell>
 void BM_CellBackward(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
   const int hidden = static_cast<int>(state.range(1));
-  const int input = 64;
+  const int input = static_cast<int>(state.range(2));
   bpar::util::Rng rng(4);
   bpar::rnn::LayerParams params;
   params.init(kCell, input, hidden, rng);
+  Matrix wt(params.w.cols(), params.w.rows());
+  bpar::rnn::gate_major(params.w.cview(), wt.view());
   Matrix x(batch, input);
   Matrix h_prev(batch, hidden);
   Matrix c_prev(batch, hidden);
@@ -113,14 +119,20 @@ void BM_CellBackward(benchmark::State& state) {
   const bool lstm = kCell == bpar::rnn::CellType::kLstm;
   for (auto _ : state) {
     bpar::rnn::cell_backward(
-        params, x.cview(), h_prev.cview(), c_prev.cview(), tape, dh.cview(),
-        {}, dx.view(), dh_prev.view(),
+        params, wt.cview(), x.cview(), h_prev.cview(), c_prev.cview(), tape,
+        dh.cview(), {}, dx.view(), dh_prev.view(),
         lstm ? dc_prev.view() : bpar::tensor::MatrixView{}, grads);
     benchmark::DoNotOptimize(grads.dw.data());
   }
 }
-BENCHMARK(BM_CellBackward<bpar::rnn::CellType::kLstm>)->Args({16, 256});
-BENCHMARK(BM_CellBackward<bpar::rnn::CellType::kGru>)->Args({16, 256});
+// Besides 16/256/64: the upper-layer cells of train-blstm (16/128/256) and
+// train-bgru-m2m (8/32/32; its sum merge keeps the upper input at H).
+BENCHMARK(BM_CellBackward<bpar::rnn::CellType::kLstm>)
+    ->Args({16, 256, 64})
+    ->Args({16, 128, 256});
+BENCHMARK(BM_CellBackward<bpar::rnn::CellType::kGru>)
+    ->Args({16, 256, 64})
+    ->Args({8, 32, 32});
 
 void BM_MergeForward(benchmark::State& state) {
   const auto op = static_cast<bpar::rnn::MergeOp>(state.range(0));
@@ -196,11 +208,12 @@ struct BackendGemm {
 };
 
 // The unsuffixed rows predate the workload shapes and keep their baseline
-// keys; the rest are the GEMMs of the workloads, each in its role against
-// the K-major gate weights: nn is the forward G = X·W (train-blstm
-// 16x512x256; infer-b1 1x256x16 layer-0 input, 1x256x64 recurrent),
-// nt the backward dX = dG·Wᵀ (train-blstm 16x256x512) and tn the weight
-// gradient (train-blstm 512x256x16, train-bgru-m2m 96x64x8).
+// keys; the rest are the GEMMs of the workloads, each in its role: nn is
+// the forward G = X·W against the K-major weights (train-blstm
+// 16x512x256; infer-b1 1x256x16 layer-0 input, 1x256x64 recurrent) and the
+// backward dX = dG·Wᵀ against the gate-major copy (train-blstm 16x256x512,
+// train-bgru-m2m dh of the z,r gates 8x32x64), tn the weight gradient
+// (train-blstm 512x256x16, train-bgru-m2m 96x64x8).
 const BackendGemm kBackendGemms[] = {
     {"BM_GemmNtBackend", GemmOp::kNt, 128, 1024, 512, false},
     {"BM_GemmNnBackend", GemmOp::kNn, 128, 512, 1024, false},
@@ -209,7 +222,8 @@ const BackendGemm kBackendGemms[] = {
     {"BM_GemmNnBackend", GemmOp::kNn, 1, 256, 64, true},
     {"BM_GemmTnBackend", GemmOp::kTn, 512, 256, 16, true},
     {"BM_GemmTnBackend", GemmOp::kTn, 96, 64, 8, true},
-    {"BM_GemmNtBackend", GemmOp::kNt, 16, 256, 512, true},
+    {"BM_GemmNnBackend", GemmOp::kNn, 16, 256, 512, true},
+    {"BM_GemmNnBackend", GemmOp::kNn, 8, 32, 64, true},
 };
 
 const int kBackendBenchesRegistered = [] {

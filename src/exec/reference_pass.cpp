@@ -5,6 +5,7 @@
 #include "kernels/elementwise.hpp"
 #include "kernels/gemm.hpp"
 #include "rnn/cell_kernels.hpp"
+#include "rnn/layer_params.hpp"
 #include "rnn/merge.hpp"
 #include "util/check.hpp"
 
@@ -149,6 +150,10 @@ void backward_pass(const rnn::Network& net, rnn::Workspace& ws,
     for (int dir = 0; dir < 2; ++dir) {
       const rnn::LayerParams& p = net.layer(dir, l);
       rnn::LayerGrads& lg = grads.layers[dir][static_cast<std::size_t>(l)];
+      // The gate-major copy the backward cells read, as a training program's
+      // transposition task writes it.
+      tensor::Matrix wt(p.w.cols(), p.w.rows());
+      rnn::gate_major(p.w.cview(), wt.view());
       for (int s = steps - 1; s >= 0; --s) {
         const int ti = dir == 0 ? s : steps - 1 - s;
         const ConstMatrixView x = l == 0
@@ -176,9 +181,9 @@ void backward_pass(const rnn::Network& net, rnn::Workspace& ws,
           dc_prev = s > 0 ? ws.dc(dir, l, s - 1).view()
                           : ws.sink(dir, l).view();
         }
-        rnn::cell_backward(p, x, h_prev, c_prev, ws.tape(dir, l, s),
-                           ws.dh(dir, l, s).cview(), dc_in, dx_acc, dh_prev,
-                           dc_prev, lg);
+        rnn::cell_backward(p, wt.cview(), x, h_prev, c_prev,
+                           ws.tape(dir, l, s), ws.dh(dir, l, s).cview(),
+                           dc_in, dx_acc, dh_prev, dc_prev, lg);
       }
     }
   }

@@ -25,6 +25,8 @@ double forward_pass(const rnn::Network& net, rnn::Workspace& ws,
 
 /// Backward pass matching forward_pass. Accumulates into `grads` (weighted
 /// so that summing replica grads yields the whole-batch mean gradient).
+/// Transposes each layer's weights into a gate-major copy once per call, so
+/// the backward cells run the same GEMMs as in a training program.
 /// Caller must ws.zero_backward() first.
 void backward_pass(const rnn::Network& net, rnn::Workspace& ws,
                    const rnn::BatchData& batch, int r0, int total_batch,

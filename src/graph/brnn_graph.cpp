@@ -9,6 +9,7 @@
 #include "kernels/gemm.hpp"
 #include "obs/trace.hpp"
 #include "rnn/flops.hpp"
+#include "rnn/layer_params.hpp"
 #include "rnn/merge.hpp"
 #include "util/check.hpp"
 
@@ -203,7 +204,6 @@ TrainingProgram::TrainingProgram(rnn::Network& net, int total_batch,
     if (opts_.training) {
       replica_grads_.resize(static_cast<std::size_t>(opts_.num_replicas));
       for (auto& g : replica_grads_) g.init_like(net_);
-      master_grads_.init_like(net_);
       if (opts_.intra_op_chunks > 1) {
         chunk_grads_.resize(static_cast<std::size_t>(opts_.num_replicas) *
                             opts_.intra_op_chunks);
@@ -238,7 +238,12 @@ void TrainingProgram::prepare() {
   for (auto& ws : replicas_) ws->zero_backward();
   for (auto& g : replica_grads_) g.zero();
   for (auto& g : chunk_grads_) g.zero();
-  if (opts_.training) master_grads_.zero();
+}
+
+rnn::NetworkGrads& TrainingProgram::grads() {
+  BPAR_CHECK(!replica_grads_.empty(),
+             "gradients need an executable training program");
+  return replica_grads_.front();
 }
 
 namespace {
@@ -302,8 +307,45 @@ void TrainingProgram::add_task(std::vector<Access> accesses, TaskSpec spec,
 
 
 void TrainingProgram::build() {
+  build_weight_copies();
   for (int rep = 0; rep < opts_.num_replicas; ++rep) build_replica(rep);
   build_reduction();
+}
+
+// One transposition per (direction, layer), emitted before the replicas so
+// that every backward cell, in any replica, reads the copy after its
+// writer. It reads only the network's weights, which no task writes.
+void TrainingProgram::build_weight_copies() {
+  if (!opts_.training) return;
+  if (opts_.executable) {
+    wt_.resize(static_cast<std::size_t>(2 * cfg_.num_layers));
+  }
+  for (int dir = 0; dir < 2; ++dir) {
+    for (int l = 0; l < cfg_.num_layers; ++l) {
+      const rnn::LayerParams& p = net_.layer(dir, l);
+      const void* addr = nullptr;
+      std::function<void()> fn;
+      if (opts_.executable) {
+        tensor::Matrix& wt =
+            wt_[static_cast<std::size_t>(dir * cfg_.num_layers + l)];
+        wt.resize(p.w.cols(), p.w.rows());
+        addr = wt.data();
+        fn = [&p, &wt] { rnn::gate_major(p.w.cview(), wt.view()); };
+      } else {
+        addr = fresh_token();
+      }
+      wt_addr_.push_back(addr);
+      TaskSpec spec;
+      spec.kind = TaskKind::kWeightUpdate;
+      // A copy: every weight is read once and written once.
+      spec.working_set_bytes = 2 * static_cast<std::size_t>(p.gates()) *
+                               p.hidden_size *
+                               (p.input_size + p.hidden_size) * sizeof(float);
+      spec.layer = l;
+      spec.name = "wt." + std::to_string(dir) + "." + std::to_string(l);
+      add_task({out(addr)}, std::move(spec), 0, std::move(fn));
+    }
+  }
 }
 
 void TrainingProgram::build_replica(int rep) {
@@ -768,6 +810,10 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
   auto emit_bwd = [&](int dir) {
     const rnn::LayerParams* params =
         opts_.executable ? &net_.layer(dir, l) : nullptr;
+    const std::size_t wt_index =
+        static_cast<std::size_t>(dir * cfg.num_layers + l);
+    const void* wt_addr = wt_addr_[wt_index];
+    const tensor::Matrix* wt = opts_.executable ? &wt_[wt_index] : nullptr;
     const bool input_grads = l > 0 || opts_.compute_input_grads;
     const int gemms = (lstm ? 3 : 6) + (input_grads ? (lstm ? 1 : 2) : 0);
     for (int s = steps - 1; s >= 0; --s) {
@@ -800,10 +846,12 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
       } else {
         acc.push_back(out(ctx.addr_sink(dir, l)));
       }
+      // Last, so the locality hint keeps pointing at the dh producer.
+      acc.push_back(in(wt_addr));
 
       RowsFn body;
       if (opts_.executable) {
-        body = [this, ws, grads, params, dir, l, s, ti, lstm, fused_merge,
+        body = [this, ws, grads, params, wt, dir, l, s, ti, lstm, fused_merge,
                 steps, r0 = ctx.r0,
                 rep = ctx.rep](int chunk, int row0, int rows) {
           const NetworkConfig& c = cfg_;
@@ -852,7 +900,7 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
                         : chunk_grads_[static_cast<std::size_t>(
                               rep * opts_.intra_op_chunks + chunk)];
           rnn::cell_backward(
-              *params, x, h_prev, c_prev,
+              *params, wt->cview(), x, h_prev, c_prev,
               {tape.gates, tape.h, tape.c, tape.tanh_c, tape.rh},
               slice(ws->dh(dir, l, s).cview()), dc_in, dx_acc, dh_prev,
               dc_prev, target.layers[dir][static_cast<std::size_t>(l)]);
@@ -929,94 +977,73 @@ void TrainingProgram::build_reduction() {
   }
   if (!opts_.training) return;
 
-  // Shape-mode master-gradient addresses.
-  const void* master_dense = opts_.executable
-                                 ? static_cast<const void*>(master_grads_.dw_out.data())
-                                 : fresh_token();
-  std::vector<const void*> master_layer(
-      static_cast<std::size_t>(2 * cfg.num_layers));
-  for (int dir = 0; dir < 2; ++dir) {
-    for (int l = 0; l < cfg.num_layers; ++l) {
-      master_layer[static_cast<std::size_t>(dir * cfg.num_layers + l)] =
-          opts_.executable
-              ? static_cast<const void*>(
-                    master_grads_.layers[dir][static_cast<std::size_t>(l)]
-                        .dw.data())
-              : fresh_token();
+  // Address of replica `rep`'s gradients of (dir, l); dir == 2 → dense.
+  const auto grads_addr = [&](int rep, int dir, int l) -> const void* {
+    const auto r = static_cast<std::size_t>(rep);
+    if (!opts_.executable) {
+      return arenas_[r].data() + grads_bases_[r] +
+             static_cast<std::size_t>(dir) * cfg.num_layers + l;
     }
-  }
+    const rnn::NetworkGrads& g = replica_grads_[r];
+    if (dir == 2) return g.dw_out.data();
+    return g.layers[dir][static_cast<std::size_t>(l)].dw.data();
+  };
+  // Each reduction adds replicas 1..N-1 into replica 0's gradients, in
+  // replica order, so grads() needs no separate master set.
+  const auto reduce_acc = [&](int dir, int l) {
+    std::vector<Access> acc;
+    for (int rep = 1; rep < opts_.num_replicas; ++rep) {
+      acc.push_back(in(grads_addr(rep, dir, l)));
+    }
+    acc.push_back(inout(grads_addr(0, dir, l)));
+    return acc;
+  };
+  const auto others = static_cast<double>(opts_.num_replicas - 1);
 
-  // One reduction task per (direction, layer): deterministic replica order.
+  // One reduction task per (direction, layer).
   for (int dir = 0; dir < 2; ++dir) {
     for (int l = 0; l < cfg.num_layers; ++l) {
-      std::vector<Access> acc;
-      for (int rep = 0; rep < opts_.num_replicas; ++rep) {
-        const void* a =
-            opts_.executable
-                ? static_cast<const void*>(
-                      replica_grads_[static_cast<std::size_t>(rep)]
-                          .layers[dir][static_cast<std::size_t>(l)]
-                          .dw.data())
-                : arenas_[static_cast<std::size_t>(rep)].data() +
-                      grads_bases_[static_cast<std::size_t>(rep)] +
-                      static_cast<std::size_t>(dir) * cfg.num_layers + l;
-        acc.push_back(in(a));
-      }
-      acc.push_back(
-          inout(master_layer[static_cast<std::size_t>(dir * cfg.num_layers + l)]));
       std::function<void()> fn;
       if (opts_.executable) {
         fn = [this, dir, l] {
-          auto& master =
-              master_grads_.layers[dir][static_cast<std::size_t>(l)];
-          for (auto& rg : replica_grads_) {
-            master.accumulate(rg.layers[dir][static_cast<std::size_t>(l)]);
+          const auto layer = static_cast<std::size_t>(l);
+          auto& sum = replica_grads_.front().layers[dir][layer];
+          for (std::size_t r = 1; r < replica_grads_.size(); ++r) {
+            sum.accumulate(replica_grads_[r].layers[dir][layer]);
           }
         };
       }
       TaskSpec spec;
       spec.kind = TaskKind::kGradReduce;
       const auto& shape_ref = net_.layer(dir, l);
-      spec.flops = 2.0 * opts_.num_replicas *
-                   static_cast<double>(shape_ref.param_count());
+      spec.flops = 2.0 * others * static_cast<double>(shape_ref.param_count());
       spec.working_set_bytes =
-          (opts_.num_replicas + 1) * shape_ref.param_count() * sizeof(float);
+          opts_.num_replicas * shape_ref.param_count() * sizeof(float);
       spec.layer = l;
       spec.name = "reduce." + std::to_string(dir) + "." + std::to_string(l);
-      add_task(std::move(acc), std::move(spec), 0, std::move(fn));
+      add_task(reduce_acc(dir, l), std::move(spec), 0, std::move(fn));
     }
   }
 
   // Dense-layer gradient reduction.
   {
-    std::vector<Access> acc;
-    for (int rep = 0; rep < opts_.num_replicas; ++rep) {
-      const void* a =
-          opts_.executable
-              ? static_cast<const void*>(
-                    replica_grads_[static_cast<std::size_t>(rep)].dw_out.data())
-              : arenas_[static_cast<std::size_t>(rep)].data() +
-                    grads_bases_[static_cast<std::size_t>(rep)] +
-                    2U * static_cast<std::size_t>(cfg.num_layers);
-      acc.push_back(in(a));
-    }
-    acc.push_back(inout(master_dense));
     std::function<void()> fn;
     if (opts_.executable) {
       fn = [this] {
-        for (auto& rg : replica_grads_) {
-          kernels::accumulate(master_grads_.dw_out.view(), rg.dw_out.cview());
-          kernels::accumulate(master_grads_.db_out.view(),
-                              rg.db_out.cview());
+        rnn::NetworkGrads& sum = replica_grads_.front();
+        for (std::size_t r = 1; r < replica_grads_.size(); ++r) {
+          const rnn::NetworkGrads& rg = replica_grads_[r];
+          kernels::accumulate(sum.dw_out.view(), rg.dw_out.cview());
+          kernels::accumulate(sum.db_out.view(), rg.db_out.cview());
         }
       };
     }
     TaskSpec spec;
     spec.kind = TaskKind::kGradReduce;
-    spec.flops = 2.0 * opts_.num_replicas *
-                 static_cast<double>(cfg.num_classes) * cfg.merged_size();
+    spec.flops = 2.0 * others * static_cast<double>(cfg.num_classes) *
+                 cfg.merged_size();
     spec.name = "reduce.dense";
-    add_task(std::move(acc), std::move(spec), 0, std::move(fn));
+    add_task(reduce_acc(2, 0), std::move(spec), 0, std::move(fn));
   }
 }
 

@@ -2,17 +2,23 @@
 // realization of the paper's Algorithms 1-3.
 //
 // A `TrainingProgram` owns every buffer a batch pass touches (input copies,
-// per-replica workspaces and gradients, the master gradients) and a
-// TaskGraph whose tasks reference those buffers. Dependencies are declared
-// through buffer addresses exactly like OmpSs `in`/`out` clauses:
+// per-replica workspaces and gradients and, when training, a gate-major copy
+// of each layer's weights) and a TaskGraph whose tasks reference those
+// buffers. Dependencies are declared through buffer addresses exactly like
+// OmpSs `in`/`out` clauses:
 //
+//   * weight transposition (d, l): out(gate-major copy of W(d, l)); no
+//                                 predecessors, so it overlaps the forward
+//                                 pass (training only)
 //   * forward-order cell (l, t):  in(h of (l, t-1), layer input)
 //                                 out(h of (l, t))
 //   * reverse-order cell (l, k):  mirrored over processing steps
 //   * merge (l, t):               in(h_fwd, h_rev) out(merged(l, t))
-//   * cell backward:              in(dh, dc, forward tape) inout(layer
-//                                 grads, dh of predecessor, dmerged below)
-//   * gradient reduction:         in(all replica grads) inout(master)
+//   * cell backward:              in(dh, dc, forward tape, gate-major copy)
+//                                 inout(layer grads, dh of predecessor,
+//                                 dmerged below)
+//   * gradient reduction:         in(grads of replicas 1..N-1)
+//                                 inout(grads of replica 0)
 //
 // The build_* steps emit each task straight into the TaskGraph, one task per
 // cell and timestep, in creation order; every task body is a closure built
@@ -26,7 +32,9 @@
 //
 // The same program can be re-run for many batches: `load_batch` copies new
 // data into the stable input buffers and `prepare` clears accumulators, so
-// the graph (built once) stays valid.
+// the graph (built once) stays valid. The transposition tasks rewrite the
+// weight copies on every execution, so they follow optimizer steps, loads
+// and any other edit of the network's weights.
 #pragma once
 
 #include <cstddef>
@@ -93,8 +101,9 @@ class TrainingProgram {
 
   /// Mean loss over the whole batch; valid after an executable run.
   [[nodiscard]] double loss() const { return total_loss_; }
-  /// Reduced gradients; valid after an executable training run.
-  [[nodiscard]] rnn::NetworkGrads& grads() { return master_grads_; }
+  /// Reduced gradients (replica 0's, into which the reduction tasks add
+  /// the other replicas'); valid after an executable training run.
+  [[nodiscard]] rnn::NetworkGrads& grads();
 
   [[nodiscard]] int num_replicas() const { return opts_.num_replicas; }
   [[nodiscard]] rnn::Workspace& replica(int r) { return *replicas_[static_cast<std::size_t>(r)]; }
@@ -131,6 +140,7 @@ class TrainingProgram {
 
   void resolve_schedule();
   void build();
+  void build_weight_copies();
   void build_replica(int rep);
   void build_forward_layer(ReplicaCtx& ctx, int l);
   void build_backward_layer(ReplicaCtx& ctx, int l);
@@ -171,7 +181,11 @@ class TrainingProgram {
   std::vector<int> row_begin_;         // per replica
   std::vector<double> losses_;         // [rep * outputs + t]
   double total_loss_ = 0.0;
-  rnn::NetworkGrads master_grads_;
+  // Training: gate-major copy of each layer's W, [dir * layers + l], which
+  // every backward cell of that layer reads, and the copies' dependency
+  // addresses (synthetic in shape-only mode).
+  std::vector<tensor::Matrix> wt_;
+  std::vector<const void*> wt_addr_;
   // Intra-op scratch weight gradients, [rep * intra_op_chunks + chunk].
   std::vector<rnn::NetworkGrads> chunk_grads_;
   std::deque<char> tokens_;  // stable synthetic dependency addresses

@@ -1,9 +1,11 @@
 // Single-precision GEMM kernels (the library's MKL-Sequential substitute).
 //
 // Three transpose variants cover everything the RNN cells need. The gate
-// weights W are stored K-major, (in + H) x (gates*H) (rnn/layer_params.hpp):
-//   gemm_nn:  C = alpha * A   * B   + beta * C      (G  = X * W, forward)
-//   gemm_nt:  C = alpha * A   * B^T + beta * C      (dX = dG * W^T)
+// weights W are stored K-major, (in + H) x (gates*H) (rnn/layer_params.hpp),
+// and training also keeps a gate-major copy W^T:
+//   gemm_nn:  C = alpha * A   * B   + beta * C      (G  = X * W, forward;
+//                                                    dX = dG * W^T, backward)
+//   gemm_nt:  C = alpha * A   * B^T + beta * C      (dense output forward)
 //   gemm_tn:  C = alpha * A^T * B   + beta * C      (dW = X^T * dG)
 // The dense output layer keeps w_out as [classes, M] and runs its forward
 // as nt: at 10 classes a row of C is narrower than one vector, where nt

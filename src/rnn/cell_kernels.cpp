@@ -8,7 +8,6 @@
 namespace bpar::rnn {
 
 using kernels::gemm_nn;
-using kernels::gemm_nt;
 using kernels::gemm_tn;
 using tensor::ConstMatrixView;
 using tensor::Matrix;
@@ -142,7 +141,7 @@ void gru_forward(const LayerParams& p, ConstMatrixView x,
   }
 }
 
-void lstm_backward(const LayerParams& p, ConstMatrixView x,
+void lstm_backward(const LayerParams& p, ConstMatrixView wt, ConstMatrixView x,
                    ConstMatrixView h_prev, ConstMatrixView c_prev,
                    const ConstCellTapeViews& tape, ConstMatrixView dh_total,
                    ConstMatrixView dc_in, MatrixView dx_acc,
@@ -188,14 +187,17 @@ void lstm_backward(const LayerParams& p, ConstMatrixView x,
           1.0F);
   kernels::sum_rows_acc(dg_view, grads.db.view().row(0));
 
-  // Input and recurrent-state gradients: dG · Wᵀ against the K-major W.
+  // Input and recurrent-state gradients: dG · Wᵀ, whose input and
+  // recurrent halves are column blocks of the gate-major copy.
+  const int gh = 4 * hidden;
   if (dx_acc.data != nullptr) {
-    gemm_nt(dg_view, p.w_input(), dx_acc, 1.0F, 1.0F);
+    gemm_nn(dg_view, wt.block(0, 0, gh, p.input_size), dx_acc, 1.0F, 1.0F);
   }
-  gemm_nt(dg_view, p.w_recurrent(), dh_prev_acc, 1.0F, 1.0F);
+  gemm_nn(dg_view, wt.block(0, p.input_size, gh, hidden), dh_prev_acc, 1.0F,
+          1.0F);
 }
 
-void gru_backward(const LayerParams& p, ConstMatrixView x,
+void gru_backward(const LayerParams& p, ConstMatrixView wt, ConstMatrixView x,
                   ConstMatrixView h_prev, const ConstCellTapeViews& tape,
                   ConstMatrixView dh_total, MatrixView dx_acc,
                   MatrixView dh_prev_acc, LayerGrads& grads) {
@@ -218,10 +220,10 @@ void gru_backward(const LayerParams& p, ConstMatrixView x,
     }
   }
 
-  // Gate blocks are column blocks of the input and recurrent rows of W and
-  // dW; dx and dh are dG · Wᵀ against them.
-  const ConstMatrixView wx = p.w_input();
-  const ConstMatrixView wh = p.w_recurrent();
+  // Gate blocks are column blocks of the input and recurrent rows of dW,
+  // and row blocks of the gate-major copy, whose columns [0, N) give dx and
+  // [N, N+H) the recurrent-state gradients.
+  const int in = p.input_size;
   const MatrixView dwx = grads.dw_input(p.input_size);
   const MatrixView dwh = grads.dw_recurrent(p.input_size, hidden);
   // dW for the candidate block: inputs were [x, rh].
@@ -232,13 +234,13 @@ void gru_backward(const LayerParams& p, ConstMatrixView x,
   kernels::sum_rows_acc(dg_hbar.cview(),
                         grads.db.view().row(0).subspan(2 * hidden));
   if (dx_acc.data != nullptr) {
-    gemm_nt(dg_hbar.cview(), wx.block(0, 2 * hidden, p.input_size, hidden),
-            dx_acc, 1.0F, 1.0F);
+    gemm_nn(dg_hbar.cview(), wt.block(2 * hidden, 0, hidden, in), dx_acc,
+            1.0F, 1.0F);
   }
 
   // drh = dG_h̄ · W_h̄hᵀ, then split into dr and the gated h_prev path.
   Matrix drh(batch, hidden);
-  gemm_nt(dg_hbar.cview(), wh.block(0, 2 * hidden, hidden, hidden),
+  gemm_nn(dg_hbar.cview(), wt.block(2 * hidden, in, hidden, hidden),
           drh.view());
 
   // z and r pre-activation gradients.
@@ -269,10 +271,10 @@ void gru_backward(const LayerParams& p, ConstMatrixView x,
   kernels::sum_rows_acc(dg_zr.cview(),
                         grads.db.view().row(0).subspan(0, 2 * hidden));
   if (dx_acc.data != nullptr) {
-    gemm_nt(dg_zr.cview(), wx.block(0, 0, p.input_size, 2 * hidden), dx_acc,
-            1.0F, 1.0F);
+    gemm_nn(dg_zr.cview(), wt.block(0, 0, 2 * hidden, in), dx_acc, 1.0F,
+            1.0F);
   }
-  gemm_nt(dg_zr.cview(), wh.block(0, 0, hidden, 2 * hidden), dh_prev_acc,
+  gemm_nn(dg_zr.cview(), wt.block(0, in, 2 * hidden, hidden), dh_prev_acc,
           1.0F, 1.0F);
 }
 
@@ -294,20 +296,24 @@ void cell_forward(const LayerParams& p, ConstMatrixView x,
   }
 }
 
-void cell_backward(const LayerParams& p, ConstMatrixView x,
-                   ConstMatrixView h_prev, ConstMatrixView c_prev,
-                   const ConstCellTapeViews& tape, ConstMatrixView dh_total,
-                   ConstMatrixView dc_in, MatrixView dx_acc,
-                   MatrixView dh_prev_acc, MatrixView dc_prev_out,
-                   LayerGrads& grads) {
+void cell_backward(const LayerParams& p, ConstMatrixView wt,
+                   ConstMatrixView x, ConstMatrixView h_prev,
+                   ConstMatrixView c_prev, const ConstCellTapeViews& tape,
+                   ConstMatrixView dh_total, ConstMatrixView dc_in,
+                   MatrixView dx_acc, MatrixView dh_prev_acc,
+                   MatrixView dc_prev_out, LayerGrads& grads) {
   BPAR_SPAN("rnn.cell_backward");
   BPAR_CHECK(dh_total.rows == x.rows && dh_total.cols == p.hidden_size,
              "dh shape mismatch");
+  BPAR_CHECK(wt.rows == p.gates() * p.hidden_size &&
+                 wt.cols == p.input_size + p.hidden_size,
+             "gate-major weight copy shape mismatch");
   if (p.cell == CellType::kLstm) {
-    lstm_backward(p, x, h_prev, c_prev, tape, dh_total, dc_in, dx_acc,
+    lstm_backward(p, wt, x, h_prev, c_prev, tape, dh_total, dc_in, dx_acc,
                   dh_prev_acc, dc_prev_out, grads);
   } else {
-    gru_backward(p, x, h_prev, tape, dh_total, dx_acc, dh_prev_acc, grads);
+    gru_backward(p, wt, x, h_prev, tape, dh_total, dx_acc, dh_prev_acc,
+                 grads);
   }
 }
 

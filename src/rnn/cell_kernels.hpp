@@ -12,13 +12,15 @@
 //   c_prev  B x H      LSTM cell state from the previous timestep
 //   gates   B x G*H    fused gate buffer (activated in place)
 //   W       (N+H) x G*H  K-major gate weights (LayerParams::w)
+//   Wᵀ      G*H x (N+H)  gate-major copy of W (rnn::gate_major)
 //
 // Forward: gates = x · W[0:N) + h_prev · W[N:N+H) + b, both gemm_nn. The
 // input side is one G*H-wide GEMM for both cells. GRU splits only the
 // recurrent side: the z,r blocks use h_prev, the candidate block r ⊙ h_prev.
-// Backward: dW += [x | h_prev]ᵀ · dG (gemm_tn), dx and dh_prev += dG · Wᵀ
-// (gemm_nt). Gate block order matches LayerParams: LSTM [f, i, g, o], GRU
-// [z, r, h̄], each a column block of W and a block of the gate buffer.
+// Backward: dW += [x | h_prev]ᵀ · dG (gemm_tn), dx += dG · Wᵀ[:, 0:N) and
+// dh_prev += dG · Wᵀ[:, N:N+H) (gemm_nn against the copy). Gate block order
+// matches LayerParams: LSTM [f, i, g, o], GRU [z, r, h̄], each a column
+// block of W, a row block of Wᵀ and a block of the gate buffer.
 #pragma once
 
 #include "rnn/layer_params.hpp"
@@ -75,6 +77,8 @@ inline void cell_forward(const LayerParams& p, tensor::ConstMatrixView x,
 
 /// BPTT backward of one cell.
 ///
+///   wt    G*H x (N+H)  — gate-major copy of p.w (rnn::gate_major), the
+///                        right-hand side of the dx and dh_prev GEMMs
 ///   dh_total     B x H  — ∂L/∂h_t accumulated from all consumers
 ///   dc_in        B x H  — ∂L/∂c_t from timestep t+1 (LSTM; {} at the last
 ///                         timestep or for GRU)
@@ -85,8 +89,8 @@ inline void cell_forward(const LayerParams& p, tensor::ConstMatrixView x,
 ///   grads               — += weight/bias gradients (shared per layer, so
 ///                         calls for the same layer must be serialized —
 ///                         B-Par does this with an inout dependency)
-void cell_backward(const LayerParams& p, tensor::ConstMatrixView x,
-                   tensor::ConstMatrixView h_prev,
+void cell_backward(const LayerParams& p, tensor::ConstMatrixView wt,
+                   tensor::ConstMatrixView x, tensor::ConstMatrixView h_prev,
                    tensor::ConstMatrixView c_prev,
                    const ConstCellTapeViews& tape,
                    tensor::ConstMatrixView dh_total,
@@ -94,7 +98,8 @@ void cell_backward(const LayerParams& p, tensor::ConstMatrixView x,
                    tensor::MatrixView dh_prev_acc,
                    tensor::MatrixView dc_prev_out, LayerGrads& grads);
 
-inline void cell_backward(const LayerParams& p, tensor::ConstMatrixView x,
+inline void cell_backward(const LayerParams& p, tensor::ConstMatrixView wt,
+                          tensor::ConstMatrixView x,
                           tensor::ConstMatrixView h_prev,
                           tensor::ConstMatrixView c_prev, const CellTape& tape,
                           tensor::ConstMatrixView dh_total,
@@ -102,8 +107,8 @@ inline void cell_backward(const LayerParams& p, tensor::ConstMatrixView x,
                           tensor::MatrixView dx_acc,
                           tensor::MatrixView dh_prev_acc,
                           tensor::MatrixView dc_prev_out, LayerGrads& grads) {
-  cell_backward(p, x, h_prev, c_prev, tape.cviews(), dh_total, dc_in, dx_acc,
-                dh_prev_acc, dc_prev_out, grads);
+  cell_backward(p, wt, x, h_prev, c_prev, tape.cviews(), dh_total, dc_in,
+                dx_acc, dh_prev_acc, dc_prev_out, grads);
 }
 
 }  // namespace bpar::rnn

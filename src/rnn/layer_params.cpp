@@ -1,5 +1,6 @@
 #include "rnn/layer_params.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <istream>
 #include <ostream>
@@ -83,6 +84,23 @@ void read_gate_matrix(std::istream& is, tensor::Matrix& w) {
     BPAR_CHECK(is.good(), "truncated matrix payload");
     for (int k = 0; k < w.rows(); ++k) {
       w.at(k, g) = row[static_cast<std::size_t>(k)];
+    }
+  }
+}
+
+void gate_major(tensor::ConstMatrixView w, tensor::MatrixView wt) {
+  BPAR_CHECK(wt.rows == w.cols && wt.cols == w.rows,
+             "gate-major copy shape mismatch: got ", wt.rows, "x", wt.cols,
+             " want ", w.cols, "x", w.rows);
+  // Square tiles keep both the rows read and the rows written in L1.
+  constexpr int kTile = 16;
+  for (int k0 = 0; k0 < w.rows; k0 += kTile) {
+    const int k1 = std::min(k0 + kTile, w.rows);
+    for (int g0 = 0; g0 < w.cols; g0 += kTile) {
+      const int g1 = std::min(g0 + kTile, w.cols);
+      for (int g = g0; g < g1; ++g) {
+        for (int k = k0; k < k1; ++k) wt.at(g, k) = w.at(k, g);
+      }
     }
   }
 }

@@ -10,7 +10,10 @@
 //   LSTM: f, i, g (=c̄), o     (Eqs. 1-4)
 //   GRU:  z, r, h̄             (Eqs. 7-9)
 // Weight files and optimizer state keep the gate-major (gates*H) x (in + H)
-// record; write_gate_matrix / read_gate_matrix convert at the stream.
+// record; write_gate_matrix / read_gate_matrix convert at the stream. The
+// backward cells read a gate-major copy that a training program refreshes
+// with gate_major on every execution (graph/brnn_graph.hpp), so their dx and
+// dh_prev GEMMs run nn as well; inference holds no copy.
 #pragma once
 
 #include <iosfwd>
@@ -76,5 +79,9 @@ void write_gate_matrix(std::ostream& os, const tensor::Matrix& w);
 /// Reads a write_gate_matrix record into the K-major `w`; the stored shape
 /// must be w's transpose.
 void read_gate_matrix(std::istream& is, tensor::Matrix& w);
+/// Writes the gate-major transpose of the K-major `w` into `wt`, which must
+/// be (gates*H) x (in + H): wt(g, k) = w(k, g). The copy rnn::cell_backward
+/// reads for its dx and dh_prev GEMMs.
+void gate_major(tensor::ConstMatrixView w, tensor::MatrixView wt);
 
 }  // namespace bpar::rnn

@@ -38,6 +38,13 @@ class CellKinds : public ::testing::TestWithParam<CellFixtureParams> {
     tape_.init(p.cell, p.batch, p.hidden);
   }
 
+  /// The gate-major copy of the current weights that cell_backward reads.
+  [[nodiscard]] Matrix weight_copy() const {
+    Matrix wt(params_.w.cols(), params_.w.rows());
+    gate_major(params_.w.cview(), wt.view());
+    return wt;
+  }
+
   LayerParams params_;
   Matrix x_, h_prev_, c_prev_;
   CellTape tape_;
@@ -125,9 +132,10 @@ TEST_P(CellKinds, BackwardMatchesFiniteDifferences) {
   Matrix dc_prev(p.batch, p.hidden);
   LayerGrads grads;
   grads.init_like(params_);
-  cell_backward(params_, x_.cview(), h_prev_.cview(), c_prev_.cview(), tape_,
-                dh.cview(), {}, dx.view(), dh_prev.view(),
-                lstm ? dc_prev.view() : tensor::MatrixView{}, grads);
+  cell_backward(params_, weight_copy().cview(), x_.cview(), h_prev_.cview(),
+                c_prev_.cview(), tape_, dh.cview(), {}, dx.view(),
+                dh_prev.view(), lstm ? dc_prev.view() : tensor::MatrixView{},
+                grads);
 
   util::Rng rng(7);
   const float eps = 1e-2F;
@@ -185,10 +193,23 @@ TEST_P(CellKinds, NullDxSkipsInputGradient) {
   LayerGrads grads;
   grads.init_like(params_);
   // Must not crash; grads must still be produced.
-  cell_backward(params_, x_.cview(), h_prev_.cview(), c_prev_.cview(), tape_,
-                dh.cview(), {}, {}, dh_prev.view(),
+  cell_backward(params_, weight_copy().cview(), x_.cview(), h_prev_.cview(),
+                c_prev_.cview(), tape_, dh.cview(), {}, {}, dh_prev.view(),
                 lstm ? dc_prev.view() : tensor::MatrixView{}, grads);
   EXPECT_GT(tensor::l2_norm(grads.dw.cview()), 0.0);
+}
+
+// The copy the backward GEMMs read is the exact transpose of the K-major W:
+// element (g, k) of the copy is w.at(k, g), across every tile boundary.
+TEST_P(CellKinds, GateMajorCopyIsTranspose) {
+  const Matrix wt = weight_copy();
+  ASSERT_EQ(wt.rows(), params_.w.cols());
+  ASSERT_EQ(wt.cols(), params_.w.rows());
+  for (int g = 0; g < wt.rows(); ++g) {
+    for (int k = 0; k < wt.cols(); ++k) {
+      ASSERT_EQ(wt.at(g, k), params_.w.at(k, g)) << g << ", " << k;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

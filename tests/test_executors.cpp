@@ -272,6 +272,33 @@ TEST(ExecutorDeterminism, RepeatedBParRunsAreBitwiseIdentical) {
   }
 }
 
+// The backward cells read a gate-major copy of the weights that each
+// execution rewrites, so a step after an optimizer update must see the new
+// weights: B-Par and the sequential reference (which transposes on every
+// call) stay bitwise equal at every step. A copy refreshed only on a
+// program's first execution drifts from step 2 on.
+TEST(ExecutorDeterminism, WeightCopyFollowsOptimizerSteps) {
+  for (const CellType cell : {CellType::kLstm, CellType::kGru}) {
+    const NetworkConfig cfg =
+        make_case(cell, MergeOp::kConcat, false, 3, 4, 6).cfg;
+    const BatchData batch = make_batch(cfg, 91);
+    rnn::Network ref_net(cfg);
+    SequentialExecutor ref(ref_net);
+    rnn::Network net(cfg);
+    BParExecutor bpar(net, {.common = {.num_workers = 4, .num_replicas = 1}});
+    train::Sgd ref_sgd({.learning_rate = 0.5F});
+    train::Sgd sgd({.learning_rate = 0.5F});
+    for (int step = 0; step < 3; ++step) {
+      SCOPED_TRACE(std::string(cell_name(cell)) + " step " +
+                   std::to_string(step));
+      EXPECT_EQ(bpar.train_batch(batch).loss, ref.train_batch(batch).loss);
+      expect_grads_close(bpar.grads(), ref.grads(), cfg, 0.0F);
+      ref_sgd.step(ref_net, ref.grads());
+      sgd.step(net, bpar.grads());
+    }
+  }
+}
+
 TEST(ExecutorStats, BParReportsTaskCounts) {
   const NetworkConfig cfg = make_case(CellType::kLstm, MergeOp::kConcat,
                                       false, 2, 3, 4)

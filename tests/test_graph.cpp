@@ -58,6 +58,8 @@ TEST(GraphStructure, ManyToOneTaskCounts) {
   EXPECT_EQ(count_kind(g, TaskKind::kLoss), 3U);
   // Gradient reductions: 2*L layer + dense = 7.
   EXPECT_EQ(count_kind(g, TaskKind::kGradReduce), 7U);
+  // One gate-major weight transposition per (direction, layer).
+  EXPECT_EQ(count_kind(g, TaskKind::kWeightUpdate), 6U);
   EXPECT_EQ(count_kind(g, TaskKind::kBarrier), 0U);  // B-Par: barrier-free
 }
 
@@ -82,6 +84,7 @@ TEST(GraphStructure, InferenceGraphHasNoBackwardTasks) {
   EXPECT_EQ(count_kind(g, TaskKind::kCellBackward), 0U);
   EXPECT_EQ(count_kind(g, TaskKind::kMergeBackward), 0U);
   EXPECT_EQ(count_kind(g, TaskKind::kGradReduce), 0U);
+  EXPECT_EQ(count_kind(g, TaskKind::kWeightUpdate), 0U);  // no weight copy
 }
 
 TEST(GraphStructure, Fig2StyleDependencies) {
@@ -247,8 +250,11 @@ TEST(GraphStructure, BSeqChainsEachReplica) {
   EXPECT_EQ(bseq.graph().size(), bpar.graph().size());
   EXPECT_GT(bseq.graph().critical_path_length(),
             bpar.graph().critical_path_length());
+  // Outside the chains: 8 cross-replica reductions and the 2L weight
+  // transpositions.
+  const std::size_t outside = 8 + 2 * static_cast<std::size_t>(cfg.num_layers);
   EXPECT_GE(bseq.graph().critical_path_length(),
-            (bpar.graph().size() - 8) / 2);  // 8 cross-replica reductions
+            (bpar.graph().size() - outside) / 2);
 }
 
 TEST(GraphStructure, IntraOpChunksExpandShapeGraphs) {
