@@ -88,9 +88,11 @@ BENCHMARK(BM_CellForward<bpar::rnn::CellType::kGru>)
     ->Args({16, 256})
     ->Args({128, 256});
 
-/// Args: batch rows, hidden, layer input width. The backward GEMMs read a
-/// gate-major copy of W, made outside the timed loop: a training program
-/// makes it once per step, not once per cell.
+/// BackwardData of one cell. Args: batch rows, hidden, layer input width.
+/// The backward GEMMs read a gate-major copy of W, made outside the timed
+/// loop: a training program makes it once per step, not once per cell. The
+/// cell writes dG over the activated gates, so each iteration first
+/// restores them (a B x G*H copy, timed with the cell).
 template <bpar::rnn::CellType kCell>
 void BM_CellBackward(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
@@ -105,24 +107,25 @@ void BM_CellBackward(benchmark::State& state) {
   Matrix h_prev(batch, hidden);
   Matrix c_prev(batch, hidden);
   bpar::tensor::fill_uniform(x.view(), rng, -1.0F, 1.0F);
+  bpar::tensor::fill_uniform(h_prev.view(), rng, -0.5F, 0.5F);
   bpar::rnn::CellTape tape;
   tape.init(kCell, batch, hidden);
   bpar::rnn::cell_forward(params, x.cview(), h_prev.cview(), c_prev.cview(),
                           tape);
+  const Matrix gates = tape.gates;
   Matrix dh(batch, hidden);
   bpar::tensor::fill_constant(dh.view(), 1.0F);
   Matrix dx(batch, input);
   Matrix dh_prev(batch, hidden);
   Matrix dc_prev(batch, hidden);
-  bpar::rnn::LayerGrads grads;
-  grads.init_like(params);
   const bool lstm = kCell == bpar::rnn::CellType::kLstm;
   for (auto _ : state) {
+    bpar::tensor::copy(gates.cview(), tape.gates.view());
     bpar::rnn::cell_backward(
-        params, wt.cview(), x.cview(), h_prev.cview(), c_prev.cview(), tape,
+        params, wt.cview(), h_prev.cview(), c_prev.cview(), tape.views(),
         dh.cview(), {}, dx.view(), dh_prev.view(),
-        lstm ? dc_prev.view() : bpar::tensor::MatrixView{}, grads);
-    benchmark::DoNotOptimize(grads.dw.data());
+        lstm ? dc_prev.view() : bpar::tensor::MatrixView{});
+    benchmark::DoNotOptimize(dh_prev.data());
   }
 }
 // Besides 16/256/64: the upper-layer cells of train-blstm (16/128/256) and
@@ -226,6 +229,53 @@ const BackendGemm kBackendGemms[] = {
     {"BM_GemmNnBackend", GemmOp::kNn, 8, 32, 64, true},
 };
 
+/// BackwardWeights of one whole chain (rnn::chain_weight_grads) through one
+/// backend's table: dW over T·B rows from random slabs.
+void weight_grads_backend(benchmark::State& state,
+                          const bpar::kernels::Backend* backend,
+                          bpar::rnn::CellType cell, int batch, int hidden,
+                          int input, int steps) {
+  const std::string previous = bpar::kernels::active_backend_name();
+  bpar::kernels::set_backend(backend->name);
+  bpar::util::Rng rng(8);
+  bpar::rnn::LayerParams params;
+  params.init(cell, input, hidden, rng);
+  bpar::rnn::LayerGrads grads;
+  grads.init_like(params);
+  const int rows = steps * batch;
+  Matrix x(rows, input);
+  bpar::rnn::CellTape slab;
+  slab.init(cell, rows, hidden);
+  for (const bpar::tensor::MatrixView m :
+       {x.view(), slab.gates.view(), slab.h.view(), slab.rh.view()}) {
+    bpar::tensor::fill_uniform(m, rng, -1.0F, 1.0F);
+  }
+  for (auto _ : state) {
+    bpar::rnn::chain_weight_grads(params, 0, batch, x.cview(),
+                                  slab.gates.cview(), slab.h.cview(),
+                                  slab.rh.cview(), grads);
+    benchmark::DoNotOptimize(grads.dw.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      bpar::rnn::chain_weight_grad_flops(cell, batch, input, hidden, steps) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
+  bpar::kernels::set_backend(previous);
+}
+
+struct BackendChain {
+  bpar::rnn::CellType cell;
+  int batch, hidden, input, steps;
+};
+
+// The upper-layer chains of train-blstm (LSTM, 16 rows, H 128, input 256,
+// T 50) and train-bgru-m2m (GRU, 8 rows, H 32, input 32, T 100).
+const BackendChain kBackendChains[] = {
+    {bpar::rnn::CellType::kLstm, 16, 128, 256, 50},
+    {bpar::rnn::CellType::kGru, 8, 32, 32, 100},
+};
+
 const int kBackendBenchesRegistered = [] {
   int count = 0;
   for (const auto* backend : bpar::kernels::available_backends()) {
@@ -242,6 +292,19 @@ const int kBackendBenchesRegistered = [] {
                                    [backend, g](benchmark::State& s) {
                                      gemm_backend(s, backend, g.op, g.m, g.n,
                                                   g.k);
+                                   });
+    }
+    for (const BackendChain& c : kBackendChains) {
+      const bool lstm = c.cell == bpar::rnn::CellType::kLstm;
+      const std::string key =
+          "BM_WeightGradsBackend/" + name + (lstm ? "/lstm/" : "/gru/") +
+          std::to_string(c.batch) + "x" + std::to_string(c.hidden) + "x" +
+          std::to_string(c.input) + "x" + std::to_string(c.steps);
+      benchmark::RegisterBenchmark(key.c_str(),
+                                   [backend, c](benchmark::State& s) {
+                                     weight_grads_backend(s, backend, c.cell,
+                                                          c.batch, c.hidden,
+                                                          c.input, c.steps);
                                    });
     }
     benchmark::RegisterBenchmark(

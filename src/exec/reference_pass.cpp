@@ -18,12 +18,6 @@ using tensor::MatrixView;
 
 namespace {
 
-ConstMatrixView input_slice(const rnn::BatchData& batch, int t, int r0,
-                            int rb) {
-  return batch.x[static_cast<std::size_t>(t)].cview().block(
-      r0, 0, rb, batch.input_size());
-}
-
 std::span<const int> label_slice(const rnn::BatchData& batch, int t, int r0,
                                  int rb) {
   const std::size_t offset =
@@ -46,40 +40,35 @@ double forward_pass(const rnn::Network& net, rnn::Workspace& ws,
   const int rb = ws.batch();
   const int steps = cfg.seq_length;
   const bool lstm = cfg.cell == CellType::kLstm;
-  BPAR_CHECK(r0 + rb <= batch.batch(), "slice out of range");
+  ws.load_input(batch, r0);
 
   for (int l = 0; l < cfg.num_layers; ++l) {
     for (int dir = 0; dir < 2; ++dir) {
       const rnn::LayerParams& p = net.layer(dir, l);
       for (int s = 0; s < steps; ++s) {
         const int ti = dir == 0 ? s : steps - 1 - s;
-        const ConstMatrixView x = l == 0
-                                      ? input_slice(batch, ti, r0, rb)
-                                      : ws.merged(l - 1, ti).cview();
         const ConstMatrixView h_prev =
-            s == 0 ? ws.zero_state.cview() : ws.tape(dir, l, s - 1).h.cview();
+            s == 0 ? ws.zero_state.view() : ws.tape(dir, l, s - 1).h;
         ConstMatrixView c_prev;
         if (lstm) {
-          c_prev = s == 0 ? ws.zero_state.cview()
-                          : ws.tape(dir, l, s - 1).c.cview();
+          c_prev = s == 0 ? ws.zero_state.view() : ws.tape(dir, l, s - 1).c;
         }
-        rnn::cell_forward(p, x, h_prev, c_prev, ws.tape(dir, l, s));
+        rnn::cell_forward(p, ws.layer_input(l, ti), h_prev, c_prev,
+                          ws.tape(dir, l, s));
       }
     }
     if (l < merged_layers(cfg)) {
       for (int t = 0; t < steps; ++t) {
-        rnn::merge_forward(cfg.merge, ws.tape(0, l, t).h.cview(),
-                           ws.tape(1, l, steps - 1 - t).h.cview(),
-                           ws.merged(l, t).view());
+        rnn::merge_forward(cfg.merge, ws.tape(0, l, t).h,
+                           ws.tape(1, l, steps - 1 - t).h, ws.merged(l, t));
       }
     }
   }
 
   const int last = cfg.num_layers - 1;
   if (!cfg.many_to_many) {
-    rnn::merge_forward(cfg.merge, ws.tape(0, last, steps - 1).h.cview(),
-                       ws.tape(1, last, steps - 1).h.cview(),
-                       ws.final_merged.view());
+    rnn::merge_forward(cfg.merge, ws.tape(0, last, steps - 1).h,
+                       ws.tape(1, last, steps - 1).h, ws.final_merged.view());
   }
 
   const int outputs = ws.num_outputs();
@@ -87,8 +76,8 @@ double forward_pass(const rnn::Network& net, rnn::Workspace& ws,
       static_cast<double>(rb) / (static_cast<double>(total_batch) * outputs);
   double loss = 0.0;
   for (int t = 0; t < outputs; ++t) {
-    const ConstMatrixView y = cfg.many_to_many ? ws.merged(last, t).cview()
-                                               : ws.final_merged.cview();
+    const ConstMatrixView y =
+        cfg.many_to_many ? ws.merged(last, t) : ws.final_merged.view();
     MatrixView logits = ws.logits(t).view();
     kernels::gemm_nt(y, net.w_out.cview(), logits);
     kernels::add_bias_rows(logits, net.b_out.cview().row(0));
@@ -112,79 +101,72 @@ void backward_pass(const rnn::Network& net, rnn::Workspace& ws,
   const float scale = static_cast<float>(
       static_cast<double>(rb) / (static_cast<double>(total_batch) * outputs));
 
-  // Loss gradient + dense backward per output.
+  // Loss gradient + dense BackwardData per output, then the dense
+  // BackwardWeights over all outputs.
   for (int t = 0; t < outputs; ++t) {
-    MatrixView dl = ws.dlogits(t).view();
+    const MatrixView dl = ws.dlogits(t);
     kernels::softmax_ce_grad(ws.probs(t).cview(),
                              label_slice(batch, t, r0, rb), dl);
     for (int r = 0; r < dl.rows; ++r) kernels::scale_inplace(dl.row(r), scale);
-
-    const ConstMatrixView y = cfg.many_to_many ? ws.merged(last, t).cview()
-                                               : ws.final_merged.cview();
-    MatrixView dy =
-        cfg.many_to_many ? ws.dmerged(0, last, t).view() : ws.dfinal.view();
-    kernels::gemm_tn(dl, y, grads.dw_out.view(), 1.0F, 1.0F);
-    kernels::sum_rows_acc(dl, grads.db_out.view().row(0));
-    kernels::gemm_nn(dl, net.w_out.cview(), dy, 1.0F, 1.0F);
+    kernels::gemm_nn(dl, net.w_out.cview(),
+                     cfg.many_to_many ? ws.dmerged(0, last, t)
+                                      : ws.dfinal.view());
   }
+  rnn::dense_weight_grads(
+      ws.dlogits_slab(),
+      cfg.many_to_many ? ws.merged_slab(last) : ws.final_merged.view(),
+      grads.dw_out.view(), grads.db_out.view());
 
   if (!cfg.many_to_many) {
-    rnn::merge_backward(cfg.merge, ws.tape(0, last, steps - 1).h.cview(),
-                        ws.tape(1, last, steps - 1).h.cview(),
-                        ws.dfinal.cview(), ws.dh(0, last, steps - 1).view(),
-                        ws.dh(1, last, steps - 1).view());
+    rnn::merge_backward(cfg.merge, ws.tape(0, last, steps - 1).h,
+                        ws.tape(1, last, steps - 1).h, ws.dfinal.view(),
+                        ws.dh(0, last, steps - 1), ws.dh(1, last, steps - 1));
   }
 
   for (int l = last; l >= 0; --l) {
     if (l < merged_layers(cfg)) {
       for (int t = steps - 1; t >= 0; --t) {
-        for (int src = 0; src < 2; ++src) {
-          rnn::merge_backward(cfg.merge, ws.tape(0, l, t).h.cview(),
-                              ws.tape(1, l, steps - 1 - t).h.cview(),
-                              ws.dmerged(src, l, t).cview(),
-                              ws.dh(0, l, t).view(),
-                              ws.dh(1, l, steps - 1 - t).view());
+        for (int src = 0; src < cfg.merge_grad_sources(l); ++src) {
+          rnn::merge_backward(cfg.merge, ws.tape(0, l, t).h,
+                              ws.tape(1, l, steps - 1 - t).h,
+                              ws.dmerged(src, l, t), ws.dh(0, l, t),
+                              ws.dh(1, l, steps - 1 - t));
         }
       }
     }
     for (int dir = 0; dir < 2; ++dir) {
       const rnn::LayerParams& p = net.layer(dir, l);
-      rnn::LayerGrads& lg = grads.layers[dir][static_cast<std::size_t>(l)];
       // The gate-major copy the backward cells read, as a training program's
       // transposition task writes it.
       tensor::Matrix wt(p.w.cols(), p.w.rows());
       rnn::gate_major(p.w.cview(), wt.view());
       for (int s = steps - 1; s >= 0; --s) {
         const int ti = dir == 0 ? s : steps - 1 - s;
-        const ConstMatrixView x = l == 0
-                                      ? input_slice(batch, ti, r0, rb)
-                                      : ws.merged(l - 1, ti).cview();
         const ConstMatrixView h_prev =
-            s == 0 ? ws.zero_state.cview() : ws.tape(dir, l, s - 1).h.cview();
+            s == 0 ? ws.zero_state.view() : ws.tape(dir, l, s - 1).h;
         ConstMatrixView c_prev;
-        if (lstm) {
-          c_prev = s == 0 ? ws.zero_state.cview()
-                          : ws.tape(dir, l, s - 1).c.cview();
-        }
         ConstMatrixView dc_in;
-        if (lstm && s < steps - 1) dc_in = ws.dc(dir, l, s).cview();
-        MatrixView dx_acc;
-        if (l > 0) {
-          dx_acc = ws.dmerged(dir, l - 1, ti).view();
-        } else if (ws.has_input_grads()) {
-          dx_acc = ws.dx(dir, ti).view();
-        }
-        MatrixView dh_prev =
-            s > 0 ? ws.dh(dir, l, s - 1).view() : ws.sink(dir, l).view();
         MatrixView dc_prev;
         if (lstm) {
-          dc_prev = s > 0 ? ws.dc(dir, l, s - 1).view()
-                          : ws.sink(dir, l).view();
+          c_prev = s == 0 ? ws.zero_state.view() : ws.tape(dir, l, s - 1).c;
+          if (s < steps - 1) dc_in = ws.dc(dir, l, s);
+          if (s > 0) dc_prev = ws.dc(dir, l, s - 1);
         }
-        rnn::cell_backward(p, wt.cview(), x, h_prev, c_prev,
-                           ws.tape(dir, l, s), ws.dh(dir, l, s).cview(),
-                           dc_in, dx_acc, dh_prev, dc_prev, lg);
+        MatrixView dx;
+        if (l > 0) {
+          dx = ws.dmerged(dir, l - 1, ti);
+        } else if (ws.has_input_grads()) {
+          dx = ws.dx(dir, ti);
+        }
+        const MatrixView dh_prev =
+            s > 0 ? ws.dh(dir, l, s - 1) : MatrixView{};
+        rnn::cell_backward(p, wt.cview(), h_prev, c_prev, ws.tape(dir, l, s),
+                           ws.dh(dir, l, s), dc_in, dx, dh_prev, dc_prev);
       }
+      const rnn::CellTapeViews slab = ws.tape_slab(dir, l);
+      rnn::chain_weight_grads(p, dir, rb, ws.layer_input_slab(l), slab.gates,
+                              slab.h, slab.rh,
+                              grads.layers[dir][static_cast<std::size_t>(l)]);
     }
   }
 }

@@ -16,18 +16,19 @@
 
 namespace bpar::exec {
 
-/// Forward pass over batch rows [r0, r0+ws.batch()): fills the workspace's
-/// tapes, merges, logits and probs. Returns the loss contribution already
-/// weighted for the whole batch: mean-CE(rows) * rows / (total_batch *
-/// outputs) summed over outputs.
+/// Forward pass over batch rows [r0, r0+ws.batch()): copies them into the
+/// workspace's input slab and fills its tapes, merges, logits and probs.
+/// Returns the loss contribution already weighted for the whole batch:
+/// mean-CE(rows) * rows / (total_batch * outputs) summed over outputs.
 double forward_pass(const rnn::Network& net, rnn::Workspace& ws,
                     const rnn::BatchData& batch, int r0, int total_batch);
 
-/// Backward pass matching forward_pass. Accumulates into `grads` (weighted
-/// so that summing replica grads yields the whole-batch mean gradient).
-/// Transposes each layer's weights into a gate-major copy once per call, so
-/// the backward cells run the same GEMMs as in a training program.
-/// Caller must ws.zero_backward() first.
+/// Backward pass matching forward_pass. Writes `grads` (weighted so that
+/// summing replica grads yields the whole-batch mean gradient), running
+/// rnn::chain_weight_grads after each chain as a training program's
+/// weight-gradient task does. Transposes each layer's weights into a
+/// gate-major copy once per call, so the backward cells run the same GEMMs
+/// as in a training program. Caller must ws.zero_backward() first.
 void backward_pass(const rnn::Network& net, rnn::Workspace& ws,
                    const rnn::BatchData& batch, int r0, int total_batch,
                    rnn::NetworkGrads& grads);

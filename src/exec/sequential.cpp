@@ -19,7 +19,6 @@ StepResult SequentialExecutor::train_batch(const rnn::BatchData& batch) {
   batch.validate(cfg.input_size, cfg.seq_length);
   BPAR_CHECK(batch.batch() == cfg.batch_size, "batch size mismatch");
   perf::WallTimer timer;
-  grads_.zero();
   ws_->zero_backward();
   StepResult result;
   result.loss = forward_pass(net_, *ws_, batch, 0, batch.batch());

@@ -39,13 +39,15 @@ struct TrainingProgram::ReplicaCtx {
   int rb;  // rows in this replica
   rnn::Workspace* ws = nullptr;       // executable mode only
   rnn::NetworkGrads* grads = nullptr; // executable mode only
+  // Per (dir, layer), [dir * L + l]: token the chain's last backward cell
+  // writes and its weight-gradient task reads.
+  std::vector<const void*> chain_end{};
 
   // Shape-mode arena layout (offsets into this replica's arena buffer).
   const char* arena_data = nullptr;
   std::size_t h_base = 0, dh_base = 0, dc_base = 0, merged_base = 0,
               dmerged_base = 0, probs_base = 0, dlogits_base = 0,
-              x_base = 0, sink_base = 0, grads_base = 0, final_base = 0,
-              dx_base = 0;
+              x_base = 0, grads_base = 0, final_base = 0, dx_base = 0;
 
   [[nodiscard]] const NetworkConfig& cfg() const { return prog.cfg_; }
   [[nodiscard]] int layers() const { return cfg().num_layers; }
@@ -65,23 +67,23 @@ struct TrainingProgram::ReplicaCtx {
   }
 
   [[nodiscard]] const void* addr_h(int dir, int l, int s) const {
-    if (ws != nullptr) return ws->tape(dir, l, s).h.data();
+    if (ws != nullptr) return ws->tape(dir, l, s).h.data;
     return arena_at(h_base, cell_idx(dir, l, s));
   }
   [[nodiscard]] const void* addr_dh(int dir, int l, int s) const {
-    if (ws != nullptr) return ws->dh(dir, l, s).data();
+    if (ws != nullptr) return ws->dh(dir, l, s).data;
     return arena_at(dh_base, cell_idx(dir, l, s));
   }
   [[nodiscard]] const void* addr_dc(int dir, int l, int s) const {
-    if (ws != nullptr) return ws->dc(dir, l, s).data();
+    if (ws != nullptr) return ws->dc(dir, l, s).data;
     return arena_at(dc_base, cell_idx(dir, l, s));
   }
   [[nodiscard]] const void* addr_merged(int l, int t) const {
-    if (ws != nullptr) return ws->merged(l, t).data();
+    if (ws != nullptr) return ws->merged(l, t).data;
     return arena_at(merged_base, static_cast<std::size_t>(l) * steps() + t);
   }
   [[nodiscard]] const void* addr_dmerged(int src_dir, int l, int t) const {
-    if (ws != nullptr) return ws->dmerged(src_dir, l, t).data();
+    if (ws != nullptr) return ws->dmerged(src_dir, l, t).data;
     return arena_at(dmerged_base,
                     (static_cast<std::size_t>(src_dir) * merged_layers() + l) *
                             steps() +
@@ -100,24 +102,19 @@ struct TrainingProgram::ReplicaCtx {
     return arena_at(probs_base, static_cast<std::size_t>(t));
   }
   [[nodiscard]] const void* addr_dlogits(int t) const {
-    if (ws != nullptr) return ws->dlogits(t).data();
+    if (ws != nullptr) return ws->dlogits(t).data;
     return arena_at(dlogits_base, static_cast<std::size_t>(t));
   }
-  [[nodiscard]] const void* addr_x(int t) const {
-    if (ws != nullptr) {
-      // Row slice of the shared input buffer: address of this replica's
-      // first element — distinct per replica.
-    return prog.x_[static_cast<std::size_t>(t)].data() +
-           static_cast<std::size_t>(r0) * cfg().input_size;
-    }
+  [[nodiscard]] const void* addr_input(int l, int t) const {
+    if (l > 0) return addr_merged(l - 1, t);
+    if (ws != nullptr) return ws->x(t).data;
     return arena_at(x_base, static_cast<std::size_t>(t));
   }
-  [[nodiscard]] const void* addr_sink(int dir, int l) const {
-    if (ws != nullptr) return ws->sink(dir, l).data();
-    return arena_at(sink_base, static_cast<std::size_t>(dir) * layers() + l);
+  [[nodiscard]] const void* addr_chain_end(int dir, int l) const {
+    return chain_end[static_cast<std::size_t>(dir * layers() + l)];
   }
   [[nodiscard]] const void* addr_dx(int src_dir, int t) const {
-    if (ws != nullptr) return ws->dx(src_dir, t).data();
+    if (ws != nullptr) return ws->dx(src_dir, t).data;
     return arena_at(dx_base, static_cast<std::size_t>(src_dir) * steps() + t);
   }
   /// Shared per-(dir, layer) weight-gradient buffer; dir == 2 → dense.
@@ -192,23 +189,17 @@ TrainingProgram::TrainingProgram(rnn::Network& net, int total_batch,
   row_begin_.push_back(total_batch_);  // sentinel
 
   if (opts_.executable) {
-    x_.resize(static_cast<std::size_t>(cfg.seq_length));
-    for (auto& m : x_) m.resize(total_batch_, cfg.input_size);
     const int label_count =
         cfg.many_to_many ? cfg.seq_length * total_batch_ : total_batch_;
     labels_.assign(static_cast<std::size_t>(label_count), 0);
     for (int r = 0; r < opts_.num_replicas; ++r) {
       replicas_.push_back(std::make_unique<rnn::Workspace>(
-          cfg, replica_rows(r), opts_.compute_input_grads));
+          cfg, replica_rows(r), opts_.training,
+          opts_.training && opts_.compute_input_grads));
     }
     if (opts_.training) {
       replica_grads_.resize(static_cast<std::size_t>(opts_.num_replicas));
       for (auto& g : replica_grads_) g.init_like(net_);
-      if (opts_.intra_op_chunks > 1) {
-        chunk_grads_.resize(static_cast<std::size_t>(opts_.num_replicas) *
-                            opts_.intra_op_chunks);
-        for (auto& g : chunk_grads_) g.init_like(net_);
-      }
     }
   }
 
@@ -222,9 +213,8 @@ void TrainingProgram::load_batch(const rnn::BatchData& batch) {
   batch.validate(cfg.input_size, cfg.seq_length);
   BPAR_CHECK(batch.batch() == total_batch_, "batch rows ", batch.batch(),
              " != program batch ", total_batch_);
-  for (int t = 0; t < cfg.seq_length; ++t) {
-    tensor::copy(batch.x[static_cast<std::size_t>(t)].cview(),
-                 x_[static_cast<std::size_t>(t)].view());
+  for (int r = 0; r < opts_.num_replicas; ++r) {
+    replica(r).load_input(batch, row_begin_[static_cast<std::size_t>(r)]);
   }
   BPAR_CHECK(batch.labels.size() == labels_.size(),
              "label layout mismatch (many-to-one vs many-to-many?)");
@@ -234,16 +224,16 @@ void TrainingProgram::load_batch(const rnn::BatchData& batch) {
 void TrainingProgram::prepare() {
   total_loss_ = 0.0;
   std::fill(losses_.begin(), losses_.end(), 0.0);
-  if (!opts_.executable) return;
+  if (!opts_.training || !opts_.executable) return;
   for (auto& ws : replicas_) ws->zero_backward();
-  for (auto& g : replica_grads_) g.zero();
-  for (auto& g : chunk_grads_) g.zero();
 }
 
-rnn::NetworkGrads& TrainingProgram::grads() {
+rnn::NetworkGrads& TrainingProgram::grads() { return replica_grads(0); }
+
+rnn::NetworkGrads& TrainingProgram::replica_grads(int r) {
   BPAR_CHECK(!replica_grads_.empty(),
              "gradients need an executable training program");
-  return replica_grads_.front();
+  return replica_grads_.at(static_cast<std::size_t>(r));
 }
 
 namespace {
@@ -258,38 +248,35 @@ View row_slice(View v, int row0, int rows) {
 
 void TrainingProgram::add_task(std::vector<Access> accesses, TaskSpec spec,
                                int gemms, std::function<void()> fn,
-                               RowsFn rows, bool cell) {
+                               RowsFn rows, int split_rows) {
   if (chain_token_ != nullptr) accesses.push_back(inout(chain_token_));
   gemm_launches_ += static_cast<std::size_t>(gemms);
-  const int n = cell ? opts_.intra_op_chunks : 1;
+  const int n = split_rows > 0 ? opts_.intra_op_chunks : 1;
   if (n <= 1) {
     if (rows) {
-      fn = [rows = std::move(rows), count = replica_rows(spec.replica)] {
-        rows(-1, 0, count);
-      };
+      fn = [rows = std::move(rows), split_rows] { rows(0, split_rows); };
     }
     if (!fn) fn = [] {};  // barrier tokens and shape-only graphs
     graph_.add(std::move(fn), accesses, std::move(spec));
     return;
   }
-  const int count = replica_rows(spec.replica);
   // Intra-op split, the fork-join region of a framework that spreads each
-  // cell's GEMMs across cores: N chunk tasks over batch-row slices, each
-  // ordered after every earlier access to what the cell touches, then a
-  // join carrying the cell's writes for its consumers.
+  // GEMM across cores: N chunk tasks over row slices, each ordered after
+  // every earlier access to what the task touches, then a join carrying
+  // the task's writes for its consumers.
   std::vector<Access> chunk_acc;
   for (const Access& a : accesses) chunk_acc.push_back(in(a.addr));
   std::vector<Access> join_acc = std::move(accesses);
   for (int c = 0; c < n; ++c) {
-    const int row0 = c * count / n;
-    const int chunk_rows = (c + 1) * count / n - row0;
+    const int row0 = c * split_rows / n;
+    const int chunk_rows = (c + 1) * split_rows / n - row0;
     TaskSpec chunk_spec = spec;
     chunk_spec.kind = TaskKind::kGemmChunk;
     chunk_spec.flops = spec.flops / n;
     chunk_spec.working_set_bytes = spec.working_set_bytes / n;
     std::function<void()> chunk_fn = [] {};
     if (rows) {
-      chunk_fn = [rows, c, row0, chunk_rows] { rows(c, row0, chunk_rows); };
+      chunk_fn = [rows, row0, chunk_rows] { rows(row0, chunk_rows); };
     }
     const void* token = fresh_token();
     chunk_acc.push_back(out(token));
@@ -382,8 +369,6 @@ void TrainingProgram::build_replica(int rep) {
     off += outputs;
     ctx.x_base = off;
     off += steps;
-    ctx.sink_base = off;
-    off += 2 * layers;
     ctx.grads_base = off;
     off += 3 * layers;  // dir 0, dir 1, dense (dir==2 uses slot l==0)
     ctx.final_base = off;
@@ -395,6 +380,11 @@ void TrainingProgram::build_replica(int rep) {
     grads_bases_.push_back(ctx.grads_base);
   }
 
+  if (opts_.training) {
+    for (int i = 0; i < 2 * cfg.num_layers; ++i) {
+      ctx.chain_end.push_back(fresh_token());
+    }
+  }
   // Fresh forward-barrier tokens for this replica (framework emulation).
   fwd_tokens_.clear();
   for (int l = 0; l < cfg.num_layers; ++l) fwd_tokens_.push_back(fresh_token());
@@ -454,7 +444,7 @@ void TrainingProgram::build_forward_layer(ReplicaCtx& ctx, int l) {
       const int ti = dir == 0 ? s : steps - 1 - s;
       std::vector<Access> acc;
       if (s > 0) acc.push_back(in(ctx.addr_h(dir, l, s - 1)));
-      acc.push_back(in(l == 0 ? ctx.addr_x(ti) : ctx.addr_merged(l - 1, ti)));
+      acc.push_back(in(ctx.addr_input(l, ti)));
       fwd_barrier_in(acc);
       if (sched_.sequential_directions && dir == 1 && s == 0) {
         // Framework emulation: the reverse sweep starts only after the
@@ -474,28 +464,21 @@ void TrainingProgram::build_forward_layer(ReplicaCtx& ctx, int l) {
       RowsFn body;
       if (opts_.executable) {
         body = [this, ws = ctx.ws, params, dir, l, s, ti, lstm, fused_merge,
-                steps, r0 = ctx.r0](int /*chunk*/, int row0, int nrows) {
-          const NetworkConfig& c = cfg_;
+                steps](int row0, int nrows) {
           const auto slice = [&](auto v) { return row_slice(v, row0, nrows); };
-          const ConstMatrixView x =
-              l == 0 ? x_[static_cast<std::size_t>(ti)].cview().block(
-                           r0 + row0, 0, nrows, c.input_size)
-                     : slice(ws->merged(l - 1, ti).cview());
           const ConstMatrixView h_prev =
-              slice(s == 0 ? ws->zero_state.cview()
-                           : ws->tape(dir, l, s - 1).h.cview());
+              slice(s == 0 ? ws->zero_state.view() : ws->tape(dir, l, s - 1).h);
           ConstMatrixView c_prev;
           if (lstm) {
-            c_prev = slice(s == 0 ? ws->zero_state.cview()
-                                  : ws->tape(dir, l, s - 1).c.cview());
+            c_prev = slice(s == 0 ? ws->zero_state.view()
+                                  : ws->tape(dir, l, s - 1).c);
           }
-          rnn::cell_forward(*params, x, h_prev, c_prev,
-                            ws->tape(dir, l, s).views_rows(row0, nrows));
+          rnn::cell_forward(*params, slice(ws->layer_input(l, ti)), h_prev,
+                            c_prev, ws->tape(dir, l, s).rows(row0, nrows));
           if (fused_merge) {
-            rnn::merge_forward(
-                c.merge, slice(ws->tape(0, l, s).h.cview()),
-                slice(ws->tape(1, l, steps - 1 - s).h.cview()),
-                slice(ws->merged(l, s).view()));
+            rnn::merge_forward(cfg_.merge, slice(ws->tape(0, l, s).h),
+                               slice(ws->tape(1, l, steps - 1 - s).h),
+                               slice(ws->merged(l, s)));
           }
         };
       }
@@ -505,7 +488,7 @@ void TrainingProgram::build_forward_layer(ReplicaCtx& ctx, int l) {
         spec.flops += rnn::merge_flops(cfg.merge, ctx.rb, cfg.hidden_size);
       }
       add_task(std::move(acc), std::move(spec), gemms, {}, std::move(body),
-               /*cell=*/true);
+               ctx.rb);
     }
   };
 
@@ -527,9 +510,9 @@ void TrainingProgram::build_forward_layer(ReplicaCtx& ctx, int l) {
       std::function<void()> fn;
       if (opts_.executable) {
         fn = [this, ws, l, t, steps] {
-          rnn::merge_forward(cfg_.merge, ws->tape(0, l, t).h.cview(),
-                             ws->tape(1, l, steps - 1 - t).h.cview(),
-                             ws->merged(l, t).view());
+          rnn::merge_forward(cfg_.merge, ws->tape(0, l, t).h,
+                             ws->tape(1, l, steps - 1 - t).h,
+                             ws->merged(l, t));
         };
       }
       TaskSpec spec;
@@ -574,9 +557,8 @@ void TrainingProgram::build_loss_and_dense(ReplicaCtx& ctx) {
     std::function<void()> fn;
     if (opts_.executable) {
       fn = [this, ws, last, steps] {
-        rnn::merge_forward(cfg_.merge,
-                           ws->tape(0, last, steps - 1).h.cview(),
-                           ws->tape(1, last, steps - 1).h.cview(),
+        rnn::merge_forward(cfg_.merge, ws->tape(0, last, steps - 1).h,
+                           ws->tape(1, last, steps - 1).h,
                            ws->final_merged.view());
       };
     }
@@ -604,8 +586,8 @@ void TrainingProgram::build_loss_and_dense(ReplicaCtx& ctx) {
       fn = [this, ws, t, weight, &losses = losses_, rep = ctx.rep,
             outputs = ctx.outputs(), m2m = cfg.many_to_many, last,
             r0 = ctx.r0, rb = ctx.rb] {
-        ConstMatrixView y =
-            m2m ? ws->merged(last, t).cview() : ws->final_merged.cview();
+        const ConstMatrixView y =
+            m2m ? ws->merged(last, t) : ws->final_merged.view();
         MatrixView logits = ws->logits(t).view();
         kernels::gemm_nt(y, net_.w_out.cview(), logits);
         kernels::add_bias_rows(logits, net_.b_out.cview().row(0));
@@ -637,8 +619,10 @@ void TrainingProgram::build_dense_backward(ReplicaCtx& ctx) {
   const NetworkConfig& cfg = cfg_;
   const int last = cfg.num_layers - 1;
   const int steps = cfg.seq_length;
+  const bool m2m = cfg.many_to_many;
+  const int merged = cfg.merged_size();
+  const int classes = cfg.num_classes;
   rnn::Workspace* ws = ctx.ws;
-  rnn::NetworkGrads* grads = ctx.grads;
   const float scale = static_cast<float>(
       static_cast<double>(ctx.rb) /
       (static_cast<double>(total_batch_) * ctx.outputs()));
@@ -651,14 +635,13 @@ void TrainingProgram::build_dense_backward(ReplicaCtx& ctx) {
                               out(ctx.addr_dlogits(t))};
       std::function<void()> fn;
       if (opts_.executable) {
-        fn = [this, ws, t, scale, m2m = cfg.many_to_many, r0 = ctx.r0,
-              rb = ctx.rb] {
+        fn = [this, ws, t, scale, m2m, r0 = ctx.r0, rb = ctx.rb] {
           const std::size_t offset =
               m2m ? static_cast<std::size_t>(t) * total_batch_ + r0
                   : static_cast<std::size_t>(r0);
           const auto lbl = std::span<const int>(labels_).subspan(
               offset, static_cast<std::size_t>(rb));
-          MatrixView dl = ws->dlogits(t).view();
+          const MatrixView dl = ws->dlogits(t);
           kernels::softmax_ce_grad(ws->probs(t).cview(), lbl, dl);
           for (int r = 0; r < dl.rows; ++r) {
             kernels::scale_inplace(dl.row(r), scale);
@@ -667,49 +650,70 @@ void TrainingProgram::build_dense_backward(ReplicaCtx& ctx) {
       }
       TaskSpec spec;
       spec.kind = TaskKind::kLoss;
-      spec.flops = 3.0 * ctx.rb * cfg.num_classes;
+      spec.flops = 3.0 * ctx.rb * classes;
       spec.step = t;
       spec.replica = ctx.rep;
       spec.name = "loss_grad." + std::to_string(t);
       add_task(std::move(acc), std::move(spec), 0, std::move(fn));
     }
-    // Dense backward: dw_out += dlogits^T y; dy += dlogits * W.
+    // Dense BackwardData: dy = dlogits · W_out, dy's only writer.
     {
-      const void* y_addr =
-          cfg.many_to_many ? ctx.addr_merged(last, t) : ctx.addr_final();
-      const void* dy_addr = cfg.many_to_many ? ctx.addr_dmerged(0, last, t)
-                                             : ctx.addr_dfinal();
-      std::vector<Access> acc{in(ctx.addr_dlogits(t)), in(y_addr),
-                              inout(ctx.addr_grads(2, 0)), out(dy_addr)};
+      const void* dy_addr =
+          m2m ? ctx.addr_dmerged(0, last, t) : ctx.addr_dfinal();
+      std::vector<Access> acc{in(ctx.addr_dlogits(t)), out(dy_addr)};
       std::function<void()> fn;
       if (opts_.executable) {
-        fn = [this, ws, grads, t, m2m = cfg.many_to_many, last] {
-          ConstMatrixView y =
-              m2m ? ws->merged(last, t).cview() : ws->final_merged.cview();
-          MatrixView dy = m2m ? ws->dmerged(0, last, t).view()
-                              : ws->dfinal.view();
-          const ConstMatrixView dl = ws->dlogits(t).cview();
-          kernels::gemm_tn(dl, y, grads->dw_out.view(), 1.0F, 1.0F);
-          kernels::sum_rows_acc(dl, grads->db_out.view().row(0));
-          kernels::gemm_nn(dl, net_.w_out.cview(), dy, 1.0F, 1.0F);
+        fn = [this, ws, t, m2m, last] {
+          kernels::gemm_nn(ws->dlogits(t), net_.w_out.cview(),
+                           m2m ? ws->dmerged(0, last, t) : ws->dfinal.view());
         };
       }
       TaskSpec spec;
       spec.kind = TaskKind::kCellBackward;
-      spec.flops = rnn::dense_backward_flops(ctx.rb, cfg.merged_size(),
-                                             cfg.num_classes);
+      spec.flops = rnn::dense_backward_flops(ctx.rb, merged, classes);
       spec.working_set_bytes =
-          static_cast<std::size_t>(cfg.num_classes) *
-          (cfg.merged_size() + 2U * ctx.rb) * sizeof(float);
+          (static_cast<std::size_t>(classes) * merged +
+           static_cast<std::size_t>(ctx.rb) * (classes + merged)) *
+          sizeof(float);
       spec.step = t;
       spec.replica = ctx.rep;
       spec.name = "dense_bwd." + std::to_string(t);
-      add_task(std::move(acc), std::move(spec), 2, std::move(fn));
+      add_task(std::move(acc), std::move(spec), 1, std::move(fn));
     }
   }
 
+  // Dense BackwardWeights: dW_out and db_out over every output's rows at
+  // once, after the last loss gradient.
+  {
+    std::vector<Access> acc;
+    for (int t = 0; t < ctx.outputs(); ++t) {
+      acc.push_back(in(ctx.addr_dlogits(t)));
+    }
+    acc.push_back(inout(ctx.addr_grads(2, 0)));
+    std::function<void()> fn;
+    if (opts_.executable) {
+      fn = [ws, grads = ctx.grads, m2m, last] {
+        rnn::dense_weight_grads(
+            ws->dlogits_slab(),
+            m2m ? ws->merged_slab(last) : ws->final_merged.view(),
+            grads->dw_out.view(), grads->db_out.view());
+      };
+    }
+    const int rows = ctx.outputs() * ctx.rb;
+    TaskSpec spec;
+    spec.kind = TaskKind::kWeightGrad;
+    spec.flops = rnn::dense_weight_grad_flops(rows, merged, classes);
+    spec.working_set_bytes =
+        (static_cast<std::size_t>(rows) * (classes + merged) +
+         static_cast<std::size_t>(classes) * (merged + 1)) *
+        sizeof(float);
+    spec.replica = ctx.rep;
+    spec.name = "dense.dw";
+    add_task(std::move(acc), std::move(spec), 1, std::move(fn));
+  }
+
   // Many-to-one: backward of the final merge seeds the last layer's dh.
-  if (!cfg.many_to_many) {
+  if (!m2m) {
     std::vector<Access> acc{in(ctx.addr_dfinal()),
                             in(ctx.addr_h(0, last, steps - 1)),
                             in(ctx.addr_h(1, last, steps - 1)),
@@ -718,12 +722,10 @@ void TrainingProgram::build_dense_backward(ReplicaCtx& ctx) {
     std::function<void()> fn;
     if (opts_.executable) {
       fn = [this, ws, last, steps] {
-        rnn::merge_backward(cfg_.merge,
-                            ws->tape(0, last, steps - 1).h.cview(),
-                            ws->tape(1, last, steps - 1).h.cview(),
-                            ws->dfinal.cview(),
-                            ws->dh(0, last, steps - 1).view(),
-                            ws->dh(1, last, steps - 1).view());
+        rnn::merge_backward(cfg_.merge, ws->tape(0, last, steps - 1).h,
+                            ws->tape(1, last, steps - 1).h, ws->dfinal.view(),
+                            ws->dh(0, last, steps - 1),
+                            ws->dh(1, last, steps - 1));
       };
     }
     TaskSpec spec;
@@ -739,14 +741,18 @@ void TrainingProgram::build_dense_backward(ReplicaCtx& ctx) {
 void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
   const NetworkConfig& cfg = cfg_;
   const int steps = cfg.seq_length;
+  const int hidden = cfg.hidden_size;
   const bool lstm = cfg.cell == CellType::kLstm;
   rnn::Workspace* ws = ctx.ws;
-  rnn::NetworkGrads* grads = ctx.grads;
   const int in_width = cfg.layer_input_size(l);
-  const double bwd_flops =
-      rnn::cell_backward_flops(cfg.cell, ctx.rb, in_width, cfg.hidden_size);
-  const std::size_t cell_ws = rnn::cell_working_set_bytes(
-      cfg.cell, ctx.rb, in_width, cfg.hidden_size);
+  const bool input_grads = l > 0 || opts_.compute_input_grads;
+  const double bwd_flops = rnn::cell_backward_flops(cfg.cell, ctx.rb, in_width,
+                                                    hidden, input_grads);
+  const std::size_t cell_ws =
+      rnn::cell_working_set_bytes(cfg.cell, ctx.rb, in_width, hidden);
+  // Directions of layer l+1 (or the dense layer) that write dmerged(·, l, ·).
+  const int sources =
+      l < ctx.merged_layers() ? cfg.merge_grad_sources(l) : 0;
 
   // Backward per-layer barrier (framework emulation): the merge-backward
   // tasks of layer l wait until layer l+1's backward fully drained.
@@ -754,8 +760,9 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
   if (sched_.per_layer_barriers && l < ctx.merged_layers()) {
     std::vector<Access> acc;
     for (int t = 0; t < steps; ++t) {
-      acc.push_back(in(ctx.addr_dmerged(0, l, t)));
-      acc.push_back(in(ctx.addr_dmerged(1, l, t)));
+      for (int src = 0; src < sources; ++src) {
+        acc.push_back(in(ctx.addr_dmerged(src, l, t)));
+      }
     }
     bwd_token = fresh_token();
     acc.push_back(out(bwd_token));
@@ -767,35 +774,34 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
     add_task(std::move(acc), std::move(spec), 0, {});
   }
 
-  // Merge backward tasks: both directions' dmerged halves → dh of both
-  // directions.
+  // Merge backward tasks: the dmerged halves → dh of both directions.
   if (l < ctx.merged_layers() && !sched_.fuse_merge) {
     for (int t = steps - 1; t >= 0; --t) {
-      std::vector<Access> acc{in(ctx.addr_dmerged(0, l, t)),
-                              in(ctx.addr_dmerged(1, l, t)),
-                              in(ctx.addr_h(0, l, t)),
-                              in(ctx.addr_h(1, l, steps - 1 - t)),
-                              inout(ctx.addr_dh(0, l, t)),
-                              inout(ctx.addr_dh(1, l, steps - 1 - t))};
+      std::vector<Access> acc;
+      for (int src = 0; src < sources; ++src) {
+        acc.push_back(in(ctx.addr_dmerged(src, l, t)));
+      }
+      acc.push_back(in(ctx.addr_h(0, l, t)));
+      acc.push_back(in(ctx.addr_h(1, l, steps - 1 - t)));
+      acc.push_back(inout(ctx.addr_dh(0, l, t)));
+      acc.push_back(inout(ctx.addr_dh(1, l, steps - 1 - t)));
       if (bwd_token != nullptr) acc.push_back(in(bwd_token));
       std::function<void()> fn;
       if (opts_.executable) {
-        fn = [this, ws, l, t, steps] {
-          for (int src = 0; src < 2; ++src) {
-            rnn::merge_backward(cfg_.merge,
-                                ws->tape(0, l, t).h.cview(),
-                                ws->tape(1, l, steps - 1 - t).h.cview(),
-                                ws->dmerged(src, l, t).cview(),
-                                ws->dh(0, l, t).view(),
-                                ws->dh(1, l, steps - 1 - t).view());
+        fn = [this, ws, l, t, steps, sources] {
+          for (int src = 0; src < sources; ++src) {
+            rnn::merge_backward(cfg_.merge, ws->tape(0, l, t).h,
+                                ws->tape(1, l, steps - 1 - t).h,
+                                ws->dmerged(src, l, t), ws->dh(0, l, t),
+                                ws->dh(1, l, steps - 1 - t));
           }
         };
       }
       TaskSpec spec;
       spec.kind = TaskKind::kMergeBackward;
-      spec.flops = rnn::merge_flops(cfg.merge, ctx.rb, cfg.hidden_size);
+      spec.flops = rnn::merge_flops(cfg.merge, ctx.rb, hidden);
       spec.working_set_bytes =
-          rnn::merge_working_set_bytes(cfg.merge, ctx.rb, cfg.hidden_size);
+          rnn::merge_working_set_bytes(cfg.merge, ctx.rb, hidden);
       spec.layer = l;
       spec.step = t;
       spec.replica = ctx.rep;
@@ -804,9 +810,10 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
     }
   }
 
-  // Cell backward chains, most recent timestep first. Forward direction
+  // BackwardData chains, most recent timestep first. Forward direction
   // before reverse so fused merge-backward (ablation) has its writers
-  // created first.
+  // created first. A cell writes dG over its own step's gate rows, which
+  // only that cell and the chain's weight-gradient task read.
   auto emit_bwd = [&](int dir) {
     const rnn::LayerParams* params =
         opts_.executable ? &net_.layer(dir, l) : nullptr;
@@ -814,8 +821,6 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
         static_cast<std::size_t>(dir * cfg.num_layers + l);
     const void* wt_addr = wt_addr_[wt_index];
     const tensor::Matrix* wt = opts_.executable ? &wt_[wt_index] : nullptr;
-    const bool input_grads = l > 0 || opts_.compute_input_grads;
-    const int gemms = (lstm ? 3 : 6) + (input_grads ? (lstm ? 1 : 2) : 0);
     for (int s = steps - 1; s >= 0; --s) {
       const int ti = dir == 0 ? s : steps - 1 - s;
       const bool fused_merge = sched_.fuse_merge && dir == 0 &&
@@ -826,91 +831,75 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
       acc.push_back(fused_merge ? inout(ctx.addr_dh(dir, l, s))
                                 : in(ctx.addr_dh(dir, l, s)));
       if (fused_merge) {
-        acc.push_back(in(ctx.addr_dmerged(0, l, s)));
-        acc.push_back(in(ctx.addr_dmerged(1, l, s)));
+        for (int src = 0; src < sources; ++src) {
+          acc.push_back(in(ctx.addr_dmerged(src, l, s)));
+        }
         acc.push_back(inout(ctx.addr_dh(1, l, steps - 1 - s)));
       }
       if (lstm && s < steps - 1) acc.push_back(in(ctx.addr_dc(dir, l, s)));
       acc.push_back(in(ctx.addr_h(dir, l, s)));  // forward tape dependency
-      acc.push_back(
-          in(l == 0 ? ctx.addr_x(ti) : ctx.addr_merged(l - 1, ti)));
-      acc.push_back(inout(ctx.addr_grads(dir, l)));
       if (l > 0) {
-        acc.push_back(inout(ctx.addr_dmerged(dir, l - 1, ti)));
+        acc.push_back(out(ctx.addr_dmerged(dir, l - 1, ti)));
       } else if (opts_.compute_input_grads) {
-        acc.push_back(inout(ctx.addr_dx(dir, ti)));
+        acc.push_back(out(ctx.addr_dx(dir, ti)));
       }
       if (s > 0) {
         acc.push_back(inout(ctx.addr_dh(dir, l, s - 1)));
         if (lstm) acc.push_back(out(ctx.addr_dc(dir, l, s - 1)));
       } else {
-        acc.push_back(out(ctx.addr_sink(dir, l)));
+        acc.push_back(out(ctx.addr_chain_end(dir, l)));
       }
       // Last, so the locality hint keeps pointing at the dh producer.
       acc.push_back(in(wt_addr));
 
       RowsFn body;
       if (opts_.executable) {
-        body = [this, ws, grads, params, wt, dir, l, s, ti, lstm, fused_merge,
-                steps, r0 = ctx.r0,
-                rep = ctx.rep](int chunk, int row0, int rows) {
-          const NetworkConfig& c = cfg_;
+        body = [this, ws, params, wt, dir, l, s, ti, lstm, fused_merge, steps,
+                sources](int row0, int rows) {
           const auto slice = [&](auto v) { return row_slice(v, row0, rows); };
           if (fused_merge) {
-            for (int src = 0; src < 2; ++src) {
-              rnn::merge_backward(
-                  c.merge, slice(ws->tape(0, l, s).h.cview()),
-                  slice(ws->tape(1, l, steps - 1 - s).h.cview()),
-                  slice(ws->dmerged(src, l, s).cview()),
-                  slice(ws->dh(0, l, s).view()),
-                  slice(ws->dh(1, l, steps - 1 - s).view()));
+            for (int src = 0; src < sources; ++src) {
+              rnn::merge_backward(cfg_.merge, slice(ws->tape(0, l, s).h),
+                                  slice(ws->tape(1, l, steps - 1 - s).h),
+                                  slice(ws->dmerged(src, l, s)),
+                                  slice(ws->dh(0, l, s)),
+                                  slice(ws->dh(1, l, steps - 1 - s)));
             }
           }
-          ConstMatrixView x =
-              l == 0 ? x_[static_cast<std::size_t>(ti)].cview().block(
-                           r0 + row0, 0, rows, c.input_size)
-                     : slice(ws->merged(l - 1, ti).cview());
-          ConstMatrixView h_prev =
-              slice(s == 0 ? ws->zero_state.cview()
-                           : ws->tape(dir, l, s - 1).h.cview());
+          const ConstMatrixView h_prev =
+              slice(s == 0 ? ws->zero_state.view() : ws->tape(dir, l, s - 1).h);
           ConstMatrixView c_prev;
-          if (lstm) {
-            c_prev = slice(s == 0 ? ws->zero_state.cview()
-                                  : ws->tape(dir, l, s - 1).c.cview());
-          }
           ConstMatrixView dc_in;
-          if (lstm && s < steps - 1) dc_in = slice(ws->dc(dir, l, s).cview());
-          MatrixView dx_acc;
-          if (l > 0) {
-            dx_acc = slice(ws->dmerged(dir, l - 1, ti).view());
-          } else if (ws->has_input_grads()) {
-            dx_acc = slice(ws->dx(dir, ti).view());
-          }
-          MatrixView dh_prev = slice(s > 0 ? ws->dh(dir, l, s - 1).view()
-                                           : ws->sink(dir, l).view());
           MatrixView dc_prev;
           if (lstm) {
-            dc_prev = slice(s > 0 ? ws->dc(dir, l, s - 1).view()
-                                  : ws->sink(dir, l).view());
+            c_prev = slice(s == 0 ? ws->zero_state.view()
+                                  : ws->tape(dir, l, s - 1).c);
+            if (s < steps - 1) dc_in = slice(ws->dc(dir, l, s));
+            if (s > 0) dc_prev = slice(ws->dc(dir, l, s - 1));
           }
-          const rnn::CellTapeViews tape =
-              ws->tape(dir, l, s).views_rows(row0, rows);
-          rnn::NetworkGrads& target =
-              chunk < 0 ? *grads
-                        : chunk_grads_[static_cast<std::size_t>(
-                              rep * opts_.intra_op_chunks + chunk)];
-          rnn::cell_backward(
-              *params, wt->cview(), x, h_prev, c_prev,
-              {tape.gates, tape.h, tape.c, tape.tanh_c, tape.rh},
-              slice(ws->dh(dir, l, s).cview()), dc_in, dx_acc, dh_prev,
-              dc_prev, target.layers[dir][static_cast<std::size_t>(l)]);
+          MatrixView dx;
+          if (l > 0) {
+            dx = slice(ws->dmerged(dir, l - 1, ti));
+          } else if (ws->has_input_grads()) {
+            dx = slice(ws->dx(dir, ti));
+          }
+          const MatrixView dh_prev =
+              s > 0 ? slice(ws->dh(dir, l, s - 1)) : MatrixView{};
+          rnn::cell_backward(*params, wt->cview(), h_prev, c_prev,
+                             ws->tape(dir, l, s).rows(row0, rows),
+                             slice(ws->dh(dir, l, s)), dc_in, dx, dh_prev,
+                             dc_prev);
         };
       }
+      // dh_prev (none at the first step) and dx against the copy; GRU also
+      // computes drh and splits dx over its two gate groups.
+      const int gemms = (lstm ? 0 : 1) + (s > 0 ? 1 : 0) +
+                        (input_grads ? (lstm ? 1 : 2) : 0);
       TaskSpec spec;
       spec.kind = TaskKind::kCellBackward;
       spec.flops = bwd_flops;
       if (fused_merge) {
-        spec.flops += rnn::merge_flops(cfg.merge, ctx.rb, cfg.hidden_size);
+        spec.flops += rnn::merge_flops(cfg.merge, ctx.rb, hidden);
       }
       spec.working_set_bytes = cell_ws;
       spec.layer = l;
@@ -919,39 +908,41 @@ void TrainingProgram::build_backward_layer(ReplicaCtx& ctx, int l) {
       spec.name = std::string(dir == 0 ? "bf" : "br") + std::to_string(l) +
                   "." + std::to_string(s);
       add_task(std::move(acc), std::move(spec), gemms, {}, std::move(body),
-               /*cell=*/true);
+               ctx.rb);
     }
   };
   emit_bwd(0);
   emit_bwd(1);
 
-  // Intra-op split: fold each chunk's scratch weight gradients into the
-  // layer's, in chunk order, once the layer's last backward cell joined.
-  const int chunks = opts_.intra_op_chunks;
-  if (chunks <= 1) return;
+  // BackwardWeights: one task per chain, after its last cell (which writes
+  // the chain-end token), computes dW and db over all T·B rows. The
+  // reductions wait on it through the gradients. Under an intra-op split
+  // it divides dW's rows, which needs no scratch.
   for (int dir = 0; dir < 2; ++dir) {
-    std::function<void()> fn;
+    RowsFn body;
     if (opts_.executable) {
-      fn = [this, grads, dir, l, chunks, rep = ctx.rep] {
-        auto& layer = grads->layers[dir][static_cast<std::size_t>(l)];
-        for (int c = 0; c < chunks; ++c) {
-          layer.accumulate(
-              chunk_grads_[static_cast<std::size_t>(rep * chunks + c)]
-                  .layers[dir][static_cast<std::size_t>(l)]);
-        }
+      body = [ws, params = &net_.layer(dir, l),
+              grads = &ctx.grads->layers[dir][static_cast<std::size_t>(l)],
+              dir, l, rb = ctx.rb](int row0, int rows) {
+        const rnn::CellTapeViews slab = ws->tape_slab(dir, l);
+        rnn::chain_weight_grads(*params, dir, rb, ws->layer_input_slab(l),
+                                slab.gates, slab.h, slab.rh, *grads, row0,
+                                rows);
       };
     }
     TaskSpec spec;
-    spec.kind = TaskKind::kGradReduce;
-    const auto params = static_cast<double>(net_.layer(dir, l).param_count());
-    spec.flops = chunks * params;
-    spec.working_set_bytes =
-        static_cast<std::size_t>((chunks + 1) * params) * sizeof(float);
+    spec.kind = TaskKind::kWeightGrad;
+    spec.flops = rnn::chain_weight_grad_flops(cfg.cell, ctx.rb, in_width,
+                                              hidden, steps);
+    spec.working_set_bytes = rnn::chain_weight_grad_bytes(
+        cfg.cell, ctx.rb, in_width, hidden, steps);
     spec.layer = l;
     spec.replica = ctx.rep;
-    spec.name = "fold." + std::to_string(dir) + "." + std::to_string(l);
-    add_task({inout(ctx.addr_grads(dir, l))}, std::move(spec), 0,
-             std::move(fn));
+    spec.name = std::string(dir == 0 ? "bf" : "br") + std::to_string(l) +
+                ".dw";
+    add_task({in(ctx.addr_chain_end(dir, l)), inout(ctx.addr_grads(dir, l))},
+             std::move(spec), lstm ? 2 : 3, {}, std::move(body),
+             in_width + hidden);
   }
 }
 

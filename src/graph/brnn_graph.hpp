@@ -1,11 +1,11 @@
 // Task-graph construction for BRNN training and inference — the C++
 // realization of the paper's Algorithms 1-3.
 //
-// A `TrainingProgram` owns every buffer a batch pass touches (input copies,
-// per-replica workspaces and gradients and, when training, a gate-major copy
-// of each layer's weights) and a TaskGraph whose tasks reference those
-// buffers. Dependencies are declared through buffer addresses exactly like
-// OmpSs `in`/`out` clauses:
+// A `TrainingProgram` owns every buffer a batch pass touches (per-replica
+// workspaces with their input slabs, per-replica gradients and, when
+// training, a gate-major copy of each layer's weights) and a TaskGraph
+// whose tasks reference those buffers. Dependencies are declared through
+// buffer addresses exactly like OmpSs `in`/`out` clauses:
 //
 //   * weight transposition (d, l): out(gate-major copy of W(d, l)); no
 //                                 predecessors, so it overlaps the forward
@@ -14,13 +14,22 @@
 //                                 out(h of (l, t))
 //   * reverse-order cell (l, k):  mirrored over processing steps
 //   * merge (l, t):               in(h_fwd, h_rev) out(merged(l, t))
-//   * cell backward:              in(dh, dc, forward tape, gate-major copy)
-//                                 inout(layer grads, dh of predecessor,
-//                                 dmerged below)
+//   * cell backward (BackwardData):
+//                                 in(dh, dc, forward tape, gate-major copy)
+//                                 inout(dh of predecessor)
+//                                 out(dc of predecessor, dmerged below or
+//                                 the chain-end token at the first step)
+//   * dense backward (output t):  in(dlogits t) out(dy t)
+//   * weight gradient (BackwardWeights), one per (d, l) and replica, plus
+//     one for the dense layer:    in(chain-end token of (d, l) | every
+//                                 dlogits) inout(grads of (d, l) | dense)
 //   * gradient reduction:         in(grads of replicas 1..N-1)
 //                                 inout(grads of replica 0)
 //
-// The build_* steps emit each task straight into the TaskGraph, one task per
+// The backward cells write dG over their own gate rows of the tape slab;
+// the chain's weight-gradient task then runs dW = [X | H_prev]ᵀ · dG as one
+// GEMM over all T·B rows (rnn::chain_weight_grads, DESIGN.md §5l). The
+// build_* steps emit each task straight into the TaskGraph, one task per
 // cell and timestep, in creation order; every task body is a closure built
 // where the task is emitted (DESIGN.md §5k).
 //
@@ -31,10 +40,11 @@
 // exec/baseline_profiles.hpp.
 //
 // The same program can be re-run for many batches: `load_batch` copies new
-// data into the stable input buffers and `prepare` clears accumulators, so
-// the graph (built once) stays valid. The transposition tasks rewrite the
-// weight copies on every execution, so they follow optimizer steps, loads
-// and any other edit of the network's weights.
+// data into the stable input slabs and `prepare` clears dh, the one buffer
+// that tasks add into, so the graph (built once) stays valid; every other
+// buffer has one writer that assigns it. The transposition tasks rewrite
+// the weight copies on every execution, so they follow optimizer steps,
+// loads and any other edit of the network's weights.
 #pragma once
 
 #include <cstddef>
@@ -61,9 +71,8 @@ struct BuildOptions {
   bool executable = true; // false → shape-only graph (for the simulator)
 
   /// Intra-op parallelism (the Keras/PyTorch emulation): each cell becomes
-  /// N tasks over batch-row slices plus a join. Backward chunks accumulate
-  /// weight gradients into per-chunk scratch, which one fold task per
-  /// (direction, layer) adds into the layer's gradients in chunk order.
+  /// N tasks over batch-row slices plus a join, and each weight-gradient
+  /// task N tasks over row slices of dW.
   int intra_op_chunks = 1;
 
   /// Also compute ∂L/∂x (per-timestep input gradients) during backward —
@@ -86,10 +95,11 @@ class TrainingProgram {
   TrainingProgram(rnn::Network& net, int total_batch, BuildOptions opts);
   ~TrainingProgram();
 
-  /// Copies batch data into the program's stable input buffers.
+  /// Copies batch data into the replicas' input slabs.
   void load_batch(const rnn::BatchData& batch);
 
-  /// Zeroes all accumulators. Call before every graph execution.
+  /// Resets the losses and, when training, zeroes dh (the only buffer two
+  /// tasks add into). Call before every graph execution.
   void prepare();
 
   /// Effective configuration (seq length possibly overridden).
@@ -104,6 +114,8 @@ class TrainingProgram {
   /// Reduced gradients (replica 0's, into which the reduction tasks add
   /// the other replicas'); valid after an executable training run.
   [[nodiscard]] rnn::NetworkGrads& grads();
+  /// Replica `r`'s own gradients (replica 0's hold the sum after a run).
+  [[nodiscard]] rnn::NetworkGrads& replica_grads(int r);
 
   [[nodiscard]] int num_replicas() const { return opts_.num_replicas; }
   [[nodiscard]] rnn::Workspace& replica(int r) { return *replicas_[static_cast<std::size_t>(r)]; }
@@ -124,11 +136,9 @@ class TrainingProgram {
  private:
   struct ReplicaCtx;  // defined in the .cpp
 
-  /// Body of a row-sliceable task over batch rows [row0, row0 + rows) of
-  /// its replica. `chunk` >= 0 names the intra-op chunk (whose scratch
-  /// weight gradients a backward cell accumulates into); -1 runs the task
-  /// unsplit.
-  using RowsFn = std::function<void(int chunk, int row0, int rows)>;
+  /// Body of a row-sliceable task over rows [row0, row0 + rows): batch
+  /// rows of its replica for a cell, rows of dW for a weight gradient.
+  using RowsFn = std::function<void(int row0, int rows)>;
 
   // Schedule shape resolved from BuildOptions::schedule_profile.
   struct Schedule {
@@ -149,14 +159,14 @@ class TrainingProgram {
   void build_reduction();
 
   /// Adds one task to the graph and counts its `gemms` launches; tasks of
-  /// a "bseq" replica also join that replica's serial chain. A `cell` task
-  /// runs `rows` over all its replica's rows or, with
+  /// a "bseq" replica also join that replica's serial chain. A task with
+  /// `split_rows` > 0 runs `rows` over [0, split_rows) or, with
   /// BuildOptions::intra_op_chunks > 1, becomes that many row-chunk tasks
   /// plus a join carrying its writes; any other task runs `fn`. Shape-only
   /// graphs pass no bodies.
   void add_task(std::vector<taskrt::Access> accesses, taskrt::TaskSpec spec,
                 int gemms, std::function<void()> fn, RowsFn rows = {},
-                bool cell = false);
+                int split_rows = 0);
   [[nodiscard]] int replica_rows(int rep) const {
     return row_begin_[static_cast<std::size_t>(rep + 1)] -
            row_begin_[static_cast<std::size_t>(rep)];
@@ -174,7 +184,6 @@ class TrainingProgram {
   int total_batch_;
   taskrt::TaskGraph graph_;
 
-  std::vector<tensor::Matrix> x_;  // [T] stable input buffers, B x I
   std::vector<int> labels_;
   std::vector<std::unique_ptr<rnn::Workspace>> replicas_;
   std::vector<rnn::NetworkGrads> replica_grads_;
@@ -186,8 +195,6 @@ class TrainingProgram {
   // addresses (synthetic in shape-only mode).
   std::vector<tensor::Matrix> wt_;
   std::vector<const void*> wt_addr_;
-  // Intra-op scratch weight gradients, [rep * intra_op_chunks + chunk].
-  std::vector<rnn::NetworkGrads> chunk_grads_;
   std::deque<char> tokens_;  // stable synthetic dependency addresses
   // "bseq": chain token of the replica currently being built (else null).
   const void* chain_token_ = nullptr;

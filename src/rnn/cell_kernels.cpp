@@ -1,8 +1,11 @@
 #include "rnn/cell_kernels.hpp"
 
+#include <algorithm>
+#include <vector>
+
 #include "kernels/elementwise.hpp"
-#include "obs/trace.hpp"
 #include "kernels/gemm.hpp"
+#include "obs/trace.hpp"
 #include "util/check.hpp"
 
 namespace bpar::rnn {
@@ -10,17 +13,16 @@ namespace bpar::rnn {
 using kernels::gemm_nn;
 using kernels::gemm_tn;
 using tensor::ConstMatrixView;
-using tensor::Matrix;
 using tensor::MatrixView;
 
-void CellTape::init(CellType cell, int batch, int hidden) {
-  gates.resize(batch, gate_count(cell) * hidden);
-  h.resize(batch, hidden);
+void CellTape::init(CellType cell, int rows, int hidden) {
+  gates.resize_for_overwrite(rows, gate_count(cell) * hidden);
+  h.resize_for_overwrite(rows, hidden);
   if (cell == CellType::kLstm) {
-    c.resize(batch, hidden);
-    tanh_c.resize(batch, hidden);
+    c.resize_for_overwrite(rows, hidden);
+    tanh_c.resize_for_overwrite(rows, hidden);
   } else {
-    rh.resize(batch, hidden);
+    rh.resize_for_overwrite(rows, hidden);
   }
 }
 
@@ -34,16 +36,12 @@ CellTapeViews CellTape::views() {
   return {gates.view(), h.view(), c.view(), tanh_c.view(), rh.view()};
 }
 
-CellTapeViews CellTape::views_rows(int row0, int nrows) {
-  auto slice = [&](Matrix& m) -> MatrixView {
-    if (m.count() == 0) return {};
-    return m.view().block(row0, 0, nrows, m.cols());
+CellTapeViews CellTapeViews::rows(int row0, int nrows) const {
+  auto slice = [&](MatrixView m) -> MatrixView {
+    if (m.data == nullptr) return {};
+    return m.block(row0, 0, nrows, m.cols);
   };
   return {slice(gates), slice(h), slice(c), slice(tanh_c), slice(rh)};
-}
-
-ConstCellTapeViews CellTape::cviews() const {
-  return {gates.cview(), h.cview(), c.cview(), tanh_c.cview(), rh.cview()};
 }
 
 namespace {
@@ -141,141 +139,125 @@ void gru_forward(const LayerParams& p, ConstMatrixView x,
   }
 }
 
-void lstm_backward(const LayerParams& p, ConstMatrixView wt, ConstMatrixView x,
-                   ConstMatrixView h_prev, ConstMatrixView c_prev,
-                   const ConstCellTapeViews& tape, ConstMatrixView dh_total,
-                   ConstMatrixView dc_in, MatrixView dx_acc,
-                   MatrixView dh_prev_acc, MatrixView dc_prev_out,
-                   LayerGrads& grads) {
-  const int batch = x.rows;
+void lstm_backward(const LayerParams& p, ConstMatrixView wt,
+                   ConstMatrixView c_prev, const CellTapeViews& tape,
+                   ConstMatrixView dh_total, ConstMatrixView dc_in,
+                   MatrixView dx, MatrixView dh_prev_acc,
+                   MatrixView dc_prev_out) {
+  const int batch = dh_total.rows;
   const int hidden = p.hidden_size;
-  Matrix dgates(batch, 4 * hidden);  // pre-activation gate gradients
-  MatrixView dg_view = dgates.view();
-
-  const ConstMatrixView gates = tape.gates;
+  // Each j reads its four activated gates before writing their dG, so the
+  // gate buffer holds the pre-activation gradients afterwards.
+  const MatrixView dg = tape.gates;
   const bool has_dc_in = dc_in.data != nullptr;
+  const bool has_dc_prev = dc_prev_out.data != nullptr;
   for (int r = 0; r < batch; ++r) {
-    const float* g = gates.row(r).data();
-    const float* f = g;
-    const float* i = g + hidden;
-    const float* gbar = g + 2 * hidden;
-    const float* o = g + 3 * hidden;
+    float* g = dg.row(r).data();
     const float* tc = tape.tanh_c.row(r).data();
     const float* cp = c_prev.row(r).data();
     const float* dh = dh_total.row(r).data();
     const float* dci = has_dc_in ? dc_in.row(r).data() : nullptr;
-    float* dg = dg_view.row(r).data();
-    float* dcp = dc_prev_out.row(r).data();
+    float* dcp = has_dc_prev ? dc_prev_out.row(r).data() : nullptr;
     for (int j = 0; j < hidden; ++j) {
+      const float f = g[j];
+      const float i = g[j + hidden];
+      const float gbar = g[j + 2 * hidden];
+      const float o = g[j + 3 * hidden];
       const float dc = (dci != nullptr ? dci[j] : 0.0F) +
-                       dh[j] * o[j] * kernels::dtanh_from_y(tc[j]);
+                       dh[j] * o * kernels::dtanh_from_y(tc[j]);
       const float df = dc * cp[j];
-      const float di = dc * gbar[j];
-      const float dgb = dc * i[j];
+      const float di = dc * gbar;
+      const float dgb = dc * i;
       const float dout = dh[j] * tc[j];
-      dg[j] = df * kernels::dsigmoid_from_y(f[j]);
-      dg[j + hidden] = di * kernels::dsigmoid_from_y(i[j]);
-      dg[j + 2 * hidden] = dgb * kernels::dtanh_from_y(gbar[j]);
-      dg[j + 3 * hidden] = dout * kernels::dsigmoid_from_y(o[j]);
-      dcp[j] = dc * f[j];
+      g[j] = df * kernels::dsigmoid_from_y(f);
+      g[j + hidden] = di * kernels::dsigmoid_from_y(i);
+      g[j + 2 * hidden] = dgb * kernels::dtanh_from_y(gbar);
+      g[j + 3 * hidden] = dout * kernels::dsigmoid_from_y(o);
+      if (dcp != nullptr) dcp[j] = dc * f;
     }
   }
-
-  // Weight/bias gradients (shared per layer; caller serializes).
-  gemm_tn(x, dg_view, grads.dw_input(p.input_size), 1.0F, 1.0F);
-  gemm_tn(h_prev, dg_view, grads.dw_recurrent(p.input_size, hidden), 1.0F,
-          1.0F);
-  kernels::sum_rows_acc(dg_view, grads.db.view().row(0));
 
   // Input and recurrent-state gradients: dG · Wᵀ, whose input and
   // recurrent halves are column blocks of the gate-major copy.
   const int gh = 4 * hidden;
-  if (dx_acc.data != nullptr) {
-    gemm_nn(dg_view, wt.block(0, 0, gh, p.input_size), dx_acc, 1.0F, 1.0F);
+  if (dx.data != nullptr) {
+    gemm_nn(dg, wt.block(0, 0, gh, p.input_size), dx);
   }
-  gemm_nn(dg_view, wt.block(0, p.input_size, gh, hidden), dh_prev_acc, 1.0F,
-          1.0F);
+  if (dh_prev_acc.data != nullptr) {
+    gemm_nn(dg, wt.block(0, p.input_size, gh, hidden), dh_prev_acc, 1.0F,
+            1.0F);
+  }
 }
 
-void gru_backward(const LayerParams& p, ConstMatrixView wt, ConstMatrixView x,
-                  ConstMatrixView h_prev, const ConstCellTapeViews& tape,
-                  ConstMatrixView dh_total, MatrixView dx_acc,
-                  MatrixView dh_prev_acc, LayerGrads& grads) {
-  const int batch = x.rows;
-  const int hidden = p.hidden_size;
-  const ConstMatrixView gates = tape.gates;
+/// Rows x cols scratch for the GRU cell's drh. One buffer per thread, so
+/// concurrently running cells never share it; it only grows, so a warm
+/// worker allocates nothing.
+MatrixView gru_scratch(int rows, int cols) {
+  thread_local std::vector<float> buffer;
+  const std::size_t need = static_cast<std::size_t>(rows) * cols;
+  if (buffer.size() < need) buffer.resize(need);
+  return {buffer.data(), rows, cols, cols};
+}
 
-  // Candidate branch first: dG_h̄ = dh ⊙ z ⊙ (1 - h̄²).
-  Matrix dg_hbar(batch, hidden);
+void gru_backward(const LayerParams& p, ConstMatrixView wt,
+                  ConstMatrixView h_prev, const CellTapeViews& tape,
+                  ConstMatrixView dh_total, MatrixView dx,
+                  MatrixView dh_prev_acc) {
+  const int batch = dh_total.rows;
+  const int hidden = p.hidden_size;
+  const int in = p.input_size;
+  const MatrixView dg = tape.gates;
+  const bool has_dh_prev = dh_prev_acc.data != nullptr;
+
+  // Update gate and candidate first: dG_z = dh ⊙ (h̄ - h_prev) ⊙ z(1 - z)
+  // and dG_h̄ = dh ⊙ z ⊙ (1 - h̄²) overwrite z and h̄ after their last read.
   for (int r = 0; r < batch; ++r) {
-    const float* g = gates.row(r).data();
-    const float* z = g;
-    const float* hb = g + 2 * hidden;
+    float* g = dg.row(r).data();
+    const float* hp = h_prev.row(r).data();
     const float* dh = dh_total.row(r).data();
-    float* dghb = dg_hbar.view().row(r).data();
-    float* dhp = dh_prev_acc.row(r).data();
+    float* dhp = has_dh_prev ? dh_prev_acc.row(r).data() : nullptr;
     for (int j = 0; j < hidden; ++j) {
-      dghb[j] = dh[j] * z[j] * kernels::dtanh_from_y(hb[j]);
-      dhp[j] += dh[j] * (1.0F - z[j]);  // direct h_prev path of Eq. 10
+      const float z = g[j];
+      const float hb = g[j + 2 * hidden];
+      const float dghb = dh[j] * z * kernels::dtanh_from_y(hb);
+      const float dz = dh[j] * (hb - hp[j]);
+      if (dhp != nullptr) dhp[j] += dh[j] * (1.0F - z);  // direct path, Eq. 10
+      g[j] = dz * kernels::dsigmoid_from_y(z);
+      g[j + 2 * hidden] = dghb;
     }
   }
 
-  // Gate blocks are column blocks of the input and recurrent rows of dW,
-  // and row blocks of the gate-major copy, whose columns [0, N) give dx and
-  // [N, N+H) the recurrent-state gradients.
-  const int in = p.input_size;
-  const MatrixView dwx = grads.dw_input(p.input_size);
-  const MatrixView dwh = grads.dw_recurrent(p.input_size, hidden);
-  // dW for the candidate block: inputs were [x, rh].
-  gemm_tn(x, dg_hbar.cview(), dwx.block(0, 2 * hidden, p.input_size, hidden),
-          1.0F, 1.0F);
-  gemm_tn(tape.rh, dg_hbar.cview(), dwh.block(0, 2 * hidden, hidden, hidden),
-          1.0F, 1.0F);
-  kernels::sum_rows_acc(dg_hbar.cview(),
-                        grads.db.view().row(0).subspan(2 * hidden));
-  if (dx_acc.data != nullptr) {
-    gemm_nn(dg_hbar.cview(), wt.block(2 * hidden, 0, hidden, in), dx_acc,
-            1.0F, 1.0F);
+  // Gate blocks are row blocks of the gate-major copy, whose columns [0, N)
+  // give dx and [N, N+H) the recurrent-state gradients.
+  const ConstMatrixView dg_hbar = dg.block(0, 2 * hidden, batch, hidden);
+  if (dx.data != nullptr) {
+    gemm_nn(dg_hbar, wt.block(2 * hidden, 0, hidden, in), dx);
   }
 
   // drh = dG_h̄ · W_h̄hᵀ, then split into dr and the gated h_prev path.
-  Matrix drh(batch, hidden);
-  gemm_nn(dg_hbar.cview(), wt.block(2 * hidden, in, hidden, hidden),
-          drh.view());
-
-  // z and r pre-activation gradients.
-  Matrix dg_zr(batch, 2 * hidden);
+  const MatrixView drh = gru_scratch(batch, hidden);
+  gemm_nn(dg_hbar, wt.block(2 * hidden, in, hidden, hidden), drh);
   for (int r = 0; r < batch; ++r) {
-    const float* g = gates.row(r).data();
-    const float* z = g;
-    const float* rr = g + hidden;
-    const float* hb = g + 2 * hidden;
+    float* g = dg.row(r).data();
     const float* hp = h_prev.row(r).data();
-    const float* dh = dh_total.row(r).data();
-    const float* drh_r = drh.cview().row(r).data();
-    float* dhp = dh_prev_acc.row(r).data();
-    float* dzr = dg_zr.view().row(r).data();
+    const float* drh_r = drh.row(r).data();
+    float* dhp = has_dh_prev ? dh_prev_acc.row(r).data() : nullptr;
     for (int j = 0; j < hidden; ++j) {
-      const float dz = dh[j] * (hb[j] - hp[j]);
+      const float rr = g[j + hidden];
       const float dr = drh_r[j] * hp[j];
-      dhp[j] += drh_r[j] * rr[j];  // h_prev path through rh
-      dzr[j] = dz * kernels::dsigmoid_from_y(z[j]);
-      dzr[j + hidden] = dr * kernels::dsigmoid_from_y(rr[j]);
+      if (dhp != nullptr) dhp[j] += drh_r[j] * rr;  // h_prev path through rh
+      g[j + hidden] = dr * kernels::dsigmoid_from_y(rr);
     }
   }
 
-  gemm_tn(x, dg_zr.cview(), dwx.block(0, 0, p.input_size, 2 * hidden), 1.0F,
-          1.0F);
-  gemm_tn(h_prev, dg_zr.cview(), dwh.block(0, 0, hidden, 2 * hidden), 1.0F,
-          1.0F);
-  kernels::sum_rows_acc(dg_zr.cview(),
-                        grads.db.view().row(0).subspan(0, 2 * hidden));
-  if (dx_acc.data != nullptr) {
-    gemm_nn(dg_zr.cview(), wt.block(0, 0, 2 * hidden, in), dx_acc, 1.0F,
+  const ConstMatrixView dg_zr = dg.block(0, 0, batch, 2 * hidden);
+  if (dx.data != nullptr) {
+    gemm_nn(dg_zr, wt.block(0, 0, 2 * hidden, in), dx, 1.0F, 1.0F);
+  }
+  if (has_dh_prev) {
+    gemm_nn(dg_zr, wt.block(0, in, 2 * hidden, hidden), dh_prev_acc, 1.0F,
             1.0F);
   }
-  gemm_nn(dg_zr.cview(), wt.block(0, in, 2 * hidden, hidden), dh_prev_acc,
-          1.0F, 1.0F);
 }
 
 }  // namespace
@@ -297,24 +279,89 @@ void cell_forward(const LayerParams& p, ConstMatrixView x,
 }
 
 void cell_backward(const LayerParams& p, ConstMatrixView wt,
-                   ConstMatrixView x, ConstMatrixView h_prev,
-                   ConstMatrixView c_prev, const ConstCellTapeViews& tape,
-                   ConstMatrixView dh_total, ConstMatrixView dc_in,
-                   MatrixView dx_acc, MatrixView dh_prev_acc,
-                   MatrixView dc_prev_out, LayerGrads& grads) {
+                   ConstMatrixView h_prev, ConstMatrixView c_prev,
+                   const CellTapeViews& tape, ConstMatrixView dh_total,
+                   ConstMatrixView dc_in, MatrixView dx,
+                   MatrixView dh_prev_acc, MatrixView dc_prev_out) {
   BPAR_SPAN("rnn.cell_backward");
-  BPAR_CHECK(dh_total.rows == x.rows && dh_total.cols == p.hidden_size,
+  BPAR_CHECK(dh_total.cols == p.hidden_size &&
+                 dh_total.rows == tape.gates.rows,
              "dh shape mismatch");
   BPAR_CHECK(wt.rows == p.gates() * p.hidden_size &&
                  wt.cols == p.input_size + p.hidden_size,
              "gate-major weight copy shape mismatch");
   if (p.cell == CellType::kLstm) {
-    lstm_backward(p, wt, x, h_prev, c_prev, tape, dh_total, dc_in, dx_acc,
-                  dh_prev_acc, dc_prev_out, grads);
+    BPAR_CHECK(c_prev.data != nullptr, "LSTM needs c_prev");
+    lstm_backward(p, wt, c_prev, tape, dh_total, dc_in, dx, dh_prev_acc,
+                  dc_prev_out);
   } else {
-    gru_backward(p, wt, x, h_prev, tape, dh_total, dx_acc, dh_prev_acc,
-                 grads);
+    gru_backward(p, wt, h_prev, tape, dh_total, dx, dh_prev_acc);
   }
+}
+
+void chain_weight_grads(const LayerParams& p, int dir, int batch,
+                        ConstMatrixView x, ConstMatrixView dg,
+                        ConstMatrixView h, ConstMatrixView rh,
+                        LayerGrads& grads, int row0, int nrows) {
+  BPAR_SPAN("rnn.chain_weight_grads");
+  const int in = p.input_size;
+  const int hidden = p.hidden_size;
+  const int rows = x.rows;
+  BPAR_CHECK(batch > 0 && rows > 0 && rows % batch == 0,
+             "slab rows must be whole timesteps");
+  BPAR_CHECK(x.cols == in && dg.rows == rows && h.rows == rows &&
+                 dg.cols == p.gates() * hidden && h.cols == hidden,
+             "weight-gradient slab shape mismatch");
+  BPAR_CHECK(row0 >= 0 && nrows >= 0 && row0 + nrows <= in + hidden,
+             "weight-gradient row range out of bounds");
+  const MatrixView dw = grads.dw.view();
+
+  // Input rows: dW_x = Xᵀ · dG over every timestep.
+  const int x0 = row0;
+  const int x1 = std::min(row0 + nrows, in);
+  if (x1 > x0) {
+    gemm_tn(x.block(0, x0, rows, x1 - x0), dg,
+            dw.block(x0, 0, x1 - x0, dw.cols));
+  }
+
+  // Recurrent rows: dW_h = H_prevᵀ · dG over the timesteps that have a
+  // predecessor (the first step's h_prev is zero), with H_prev the h slab
+  // shifted by one row block against dG.
+  const int h0 = std::max(row0, in) - in;
+  const int h1 = std::min(row0 + nrows, in + hidden) - in;
+  if (h1 > h0) {
+    const int nh = h1 - h0;
+    const int shifted = rows - batch;
+    const ConstMatrixView h_prev =
+        h.block(dir == 0 ? 0 : batch, h0, shifted, nh);
+    const ConstMatrixView dg_next = dg.block(dir == 0 ? batch : 0, 0,
+                                             shifted, dg.cols);
+    const MatrixView dwh = dw.block(in + h0, 0, nh, dw.cols);
+    if (p.cell == CellType::kLstm) {
+      gemm_tn(h_prev, dg_next, dwh);
+    } else {
+      // z, r against h_prev; the candidate block against r ⊙ h_prev.
+      gemm_tn(h_prev, dg_next.block(0, 0, shifted, 2 * hidden),
+              dwh.block(0, 0, nh, 2 * hidden));
+      gemm_tn(rh.block(0, h0, rows, nh),
+              dg.block(0, 2 * hidden, rows, hidden),
+              dwh.block(0, 2 * hidden, nh, hidden));
+    }
+  }
+
+  if (row0 == 0) {
+    const MatrixView db = grads.db.view();
+    tensor::fill_constant(db, 0.0F);
+    kernels::sum_rows_acc(dg, db.row(0));
+  }
+}
+
+void dense_weight_grads(ConstMatrixView dl, ConstMatrixView y,
+                        MatrixView dw_out, MatrixView db_out) {
+  BPAR_SPAN("rnn.dense_weight_grads");
+  gemm_tn(dl, y, dw_out);
+  tensor::fill_constant(db_out, 0.0F);
+  kernels::sum_rows_acc(dl, db_out.row(0));
 }
 
 }  // namespace bpar::rnn

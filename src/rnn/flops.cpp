@@ -9,9 +9,37 @@ double cell_forward_flops(CellType cell, int batch, int input, int hidden) {
   return gemm + elementwise;
 }
 
-double cell_backward_flops(CellType cell, int batch, int input, int hidden) {
-  // dW (gemm_tn) + dx/dh (gemm_nt) are each the size of the forward GEMM.
-  return 2.0 * cell_forward_flops(cell, batch, input, hidden);
+double cell_backward_flops(CellType cell, int batch, int input, int hidden,
+                           bool input_grads) {
+  // dh_prev (and dx) against the gate-major copy: the forward GEMM's size
+  // without the input half when no input gradient is wanted.
+  return cell_forward_flops(cell, batch, input_grads ? input : 0, hidden);
+}
+
+double chain_weight_grad_flops(CellType cell, int batch, int input,
+                               int hidden, int steps) {
+  const double gh = static_cast<double>(gate_count(cell)) * hidden;
+  const double rows = static_cast<double>(steps) * batch;
+  const double prev_rows = static_cast<double>(steps - 1) * batch;
+  // GRU's candidate block multiplies r ⊙ h_prev on every step.
+  const double recurrent =
+      cell == CellType::kGru
+          ? 2.0 * hidden * (prev_rows * 2.0 * hidden + rows * hidden)
+          : 2.0 * hidden * prev_rows * gh;
+  return 2.0 * rows * input * gh + recurrent + rows * gh;
+}
+
+std::size_t chain_weight_grad_bytes(CellType cell, int batch, int input,
+                                    int hidden, int steps) {
+  const std::size_t gh = static_cast<std::size_t>(gate_count(cell)) * hidden;
+  const std::size_t rows = static_cast<std::size_t>(steps) * batch;
+  const std::size_t state_cols =
+      static_cast<std::size_t>(cell == CellType::kGru ? 2 : 1) * hidden;
+  const std::size_t slabs =
+      rows * (static_cast<std::size_t>(input) + gh + state_cols);
+  const std::size_t weights =
+      (static_cast<std::size_t>(input) + hidden + 1U) * gh;
+  return (slabs + weights) * sizeof(float);
 }
 
 std::size_t cell_working_set_bytes(CellType cell, int batch, int input,
@@ -47,7 +75,12 @@ double dense_forward_flops(int batch, int in, int classes) {
 }
 
 double dense_backward_flops(int batch, int in, int classes) {
-  return 4.0 * batch * static_cast<double>(in) * classes;
+  return 2.0 * batch * static_cast<double>(in) * classes;
+}
+
+double dense_weight_grad_flops(int rows, int in, int classes) {
+  return 2.0 * rows * static_cast<double>(in) * classes +
+         static_cast<double>(rows) * classes;
 }
 
 double network_training_flops(const NetworkConfig& cfg) {

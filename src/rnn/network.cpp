@@ -172,100 +172,107 @@ double NetworkGrads::l2_norm() const {
   return std::sqrt(acc);
 }
 
-Workspace::Workspace(const NetworkConfig& config, int batch,
+Workspace::Workspace(const NetworkConfig& config, int batch, bool training,
                      bool alloc_input_grads)
     : config_(config), batch_(batch) {
   BPAR_CHECK(batch > 0, "batch must be positive");
+  BPAR_CHECK(training || !alloc_input_grads,
+             "input gradients need a training workspace");
   const int layers = config_.num_layers;
-  const int steps = config_.seq_length;
+  const int rows = config_.seq_length * batch;
   const int hidden = config_.hidden_size;
   const int merged_width = config_.merged_size();
   const bool lstm = config_.cell == CellType::kLstm;
 
-  for (int dir = 0; dir < 2; ++dir) {
-    tapes_[dir].resize(static_cast<std::size_t>(layers * steps));
-    dh_[dir].resize(static_cast<std::size_t>(layers * steps));
-    if (lstm) dc_[dir].resize(static_cast<std::size_t>(layers * steps));
-    for (int l = 0; l < layers; ++l) {
-      for (int s = 0; s < steps; ++s) {
-        const auto idx = static_cast<std::size_t>(l * steps + s);
-        tapes_[dir][idx].init(config_.cell, batch, hidden);
-        dh_[dir][idx].resize(batch, hidden);
-        if (lstm) dc_[dir][idx].resize(batch, hidden);
-      }
-    }
-  }
-
-  const int n_merged_layers = merged_layers();
-  merged_.resize(static_cast<std::size_t>(n_merged_layers * steps));
-  for (auto& m : merged_) m.resize(batch, merged_width);
-  for (auto& dir : dmerged_) {
-    dir.resize(merged_.size());
-    for (auto& m : dir) m.resize(batch, merged_width);
-  }
-
-  if (!config_.many_to_many) {
-    final_merged.resize(batch, merged_width);
-    dfinal.resize(batch, merged_width);
-  }
+  x_.resize_for_overwrite(rows, config_.input_size);
+  tapes_.resize(static_cast<std::size_t>(2 * layers));
+  for (auto& tape : tapes_) tape.init(config_.cell, rows, hidden);
+  merged_.resize(static_cast<std::size_t>(merged_layers()));
+  for (auto& m : merged_) m.resize_for_overwrite(rows, merged_width);
+  if (!config_.many_to_many) final_merged.resize(batch, merged_width);
 
   const int outputs = num_outputs();
   logits_.resize(static_cast<std::size_t>(outputs));
   probs_.resize(static_cast<std::size_t>(outputs));
-  dlogits_.resize(static_cast<std::size_t>(outputs));
   for (int t = 0; t < outputs; ++t) {
     logits_[static_cast<std::size_t>(t)].resize(batch, config_.num_classes);
     probs_[static_cast<std::size_t>(t)].resize(batch, config_.num_classes);
-    dlogits_[static_cast<std::size_t>(t)].resize(batch, config_.num_classes);
   }
-
   zero_state.resize(batch, hidden);
-  for (int dir = 0; dir < 2; ++dir) {
-    sinks_[dir].resize(static_cast<std::size_t>(layers));
-    for (auto& m : sinks_[dir]) m.resize(batch, hidden);
-  }
+  if (!training) return;
 
-  if (alloc_input_grads) {
-    for (auto& dir : dx_) {
-      dir.resize(static_cast<std::size_t>(steps));
-      for (auto& m : dir) m.resize(batch, config_.input_size);
+  dlogits_.resize_for_overwrite(outputs * batch, config_.num_classes);
+  dh_.resize(tapes_.size());
+  for (auto& m : dh_) m.resize_for_overwrite(rows, hidden);
+  if (lstm) {
+    dc_.resize(tapes_.size());
+    for (auto& m : dc_) m.resize_for_overwrite(rows, hidden);
+  }
+  for (int src = 0; src < 2; ++src) {
+    dmerged_[src].resize(merged_.size());
+    for (int l = 0; l < merged_layers(); ++l) {
+      if (src < config_.merge_grad_sources(l)) {
+        dmerged_[src][static_cast<std::size_t>(l)].resize_for_overwrite(
+            rows, merged_width);
+      }
     }
   }
+  if (!config_.many_to_many) dfinal.resize(batch, merged_width);
+  if (alloc_input_grads) {
+    for (auto& m : dx_) m.resize_for_overwrite(rows, config_.input_size);
+  }
 }
 
-tensor::Matrix& Workspace::dx(int src_dir, int t) {
-  BPAR_DCHECK(src_dir == 0 || src_dir == 1);
-  BPAR_CHECK(has_input_grads(), "workspace built without input grads");
+tensor::MatrixView Workspace::rows_of(tensor::Matrix& slab, int block,
+                                      int rows) {
+  BPAR_DCHECK(slab.count() != 0);
+  return slab.view().block(block * rows, 0, rows, slab.cols());
+}
+
+void Workspace::load_input(const BatchData& data, int r0) {
+  BPAR_CHECK(data.steps() == config_.seq_length &&
+                 data.input_size() == config_.input_size &&
+                 r0 >= 0 && r0 + batch_ <= data.batch(),
+             "input slice out of range");
+  for (int t = 0; t < config_.seq_length; ++t) {
+    tensor::copy(data.x[static_cast<std::size_t>(t)].cview().block(
+                     r0, 0, batch_, config_.input_size),
+                 x(t));
+  }
+}
+
+tensor::MatrixView Workspace::x(int t) {
   BPAR_DCHECK(t >= 0 && t < config_.seq_length);
-  return dx_[src_dir][static_cast<std::size_t>(t)];
+  return rows_of(x_, t, batch_);
 }
 
-void Workspace::input_grad(int t, tensor::MatrixView out) const {
-  auto& self = const_cast<Workspace&>(*this);
-  kernels::add(self.dx(0, t).cview(), self.dx(1, t).cview(), out);
+tensor::MatrixView Workspace::layer_input(int l, int t) {
+  return l == 0 ? x(t) : merged(l - 1, t);
 }
 
-tensor::Matrix& Workspace::sink(int dir, int l) {
-  BPAR_DCHECK(dir == 0 || dir == 1);
-  BPAR_DCHECK(l >= 0 && l < config_.num_layers);
-  return sinks_[dir][static_cast<std::size_t>(l)];
+tensor::MatrixView Workspace::layer_input_slab(int l) {
+  return l == 0 ? x_.view() : merged_slab(l - 1);
 }
 
-CellTape& Workspace::tape(int dir, int l, int step) {
-  BPAR_DCHECK(dir == 0 || dir == 1);
-  BPAR_DCHECK(l >= 0 && l < config_.num_layers);
+CellTapeViews Workspace::tape(int dir, int l, int step) {
   BPAR_DCHECK(step >= 0 && step < config_.seq_length);
-  return tapes_[dir][static_cast<std::size_t>(l * config_.seq_length + step)];
+  return tape_slab(dir, l).rows(block(dir, step) * batch_, batch_);
 }
 
-const CellTape& Workspace::tape(int dir, int l, int step) const {
-  return const_cast<Workspace*>(this)->tape(dir, l, step);
+CellTapeViews Workspace::tape_slab(int dir, int l) {
+  BPAR_DCHECK(dir == 0 || dir == 1);
+  BPAR_DCHECK(l >= 0 && l < config_.num_layers);
+  return tapes_[slab_index(dir, l)].views();
 }
 
-tensor::Matrix& Workspace::merged(int l, int t) {
-  BPAR_DCHECK(l >= 0 && l < merged_layers());
+tensor::MatrixView Workspace::merged(int l, int t) {
   BPAR_DCHECK(t >= 0 && t < config_.seq_length);
-  return merged_[static_cast<std::size_t>(l * config_.seq_length + t)];
+  return rows_of(merged_[static_cast<std::size_t>(l)], t, batch_);
+}
+
+tensor::MatrixView Workspace::merged_slab(int l) {
+  BPAR_DCHECK(l >= 0 && l < merged_layers());
+  return merged_[static_cast<std::size_t>(l)].view();
 }
 
 tensor::Matrix& Workspace::logits(int t) {
@@ -274,39 +281,52 @@ tensor::Matrix& Workspace::logits(int t) {
 tensor::Matrix& Workspace::probs(int t) {
   return probs_[static_cast<std::size_t>(t)];
 }
-tensor::Matrix& Workspace::dlogits(int t) {
-  return dlogits_[static_cast<std::size_t>(t)];
+
+tensor::MatrixView Workspace::dlogits(int t) {
+  BPAR_DCHECK(t >= 0 && t < num_outputs());
+  return rows_of(dlogits_, t, batch_);
 }
 
-tensor::Matrix& Workspace::dh(int dir, int l, int step) {
-  return dh_[dir][static_cast<std::size_t>(l * config_.seq_length + step)];
+tensor::MatrixView Workspace::dlogits_slab() { return dlogits_.view(); }
+
+tensor::MatrixView Workspace::dh(int dir, int l, int step) {
+  return rows_of(dh_[slab_index(dir, l)], block(dir, step), batch_);
 }
 
-tensor::Matrix& Workspace::dc(int dir, int l, int step) {
+tensor::MatrixView Workspace::dc(int dir, int l, int step) {
   BPAR_DCHECK(config_.cell == CellType::kLstm);
-  return dc_[dir][static_cast<std::size_t>(l * config_.seq_length + step)];
+  return rows_of(dc_[slab_index(dir, l)], block(dir, step), batch_);
 }
 
-tensor::Matrix& Workspace::dmerged(int src_dir, int l, int t) {
-  BPAR_DCHECK(src_dir == 0 || src_dir == 1);
+tensor::MatrixView Workspace::dmerged(int src_dir, int l, int t) {
   BPAR_DCHECK(l >= 0 && l < merged_layers());
-  return dmerged_[src_dir]
-                 [static_cast<std::size_t>(l * config_.seq_length + t)];
+  BPAR_DCHECK(src_dir >= 0 && src_dir < config_.merge_grad_sources(l));
+  return rows_of(dmerged_[src_dir][static_cast<std::size_t>(l)], t, batch_);
+}
+
+tensor::MatrixView Workspace::dx(int src_dir, int t) {
+  BPAR_DCHECK(src_dir == 0 || src_dir == 1);
+  BPAR_CHECK(has_input_grads(), "workspace built without input grads");
+  return rows_of(dx_[src_dir], t, batch_);
+}
+
+void Workspace::input_grad(int t, tensor::MatrixView out) {
+  kernels::add(dx(0, t), dx(1, t), out);
 }
 
 void Workspace::zero_backward() {
-  for (int dir = 0; dir < 2; ++dir) {
-    for (auto& m : dh_[dir]) m.zero();
-    for (auto& m : dc_[dir]) m.zero();
-    for (auto& m : dmerged_[dir]) m.zero();
-    for (auto& m : dx_[dir]) m.zero();
-  }
-  if (dfinal.count() != 0) dfinal.zero();
-  for (auto& m : dlogits_) m.zero();
+  for (auto& m : dh_) m.zero();
 }
 
-std::size_t Workspace::tape_bytes(int dir, int l, int step) const {
-  return tape(dir, l, step).bytes();
+std::size_t Workspace::backward_bytes() const {
+  std::size_t count = dlogits_.count() + dfinal.count();
+  for (const auto& m : dh_) count += m.count();
+  for (const auto& m : dc_) count += m.count();
+  for (const auto& src : dmerged_) {
+    for (const auto& m : src) count += m.count();
+  }
+  for (const auto& m : dx_) count += m.count();
+  return count * sizeof(float);
 }
 
 }  // namespace bpar::rnn

@@ -28,6 +28,8 @@ const char* kind_color(TaskKind kind) {
       return "#c2c07a";
     case TaskKind::kWeightUpdate:
       return "#7ac2b9";
+    case TaskKind::kWeightGrad:
+      return "#c27ab0";
     case TaskKind::kGemmChunk:
       return "#9a9a9a";
     case TaskKind::kBarrier:

@@ -25,6 +25,8 @@ const char* task_kind_name(TaskKind kind) {
       return "grad_reduce";
     case TaskKind::kWeightUpdate:
       return "weight_update";
+    case TaskKind::kWeightGrad:
+      return "weight_grad";
     case TaskKind::kGemmChunk:
       return "gemm_chunk";
     case TaskKind::kBarrier:

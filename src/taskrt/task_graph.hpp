@@ -52,6 +52,7 @@ enum class TaskKind : std::uint8_t {
   kLoss,
   kGradReduce,    // cross-mini-batch gradient reduction
   kWeightUpdate,
+  kWeightGrad,    // BackwardWeights: one chain's (or the dense layer's) dW
   kGemmChunk,     // intra-op row chunk (baseline emulation)
   kBarrier,       // explicit per-layer barrier (baseline emulation)
 };

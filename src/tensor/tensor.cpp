@@ -59,13 +59,17 @@ Matrix::~Matrix() {
 }
 
 void Matrix::resize(int rows, int cols) {
+  resize_for_overwrite(rows, cols);
+  zero();
+}
+
+void Matrix::resize_for_overwrite(int rows, int cols) {
   BPAR_CHECK(rows >= 0 && cols >= 0, "bad shape ", rows, "x", cols);
   if (count() != 0) obs::tensor_memory().on_free(matrix_bytes(count()));
   rows_ = rows;
   cols_ = cols;
   storage_ = allocate_floats(count());
   if (count() != 0) obs::tensor_memory().on_alloc(matrix_bytes(count()));
-  zero();
 }
 
 void Matrix::zero() {

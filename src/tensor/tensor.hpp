@@ -70,7 +70,8 @@ struct MatrixView {
   operator ConstMatrixView() const { return {data, rows, cols, ld}; }
 };
 
-/// Owning row-major matrix. Zero-initialized on construction/resize.
+/// Owning row-major matrix. Zero-initialized on construction/resize (but
+/// see resize_for_overwrite).
 class Matrix {
  public:
   Matrix() = default;
@@ -85,6 +86,10 @@ class Matrix {
   ~Matrix();
 
   void resize(int rows, int cols);
+  /// resize() without the zero fill: the contents are indeterminate until
+  /// written. For buffers whose every element is written before it is read,
+  /// so that their pages are first touched by the code that writes them.
+  void resize_for_overwrite(int rows, int cols);
   void zero();
 
   [[nodiscard]] int rows() const { return rows_; }

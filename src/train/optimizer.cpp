@@ -164,6 +164,29 @@ void Sgd::step(rnn::Network& net, const rnn::NetworkGrads& grads) {
       });
 }
 
+void adam_update(std::span<float> p, std::span<const float> g,
+                 std::span<float> m, std::span<float> v,
+                 const AdamCoeffs& c) {
+  BPAR_CHECK(g.size() == p.size() && m.size() == p.size() &&
+                 v.size() == p.size(),
+             "adam_update length mismatch");
+  float* __restrict pr = p.data();
+  const float* __restrict gr = g.data();
+  float* __restrict mr = m.data();
+  float* __restrict vr = v.data();
+  const float b1 = c.beta1;
+  const float b2 = c.beta2;
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    mr[i] = b1 * mr[i] + (1.0F - b1) * gr[i];
+    vr[i] = b2 * vr[i] + (1.0F - b2) * gr[i] * gr[i];
+    const float mhat = mr[i] / c.bias1;
+    const float vhat = vr[i] / c.bias2;
+    // AdamW: decay applied to the weight directly, not the grad.
+    pr[i] -= c.learning_rate *
+             (mhat / (std::sqrt(vhat) + c.epsilon) + c.weight_decay * pr[i]);
+  }
+}
+
 void Adam::step(rnn::Network& net, const rnn::NetworkGrads& grads) {
   if (!m_) {
     m_ = std::make_unique<rnn::NetworkGrads>();
@@ -172,32 +195,20 @@ void Adam::step(rnn::Network& net, const rnn::NetworkGrads& grads) {
     v_->init_like(net);
   }
   ++step_count_;
-  const float b1 = config_.beta1;
-  const float b2 = config_.beta2;
-  const float bias1 =
-      1.0F - std::pow(b1, static_cast<float>(step_count_));
-  const float bias2 =
-      1.0F - std::pow(b2, static_cast<float>(step_count_));
-  const float lr = config_.learning_rate;
-  const float eps = config_.epsilon;
-  const float decay = config_.weight_decay;
+  const AdamCoeffs coeffs{
+      .beta1 = config_.beta1,
+      .beta2 = config_.beta2,
+      .bias1 = 1.0F - std::pow(config_.beta1, static_cast<float>(step_count_)),
+      .bias2 = 1.0F - std::pow(config_.beta2, static_cast<float>(step_count_)),
+      .learning_rate = config_.learning_rate,
+      .epsilon = config_.epsilon,
+      .weight_decay = config_.weight_decay};
   for_each_param(
       net, grads, m_.get(), v_.get(),
-      [=](tensor::MatrixView p, tensor::ConstMatrixView g,
-          tensor::MatrixView m, tensor::MatrixView v) {
+      [&coeffs](tensor::MatrixView p, tensor::ConstMatrixView g,
+                tensor::MatrixView m, tensor::MatrixView v) {
         for (int r = 0; r < p.rows; ++r) {
-          float* pr = p.row(r).data();
-          const float* gr = g.row(r).data();
-          float* mr = m.row(r).data();
-          float* vr = v.row(r).data();
-          for (int c = 0; c < p.cols; ++c) {
-            mr[c] = b1 * mr[c] + (1.0F - b1) * gr[c];
-            vr[c] = b2 * vr[c] + (1.0F - b2) * gr[c] * gr[c];
-            const float mhat = mr[c] / bias1;
-            const float vhat = vr[c] / bias2;
-            // AdamW: decay applied to the weight directly, not the grad.
-            pr[c] -= lr * (mhat / (std::sqrt(vhat) + eps) + decay * pr[c]);
-          }
+          adam_update(p.row(r), g.row(r), m.row(r), v.row(r), coeffs);
         }
       });
 }

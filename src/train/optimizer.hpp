@@ -7,6 +7,7 @@
 
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "rnn/network.hpp"
@@ -87,5 +88,28 @@ class Adam final : public Optimizer {
   std::unique_ptr<rnn::NetworkGrads> v_;
   long step_count_ = 0;
 };
+
+/// Coefficients of one Adam step, as Adam::step derives them from its
+/// config and step count (bias_k = 1 - beta_k^step).
+struct AdamCoeffs {
+  float beta1 = 0.9F;
+  float beta2 = 0.999F;
+  float bias1 = 1.0F;
+  float bias2 = 1.0F;
+  float learning_rate = 1e-3F;
+  float epsilon = 1e-8F;
+  float weight_decay = 0.0F;
+};
+
+/// One Adam update of the parameters `p` in place, with gradient `g` and
+/// moments `m`, `v` (all of one length, not overlapping):
+///   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
+///   p -= lr * ((m/bias1) / (sqrt(v/bias2) + eps) + decay*p).
+/// The loop compiles to packed sqrt and div (optimizer.cpp builds without
+/// errno-setting math and without FMA contraction), and IEEE sqrt and div
+/// round the same packed or scalar, so every element gets the bits of the
+/// scalar loop.
+void adam_update(std::span<float> p, std::span<const float> g,
+                 std::span<float> m, std::span<float> v, const AdamCoeffs& c);
 
 }  // namespace bpar::train

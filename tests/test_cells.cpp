@@ -1,9 +1,12 @@
-// LSTM/GRU cell kernel tests: forward invariants, single-cell
-// finite-difference gradients, and row-sliced equivalence (the basis of
-// intra-op-parallel baselines).
+// LSTM/GRU cell kernel tests: forward invariants, finite-difference
+// gradients of one cell's BackwardData and of a chain's BackwardWeights, and
+// row-sliced equivalence (the basis of intra-op-parallel baselines).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "rnn/cell_kernels.hpp"
 #include "rnn/layer_params.hpp"
@@ -104,19 +107,88 @@ TEST_P(CellKinds, RowSlicedForwardEqualsFull) {
     }
     cell_forward(params_, x_.cview().block(r0, 0, rows, p.input),
                  h_prev_.cview().block(r0, 0, rows, p.hidden), cpv,
-                 sliced.views_rows(r0, rows));
+                 sliced.views().rows(r0, rows));
   }
   EXPECT_EQ(tensor::max_abs_diff(tape_.h.cview(), sliced.h.cview()), 0.0F);
   EXPECT_EQ(tensor::max_abs_diff(tape_.gates.cview(), sliced.gates.cview()),
             0.0F);
 }
 
+/// A `steps`-long chain of direction `dir` over one layer's weights, laid
+/// out like a Workspace: an input slab and tape slabs in input-time order
+/// (row block t belongs to input index t). The loss is the sum of every h.
+struct Chain {
+  Chain(CellType cell, int steps_, int dir_, int batch_, int input,
+        int hidden, util::Rng& rng)
+      : steps(steps_), dir(dir_), batch(batch_), x(steps_ * batch_, input),
+        zero(batch_, hidden) {
+    tensor::fill_uniform(x.view(), rng, -1.0F, 1.0F);
+    tape.init(cell, steps * batch, hidden);
+  }
+
+  [[nodiscard]] int block(int s) const { return dir == 0 ? s : steps - 1 - s; }
+  [[nodiscard]] tensor::MatrixView rows(tensor::MatrixView slab, int s) const {
+    return slab.block(block(s) * batch, 0, batch, slab.cols);
+  }
+
+  double forward(const LayerParams& p) {
+    const CellTapeViews t = tape.views();
+    double sum = 0.0;
+    for (int s = 0; s < steps; ++s) {
+      const tensor::ConstMatrixView h_prev =
+          s == 0 ? zero.view() : rows(t.h, s - 1);
+      tensor::ConstMatrixView c_prev;
+      if (p.cell == CellType::kLstm) {
+        c_prev = s == 0 ? zero.view() : rows(t.c, s - 1);
+      }
+      cell_forward(p, rows(x.view(), s), h_prev, c_prev,
+                   t.rows(block(s) * batch, batch));
+      sum += tensor::sum(rows(t.h, s));
+    }
+    return sum;
+  }
+
+  /// BackwardData of every cell, last step first, then BackwardWeights.
+  void backward(const LayerParams& p, const Matrix& wt, LayerGrads& grads) {
+    const bool lstm = p.cell == CellType::kLstm;
+    const CellTapeViews t = tape.views();
+    Matrix dh(steps * batch, p.hidden_size);
+    Matrix dc(steps * batch, p.hidden_size);
+    tensor::fill_constant(dh.view(), 1.0F);  // ∂(sum h)/∂h_t, direct part
+    for (int s = steps - 1; s >= 0; --s) {
+      const tensor::ConstMatrixView h_prev =
+          s == 0 ? zero.view() : rows(t.h, s - 1);
+      tensor::ConstMatrixView c_prev;
+      tensor::ConstMatrixView dc_in;
+      tensor::MatrixView dc_prev;
+      if (lstm) {
+        c_prev = s == 0 ? zero.view() : rows(t.c, s - 1);
+        if (s < steps - 1) dc_in = rows(dc.view(), s);
+        if (s > 0) dc_prev = rows(dc.view(), s - 1);
+      }
+      cell_backward(p, wt.cview(), h_prev, c_prev,
+                    t.rows(block(s) * batch, batch), rows(dh.view(), s), dc_in,
+                    {}, s > 0 ? rows(dh.view(), s - 1) : tensor::MatrixView{},
+                    dc_prev);
+    }
+    chain_weight_grads(p, dir, batch, x.cview(), tape.gates.cview(),
+                       tape.h.cview(), tape.rh.cview(), grads);
+  }
+
+  int steps;
+  int dir;
+  int batch;
+  Matrix x;
+  Matrix zero;
+  CellTape tape;
+};
+
 TEST_P(CellKinds, BackwardMatchesFiniteDifferences) {
   const auto p = GetParam();
   const bool lstm = p.cell == CellType::kLstm;
 
   // Scalar objective: L = sum(h) (so dL/dh = 1). Finite differences on a
-  // few weights / inputs must match the analytic gradients.
+  // few inputs / states must match the cell's BackwardData.
   auto loss_of = [&]() -> double {
     CellTape t;
     t.init(p.cell, p.batch, p.hidden);
@@ -130,21 +202,19 @@ TEST_P(CellKinds, BackwardMatchesFiniteDifferences) {
   Matrix dx(p.batch, p.input);
   Matrix dh_prev(p.batch, p.hidden);
   Matrix dc_prev(p.batch, p.hidden);
-  LayerGrads grads;
-  grads.init_like(params_);
-  cell_backward(params_, weight_copy().cview(), x_.cview(), h_prev_.cview(),
-                c_prev_.cview(), tape_, dh.cview(), {}, dx.view(),
-                dh_prev.view(), lstm ? dc_prev.view() : tensor::MatrixView{},
-                grads);
+  cell_backward(params_, weight_copy().cview(), h_prev_.cview(),
+                c_prev_.cview(), tape_.views(), dh.cview(), {}, dx.view(),
+                dh_prev.view(), lstm ? dc_prev.view() : tensor::MatrixView{});
 
   util::Rng rng(7);
   const float eps = 1e-2F;
-  auto check = [&](float& slot, float analytic, const char* what) {
+  auto check = [&](float& slot, float analytic, const char* what,
+                   const auto& loss) {
     const float saved = slot;
     slot = saved + eps;
-    const double plus = loss_of();
+    const double plus = loss();
     slot = saved - eps;
-    const double minus = loss_of();
+    const double minus = loss();
     slot = saved;
     const double numeric = (plus - minus) / (2.0 * static_cast<double>(eps));
     const double denom = std::max(
@@ -153,32 +223,52 @@ TEST_P(CellKinds, BackwardMatchesFiniteDifferences) {
         << what << ": analytic " << analytic << " numeric " << numeric;
   };
 
+  // Weight and bias gradients come from BackwardWeights over a T = 3 chain
+  // in each direction, so the h_prev row shift is checked both ways.
+  std::vector<std::pair<int, int>> weight_probes;
   for (int i = 0; i < 12; ++i) {
     const int r = static_cast<int>(
         rng.uniform_index(static_cast<std::uint64_t>(params_.w.rows())));
     const int c = static_cast<int>(
         rng.uniform_index(static_cast<std::uint64_t>(params_.w.cols())));
-    check(params_.w.at(r, c), grads.dw.at(r, c), "weight");
+    weight_probes.emplace_back(r, c);
   }
+  std::vector<int> bias_probes;
   for (int i = 0; i < 4; ++i) {
-    const int c = static_cast<int>(
-        rng.uniform_index(static_cast<std::uint64_t>(params_.b.cols())));
-    check(params_.b.at(0, c), grads.db.at(0, c), "bias");
+    bias_probes.push_back(static_cast<int>(
+        rng.uniform_index(static_cast<std::uint64_t>(params_.b.cols()))));
   }
+  for (const int dir : {0, 1}) {
+    SCOPED_TRACE("chain direction " + std::to_string(dir));
+    util::Rng data(11);
+    Chain chain(p.cell, 3, dir, p.batch, p.input, p.hidden, data);
+    chain.forward(params_);
+    LayerGrads grads;
+    grads.init_like(params_);
+    chain.backward(params_, weight_copy(), grads);
+    const auto chain_loss = [&] { return chain.forward(params_); };
+    for (const auto& [r, c] : weight_probes) {
+      check(params_.w.at(r, c), grads.dw.at(r, c), "weight", chain_loss);
+    }
+    for (const int c : bias_probes) {
+      check(params_.b.at(0, c), grads.db.at(0, c), "bias", chain_loss);
+    }
+  }
+
   for (int i = 0; i < 4; ++i) {
     const int r = static_cast<int>(
         rng.uniform_index(static_cast<std::uint64_t>(p.batch)));
     const int c = static_cast<int>(
         rng.uniform_index(static_cast<std::uint64_t>(p.input)));
-    check(x_.at(r, c), dx.at(r, c), "input");
+    check(x_.at(r, c), dx.at(r, c), "input", loss_of);
   }
   for (int i = 0; i < 4; ++i) {
     const int r = static_cast<int>(
         rng.uniform_index(static_cast<std::uint64_t>(p.batch)));
     const int c = static_cast<int>(
         rng.uniform_index(static_cast<std::uint64_t>(p.hidden)));
-    check(h_prev_.at(r, c), dh_prev.at(r, c), "h_prev");
-    if (lstm) check(c_prev_.at(r, c), dc_prev.at(r, c), "c_prev");
+    check(h_prev_.at(r, c), dh_prev.at(r, c), "h_prev", loss_of);
+    if (lstm) check(c_prev_.at(r, c), dc_prev.at(r, c), "c_prev", loss_of);
   }
 }
 
@@ -190,12 +280,15 @@ TEST_P(CellKinds, NullDxSkipsInputGradient) {
   tensor::fill_constant(dh.view(), 1.0F);
   Matrix dh_prev(p.batch, p.hidden);
   Matrix dc_prev(p.batch, p.hidden);
+  // Must not crash; the single cell, as a one-step chain, must still yield
+  // weight gradients.
+  cell_backward(params_, weight_copy().cview(), h_prev_.cview(),
+                c_prev_.cview(), tape_.views(), dh.cview(), {}, {},
+                dh_prev.view(), lstm ? dc_prev.view() : tensor::MatrixView{});
   LayerGrads grads;
   grads.init_like(params_);
-  // Must not crash; grads must still be produced.
-  cell_backward(params_, weight_copy().cview(), x_.cview(), h_prev_.cview(),
-                c_prev_.cview(), tape_, dh.cview(), {}, {}, dh_prev.view(),
-                lstm ? dc_prev.view() : tensor::MatrixView{}, grads);
+  chain_weight_grads(params_, 0, p.batch, x_.cview(), tape_.gates.cview(),
+                     tape_.h.cview(), tape_.rh.cview(), grads);
   EXPECT_GT(tensor::l2_norm(grads.dw.cview()), 0.0);
 }
 

@@ -8,6 +8,8 @@
 // loss and the same gradients as the single-threaded reference.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -384,9 +386,8 @@ TEST(ScheduleProfiles, KindsAreBParProfiles) {
 }
 
 // The intra-op split for real: 3 row chunks per cell (with input gradients
-// on), scratch weight gradients folded per layer, matching the sequential
-// reference — and bitwise stable across runs, so prepare() re-zeroes the
-// scratch.
+// on) and per weight-gradient task (over dW's rows), matching the
+// sequential reference — and bitwise stable across runs.
 TEST(ScheduleProfiles, IntraOpChunksMatchSequential) {
   for (const CellType cell : {CellType::kLstm, CellType::kGru}) {
     const NetworkConfig cfg =
@@ -418,6 +419,142 @@ TEST(ScheduleProfiles, IntraOpChunksMatchSequential) {
     expect_grads_close(program.grads(), ref.grads(), cfg, 2e-4F);
     EXPECT_EQ(losses[0], losses[1]);
     EXPECT_EQ(norms[0], norms[1]);
+  }
+}
+
+void fill_nan(tensor::MatrixView m) {
+  tensor::fill_constant(m, std::numeric_limits<float>::quiet_NaN());
+}
+
+/// Fills every buffer of `program` that prepare() leaves alone (all but dh,
+/// the input slab and the zero state) with NaN.
+void poison(graph::TrainingProgram& program) {
+  const NetworkConfig& cfg = program.config();
+  const int merged_layers =
+      cfg.many_to_many ? cfg.num_layers : cfg.num_layers - 1;
+  for (int rep = 0; rep < program.num_replicas(); ++rep) {
+    rnn::Workspace& ws = program.replica(rep);
+    for (int dir = 0; dir < 2; ++dir) {
+      for (int l = 0; l < cfg.num_layers; ++l) {
+        const rnn::CellTapeViews tape = ws.tape_slab(dir, l);
+        for (const tensor::MatrixView m :
+             {tape.gates, tape.h, tape.c, tape.tanh_c, tape.rh}) {
+          fill_nan(m);
+        }
+        for (int s = 0; s < cfg.seq_length; ++s) {
+          if (cfg.cell == CellType::kLstm) fill_nan(ws.dc(dir, l, s));
+        }
+      }
+      if (ws.has_input_grads()) {
+        for (int t = 0; t < cfg.seq_length; ++t) fill_nan(ws.dx(dir, t));
+      }
+    }
+    for (int l = 0; l < merged_layers; ++l) {
+      fill_nan(ws.merged_slab(l));
+      for (int src = 0; src < cfg.merge_grad_sources(l); ++src) {
+        for (int t = 0; t < cfg.seq_length; ++t) {
+          fill_nan(ws.dmerged(src, l, t));
+        }
+      }
+    }
+    for (int t = 0; t < ws.num_outputs(); ++t) {
+      fill_nan(ws.logits(t).view());
+      fill_nan(ws.probs(t).view());
+    }
+    fill_nan(ws.dlogits_slab());
+    fill_nan(ws.final_merged.view());
+    fill_nan(ws.dfinal.view());
+    rnn::NetworkGrads& g = program.replica_grads(rep);
+    for (auto& layers : g.layers) {
+      for (auto& lg : layers) {
+        fill_nan(lg.dw.view());
+        fill_nan(lg.db.view());
+      }
+    }
+    fill_nan(g.dw_out.view());
+    fill_nan(g.db_out.view());
+  }
+}
+
+bool same_bits(const tensor::Matrix& a, const tensor::Matrix& b) {
+  return a.count() == b.count() &&
+         std::memcmp(a.data(), b.data(), a.count() * sizeof(float)) == 0;
+}
+
+// prepare() zeroes only dh. Every other buffer has one writer that assigns
+// it before anything reads it, so NaN left in all of them by a previous
+// call changes no bit of the loss or of any gradient.
+TEST(ScheduleProfiles, PoisonedBuffersChangeNoBits) {
+  for (const CellType cell : {CellType::kLstm, CellType::kGru}) {
+    for (const bool m2m : {false, true}) {
+      for (const char* profile : {"bpar", "framework", "bseq"}) {
+        const NetworkConfig cfg =
+            make_case(cell, MergeOp::kConcat, m2m, 3, 4, 6).cfg;
+        SCOPED_TRACE(std::string(cell_name(cell)) + (m2m ? " m2m " : " m2o ") +
+                     profile);
+        const BatchData batch = make_batch(cfg, 55);
+        rnn::Network net(cfg);
+        graph::BuildOptions bo;
+        bo.num_replicas = 2;
+        bo.schedule_profile = profile;
+        bo.compute_input_grads = true;
+        if (std::string(profile) == "framework") bo.intra_op_chunks = 2;
+        graph::TrainingProgram program(net, cfg.batch_size, bo);
+        taskrt::Runtime runtime({.num_workers = 4});
+        const auto run = [&](bool poisoned) {
+          program.load_batch(batch);
+          program.prepare();
+          if (poisoned) poison(program);
+          runtime.run(program.graph());
+          return program.loss();
+        };
+        const double clean_loss = run(false);
+        const rnn::NetworkGrads clean = program.grads();
+        const double poisoned_loss = run(true);
+        EXPECT_EQ(std::memcmp(&clean_loss, &poisoned_loss, sizeof(double)), 0);
+        const rnn::NetworkGrads& got = program.grads();
+        for (int dir = 0; dir < 2; ++dir) {
+          for (std::size_t l = 0; l < got.layers[dir].size(); ++l) {
+            EXPECT_TRUE(same_bits(got.layers[dir][l].dw,
+                                  clean.layers[dir][l].dw))
+                << "dW dir " << dir << " layer " << l;
+            EXPECT_TRUE(same_bits(got.layers[dir][l].db,
+                                  clean.layers[dir][l].db))
+                << "db dir " << dir << " layer " << l;
+          }
+        }
+        EXPECT_TRUE(same_bits(got.dw_out, clean.dw_out));
+        EXPECT_TRUE(same_bits(got.db_out, clean.db_out));
+      }
+    }
+  }
+}
+
+// An inference program's workspaces hold no backward buffer, and its logits
+// are the sequential reference's bit for bit.
+TEST(InferencePrograms, HoldNoBackwardBuffers) {
+  for (const bool m2m : {false, true}) {
+    const NetworkConfig cfg =
+        make_case(CellType::kLstm, MergeOp::kConcat, m2m, 3, 4, 6).cfg;
+    const BatchData batch = make_batch(cfg, 888);
+    rnn::Network ref_net(cfg);
+    SequentialExecutor ref(ref_net);
+    const exec::InferResult expected = ref.infer(batch, {.want_logits = true});
+    rnn::Network net(cfg);
+    exec::BParOptions options;
+    options.common.num_workers = 4;
+    options.common.num_replicas = 2;
+    BParExecutor bpar(net, options);
+    const exec::InferResult got = bpar.infer(batch, {.want_logits = true});
+    graph::TrainingProgram& program = bpar.infer_program();
+    for (int rep = 0; rep < program.num_replicas(); ++rep) {
+      EXPECT_EQ(program.replica(rep).backward_bytes(), 0U);
+    }
+    ASSERT_EQ(got.logits.size(), expected.logits.size());
+    EXPECT_EQ(std::memcmp(got.logits.data(), expected.logits.data(),
+                          got.logits.size() * sizeof(float)),
+              0);
+    EXPECT_EQ(got.predictions, expected.predictions);
   }
 }
 

@@ -60,7 +60,50 @@ TEST(GraphStructure, ManyToOneTaskCounts) {
   EXPECT_EQ(count_kind(g, TaskKind::kGradReduce), 7U);
   // One gate-major weight transposition per (direction, layer).
   EXPECT_EQ(count_kind(g, TaskKind::kWeightUpdate), 6U);
+  // BackwardWeights: one task per (direction, layer) chain, 2L = 6, plus
+  // the dense layer's.
+  EXPECT_EQ(count_kind(g, TaskKind::kWeightGrad), 7U);
   EXPECT_EQ(count_kind(g, TaskKind::kBarrier), 0U);  // B-Par: barrier-free
+}
+
+// Each chain's weight-gradient task runs after the chain's last cell (the
+// first timestep), carries its chain's direction in its name, and the
+// layer's reduction waits on it.
+TEST(GraphStructure, WeightGradsFollowTheirChains) {
+  const NetworkConfig cfg = small_config(false);
+  rnn::Network net(cfg);
+  BuildOptions bo;
+  bo.num_replicas = 2;
+  TrainingProgram prog(net, cfg.batch_size, bo);
+  const auto& g = prog.graph();
+  auto find_task = [&](const std::string& name, int replica) {
+    for (taskrt::TaskId id = 0; id < g.size(); ++id) {
+      if (g.task(id).spec.name == name && g.task(id).spec.replica == replica) {
+        return id;
+      }
+    }
+    ADD_FAILURE() << "task not found: " << name;
+    return taskrt::kInvalidTask;
+  };
+  std::size_t per_replica[2] = {};
+  for (taskrt::TaskId id = 0; id < g.size(); ++id) {
+    const auto& spec = g.task(id).spec;
+    if (spec.kind == TaskKind::kWeightGrad && spec.name != "dense.dw") {
+      ++per_replica[spec.replica];
+    }
+  }
+  EXPECT_EQ(per_replica[0], 2U * cfg.num_layers);
+  EXPECT_EQ(per_replica[1], 2U * cfg.num_layers);
+  for (int rep = 0; rep < 2; ++rep) {
+    EXPECT_TRUE(g.reaches(find_task("bf1.0", rep), find_task("bf1.dw", rep)));
+    EXPECT_TRUE(g.reaches(find_task("br0.0", rep), find_task("br0.dw", rep)));
+    // Off the chains: the next layer down does not wait for dW.
+    EXPECT_FALSE(g.reaches(find_task("bf1.dw", rep), find_task("bf0.2", rep)));
+    EXPECT_TRUE(
+        g.reaches(find_task("br2.dw", rep), find_task("reduce.1.2", 0)));
+    EXPECT_TRUE(
+        g.reaches(find_task("dense.dw", rep), find_task("reduce.dense", 0)));
+  }
 }
 
 TEST(GraphStructure, ManyToManyHasMorePerStepWork) {
@@ -85,6 +128,7 @@ TEST(GraphStructure, InferenceGraphHasNoBackwardTasks) {
   EXPECT_EQ(count_kind(g, TaskKind::kMergeBackward), 0U);
   EXPECT_EQ(count_kind(g, TaskKind::kGradReduce), 0U);
   EXPECT_EQ(count_kind(g, TaskKind::kWeightUpdate), 0U);  // no weight copy
+  EXPECT_EQ(count_kind(g, TaskKind::kWeightGrad), 0U);
 }
 
 TEST(GraphStructure, Fig2StyleDependencies) {
@@ -255,6 +299,27 @@ TEST(GraphStructure, BSeqChainsEachReplica) {
   const std::size_t outside = 8 + 2 * static_cast<std::size_t>(cfg.num_layers);
   EXPECT_GE(bseq.graph().critical_path_length(),
             (bpar.graph().size() - outside) / 2);
+}
+
+// The framework emulation splits weight-gradient tasks over dW's rows, so
+// no chunk needs scratch gradients and no fold task exists: its only
+// gradient tasks are the 2L + 1 reductions.
+TEST(GraphStructure, FrameworkSplitsWeightGradsWithoutFolds) {
+  const NetworkConfig cfg = small_config(true);
+  rnn::Network net(cfg);
+  BuildOptions bo;
+  bo.schedule_profile = "framework";
+  bo.intra_op_chunks = 2;
+  TrainingProgram prog(net, cfg.batch_size, bo);
+  const auto& g = prog.graph();
+  EXPECT_EQ(count_kind(g, TaskKind::kGradReduce),
+            2U * cfg.num_layers + 1U);
+  EXPECT_EQ(count_kind(g, TaskKind::kWeightGrad), 2U * cfg.num_layers + 1U);
+  std::size_t folds = 0;
+  for (taskrt::TaskId id = 0; id < g.size(); ++id) {
+    if (g.task(id).spec.name.rfind("fold.", 0) == 0) ++folds;
+  }
+  EXPECT_EQ(folds, 0U);
 }
 
 TEST(GraphStructure, IntraOpChunksExpandShapeGraphs) {

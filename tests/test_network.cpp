@@ -162,8 +162,10 @@ TEST(Workspace, ShapesFollowConfig) {
   cfg.many_to_many = false;
   Workspace ws(cfg, 3);
   EXPECT_EQ(ws.batch(), 3);
-  EXPECT_EQ(ws.tape(0, 0, 0).gates.cols(), 32);  // 4 * hidden
-  EXPECT_EQ(ws.merged(0, 4).cols(), 16);         // concat = 2 * hidden
+  EXPECT_EQ(ws.tape(0, 0, 0).gates.cols, 32);  // 4 * hidden
+  EXPECT_EQ(ws.tape(0, 0, 0).gates.rows, 3);   // one timestep's rows
+  EXPECT_EQ(ws.tape_slab(0, 0).gates.rows, 15);  // T·B rows per chain
+  EXPECT_EQ(ws.merged(0, 4).cols, 16);         // concat = 2 * hidden
   EXPECT_EQ(ws.final_merged.rows(), 3);
   EXPECT_EQ(ws.num_outputs(), 1);
   EXPECT_EQ(ws.logits(0).cols(), cfg.num_classes);
@@ -175,7 +177,7 @@ TEST(Workspace, ManyToManyAllocatesPerStepOutputs) {
   cfg.many_to_many = true;
   Workspace ws(cfg, 2);
   EXPECT_EQ(ws.num_outputs(), 5);
-  EXPECT_EQ(ws.merged(cfg.num_layers - 1, 4).rows(), 2);
+  EXPECT_EQ(ws.merged(cfg.num_layers - 1, 4).rows, 2);
   EXPECT_EQ(ws.final_merged.count(), 0U);  // unused for many-to-many
 }
 
@@ -183,12 +185,36 @@ TEST(Workspace, ZeroBackwardClearsAccumulators) {
   NetworkConfig cfg = table_config(CellType::kLstm, 8, 8);
   Workspace ws(cfg, 2);
   ws.dh(0, 0, 0).at(0, 0) = 5.0F;
-  ws.dmerged(1, 0, 0).at(1, 1) = 3.0F;
-  ws.dfinal.at(0, 0) = 2.0F;
+  ws.dh(1, 1, 2).at(1, 3) = 4.0F;
   ws.zero_backward();
   EXPECT_EQ(ws.dh(0, 0, 0).at(0, 0), 0.0F);
-  EXPECT_EQ(ws.dmerged(1, 0, 0).at(1, 1), 0.0F);
-  EXPECT_EQ(ws.dfinal.at(0, 0), 0.0F);
+  EXPECT_EQ(ws.dh(1, 1, 2).at(1, 3), 0.0F);
+}
+
+// Per-timestep accessors are row blocks of the slabs, in input-time order:
+// reverse processing step k is row block T-1-k, as is its input.
+TEST(Workspace, TimestepsAreRowBlocksInInputOrder) {
+  NetworkConfig cfg = table_config(CellType::kGru, 8, 8);
+  cfg.seq_length = 5;
+  Workspace ws(cfg, 3);
+  const int last = cfg.seq_length - 1;
+  EXPECT_EQ(ws.tape(0, 1, 0).h.data, ws.tape_slab(0, 1).h.data);
+  EXPECT_EQ(ws.tape(1, 1, last).h.data, ws.tape_slab(1, 1).h.data);
+  EXPECT_EQ(ws.tape(1, 1, 0).h.data,
+            ws.tape_slab(1, 1).h.data + static_cast<std::ptrdiff_t>(last) *
+                                            3 * cfg.hidden_size);
+  EXPECT_EQ(ws.layer_input(1, 2).data, ws.merged(0, 2).data);
+  EXPECT_EQ(ws.merged(0, 2).data,
+            ws.merged_slab(0).data + 2 * 3 * cfg.merged_size());
+}
+
+TEST(Workspace, InferenceHoldsNoBackwardBuffers) {
+  NetworkConfig cfg = table_config(CellType::kLstm, 8, 8);
+  cfg.many_to_many = true;
+  const Workspace infer(cfg, 4, /*training=*/false);
+  EXPECT_EQ(infer.backward_bytes(), 0U);
+  const Workspace train(cfg, 4);
+  EXPECT_GT(train.backward_bytes(), 0U);
 }
 
 TEST(NetworkGrads, AccumulateAndScale) {
@@ -212,9 +238,15 @@ TEST(Flops, FormulasScaleAsExpected) {
   const double lstm = cell_forward_flops(CellType::kLstm, 8, 16, 32);
   const double gru = cell_forward_flops(CellType::kGru, 8, 16, 32);
   EXPECT_NEAR(lstm / gru, 4.0 / 3.0, 0.05);
-  // Backward ≈ 2x forward.
-  EXPECT_NEAR(cell_backward_flops(CellType::kLstm, 8, 16, 32) / lstm, 2.0,
+  // BackwardData ≈ forward; with one chain's BackwardWeights, the backward
+  // pass ≈ 2x forward (the first step has no h_prev, so slightly less).
+  EXPECT_NEAR(cell_backward_flops(CellType::kLstm, 8, 16, 32) / lstm, 1.0,
               1e-9);
+  const int steps = 50;
+  const double chain =
+      steps * cell_backward_flops(CellType::kLstm, 8, 16, 32) +
+      chain_weight_grad_flops(CellType::kLstm, 8, 16, 32, steps);
+  EXPECT_NEAR(chain / (steps * lstm), 2.0, 0.05);
   // Training ≈ 3x inference.
   NetworkConfig cfg = table_config(CellType::kLstm, 64, 128);
   EXPECT_NEAR(network_training_flops(cfg) / network_inference_flops(cfg), 3.0,

@@ -1,6 +1,10 @@
 // Optimizer and trainer tests.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <vector>
+
 #include "exec/sequential.hpp"
 #include "train/optimizer.hpp"
 #include "train/trainer.hpp"
@@ -182,6 +186,81 @@ TEST(AdamW, NameReflectsDecay) {
   Adam decayed({.weight_decay = 0.01F});
   EXPECT_STREQ(plain.name(), "adam");
   EXPECT_STREQ(decayed.name(), "adamw");
+}
+
+/// The scalar Adam update adam_update must reproduce bit for bit: the same
+/// operations in the same order, one element at a time.
+void scalar_adam(std::span<float> p, std::span<const float> g,
+                 std::span<float> m, std::span<float> v, const AdamCoeffs& c) {
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    m[i] = c.beta1 * m[i] + (1.0F - c.beta1) * g[i];
+    v[i] = c.beta2 * v[i] + (1.0F - c.beta2) * g[i] * g[i];
+    const float mhat = m[i] / c.bias1;
+    const float vhat = v[i] / c.bias2;
+    p[i] -= c.learning_rate *
+            (mhat / (std::sqrt(vhat) + c.epsilon) + c.weight_decay * p[i]);
+  }
+}
+
+// Random moments and gradients mixed with zeros, signed zeros and
+// denormals, at every length from 1 to 17 (vector tails) and one long run,
+// from unaligned starts, under Adam and AdamW coefficients.
+TEST(Adam, VectorizedUpdateMatchesScalarBitwise) {
+  util::Rng rng(17);
+  const auto value = [&](std::size_t i, bool non_negative) {
+    float x = 0.0F;
+    switch (i % 6) {
+      case 0:
+        x = 0.0F;
+        break;
+      case 1:
+        x = -0.0F;
+        break;
+      case 2:
+        x = 3e-41F * static_cast<float>(1 + rng.uniform_index(50));
+        break;
+      default:
+        x = static_cast<float>(rng.normal(0.0, 1.0));
+    }
+    return non_negative ? std::abs(x) : x;
+  };
+  const AdamCoeffs adam{.bias1 = 1.0F - std::pow(0.9F, 3.0F),
+                        .bias2 = 1.0F - std::pow(0.999F, 3.0F)};
+  AdamCoeffs adamw = adam;
+  adamw.learning_rate = 5e-2F;
+  adamw.weight_decay = 0.01F;
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 1; n <= 17; ++n) lengths.push_back(n);
+  lengths.push_back(1037);
+  for (const AdamCoeffs& c : {adam, adamw}) {
+    for (const std::size_t n : lengths) {
+      for (const std::size_t offset : {0U, 1U, 3U}) {
+        const std::size_t size = n + offset;
+        std::vector<float> p(size), g(size), m(size), v(size);
+        for (std::size_t i = 0; i < size; ++i) {
+          p[i] = value(i + 1, false);
+          g[i] = value(i + 2, false);
+          m[i] = value(i + 3, false);
+          v[i] = value(i + 4, true);
+        }
+        std::vector<float> ep = p, em = m, ev = v;
+        adam_update(std::span(p).subspan(offset), std::span(g).subspan(offset),
+                    std::span(m).subspan(offset), std::span(v).subspan(offset),
+                    c);
+        scalar_adam(std::span(ep).subspan(offset),
+                    std::span<const float>(g).subspan(offset),
+                    std::span(em).subspan(offset),
+                    std::span(ev).subspan(offset), c);
+        const std::size_t bytes = size * sizeof(float);
+        EXPECT_EQ(std::memcmp(p.data(), ep.data(), bytes), 0)
+            << "params, n " << n << " offset " << offset;
+        EXPECT_EQ(std::memcmp(m.data(), em.data(), bytes), 0)
+            << "m, n " << n << " offset " << offset;
+        EXPECT_EQ(std::memcmp(v.data(), ev.data(), bytes), 0)
+            << "v, n " << n << " offset " << offset;
+      }
+    }
+  }
 }
 
 }  // namespace
