@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the task runtime: graph construction
-// (dependency resolution) throughput, per-task execution overhead, and
-// parallel_for fork-join cost — the quantities behind the paper's claim
-// that B-Par's runtime overhead is 10x smaller than useful task time.
+// (dependency resolution) throughput and per-task execution overhead — the
+// quantities behind the paper's claim that B-Par's runtime overhead is 10x
+// smaller than useful task time.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -58,52 +58,46 @@ void BM_RuntimeEmptyTasks(benchmark::State& state) {
 BENCHMARK(BM_RuntimeEmptyTasks)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
 
 // Per-task dispatch overhead with every worker contending for the
-// scheduler: tiny independent tasks submitted dynamically. This is the
+// scheduler: one prebuilt graph of tiny independent tasks, re-run every
+// iteration the way executors re-run a cached program. This is the
 // quantity the Fig. 4 core-scaling claim rests on.
-void BM_DispatchOverheadDynamic(benchmark::State& state) {
-  const auto workers = static_cast<int>(state.range(0));
-  Runtime rt({.num_workers = workers,
-              .policy = SchedulerPolicy::kLocalityAware});
-  constexpr int kTasks = 2000;
-  for (auto _ : state) {
-    bpar::taskrt::TaskGraph g;
-    rt.begin(g);
-    for (int i = 0; i < kTasks; ++i) {
-      rt.submit([] {
-        volatile int spin = 0;
-        for (int j = 0; j < 64; ++j) spin = spin + j;
-      });
-    }
-    rt.end();
+constexpr int kDispatchTasks = 2000;
+
+TaskGraph dispatch_graph() {
+  TaskGraph g;
+  for (int i = 0; i < kDispatchTasks; ++i) {
+    g.add(
+        [] {
+          volatile int spin = 0;
+          for (int j = 0; j < 64; ++j) spin = spin + j;
+        },
+        {});
   }
-  state.SetItemsProcessed(state.iterations() * kTasks);
+  return g;
 }
-BENCHMARK(BM_DispatchOverheadDynamic)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
+
+void BM_DispatchOverhead(benchmark::State& state) {
+  Runtime rt({.num_workers = static_cast<int>(state.range(0)),
+              .policy = SchedulerPolicy::kLocalityAware});
+  TaskGraph g = dispatch_graph();
+  for (auto _ : state) rt.run(g);
+  state.SetItemsProcessed(state.iterations() * kDispatchTasks);
+}
+BENCHMARK(BM_DispatchOverhead)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
 
 // Same workload with span tracing armed: the delta against the benchmark
 // above is the telemetry layer's dispatch-path cost (budget: <5% with
 // tracing on, 0% when compiled out via BPAR_NO_TRACING).
-void BM_DispatchOverheadDynamicTraced(benchmark::State& state) {
-  const auto workers = static_cast<int>(state.range(0));
+void BM_DispatchOverheadTraced(benchmark::State& state) {
   bpar::obs::set_tracing_enabled(true);
-  Runtime rt({.num_workers = workers,
+  Runtime rt({.num_workers = static_cast<int>(state.range(0)),
               .policy = SchedulerPolicy::kLocalityAware});
-  constexpr int kTasks = 2000;
-  for (auto _ : state) {
-    bpar::taskrt::TaskGraph g;
-    rt.begin(g);
-    for (int i = 0; i < kTasks; ++i) {
-      rt.submit([] {
-        volatile int spin = 0;
-        for (int j = 0; j < 64; ++j) spin = spin + j;
-      });
-    }
-    rt.end();
-  }
+  TaskGraph g = dispatch_graph();
+  for (auto _ : state) rt.run(g);
   bpar::obs::set_tracing_enabled(false);
-  state.SetItemsProcessed(state.iterations() * kTasks);
+  state.SetItemsProcessed(state.iterations() * kDispatchTasks);
 }
-BENCHMARK(BM_DispatchOverheadDynamicTraced)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_DispatchOverheadTraced)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_RuntimeChainLatency(benchmark::State& state) {
   Runtime rt({.num_workers = 2,
@@ -119,20 +113,5 @@ void BM_RuntimeChainLatency(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 500);
 }
 BENCHMARK(BM_RuntimeChainLatency)->Arg(0)->Arg(1);
-
-void BM_ParallelFor(benchmark::State& state) {
-  Runtime rt({.num_workers = static_cast<int>(state.range(0))});
-  std::vector<double> data(1 << 14);
-  for (auto _ : state) {
-    rt.parallel_for(0, static_cast<std::int64_t>(data.size()), 1024,
-                    [&](std::int64_t lo, std::int64_t hi) {
-                      for (std::int64_t i = lo; i < hi; ++i) {
-                        data[static_cast<std::size_t>(i)] += 1.0;
-                      }
-                    });
-    benchmark::DoNotOptimize(data.data());
-  }
-}
-BENCHMARK(BM_ParallelFor)->Arg(1)->Arg(4);
 
 }  // namespace

@@ -40,7 +40,7 @@ struct BParOptions {
   std::string passes = "none";
   /// Schedule shape forwarded to BuildOptions::schedule_profile ("" =
   /// free-running B-Par; "bseq", "framework", "fused_merge", ...).
-  std::string schedule_profile;
+  std::string schedule_profile{};
 };
 
 class BParExecutor final : public Executor {

@@ -26,7 +26,7 @@
 namespace bpar::sim {
 
 struct SimOptions {
-  MachineModel machine;
+  MachineModel machine{};
   taskrt::SchedulerPolicy policy = taskrt::SchedulerPolicy::kFifo;
   int cores = 0;  // 0 → machine.cores
   /// Record per-task (start, end, core) tuples — exportable with

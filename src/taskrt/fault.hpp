@@ -46,7 +46,7 @@ class InjectedFault : public util::Error {
   using util::Error::Error;
 };
 
-/// Thrown out of taskwait()/end() when the watchdog detects a stalled
+/// Thrown out of Runtime::run() when the watchdog detects a stalled
 /// graph; what() carries the scheduler-state diagnostic.
 class WatchdogError : public util::Error {
  public:

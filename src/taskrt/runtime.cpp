@@ -62,10 +62,6 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
   if (num_workers_ <= 0) num_workers_ = 1;
   steal_min_keep_ =
       options_.policy == SchedulerPolicy::kLocalityAware ? 1 : 0;
-  state_chunks_.reset(new std::atomic<TaskState*>[kMaxStateChunks]);
-  for (std::size_t c = 0; c < kMaxStateChunks; ++c) {
-    state_chunks_[c].store(nullptr, std::memory_order_relaxed);
-  }
   workers_ = std::make_unique<Worker[]>(static_cast<std::size_t>(num_workers_));
 
   // Intern every trace label up front; the hot path only loads these ids.
@@ -129,9 +125,6 @@ Runtime::~Runtime() {
   }
   park_cv_.notify_all();
   for (auto& t : threads_) t.join();
-  for (std::size_t c = 0; c < kMaxStateChunks; ++c) {
-    delete[] state_chunks_[c].load(std::memory_order_relaxed);
-  }
 }
 
 std::uint64_t Runtime::now_ns() const {
@@ -141,42 +134,23 @@ std::uint64_t Runtime::now_ns() const {
           .count());
 }
 
-Runtime::TaskState& Runtime::init_state(TaskId id) {
-  const std::size_t chunk = id >> kStateChunkBits;
-  BPAR_CHECK(chunk < kMaxStateChunks, "session exceeds ",
-             kMaxStateChunks * kStateChunkSize, " tasks");
-  TaskState* base = state_chunks_[chunk].load(mo_relaxed);
-  if (base == nullptr) {
-    base = new TaskState[kStateChunkSize];
-    state_chunks_[chunk].store(base, mo_release);
-  }
-  TaskState& st = base[id & (kStateChunkSize - 1)];
-  const Task& task = graph_->task(id);
-  st.pending.store(0, mo_relaxed);
-  st.preferred.store(-1, mo_relaxed);
-  st.completed = false;
-  st.task = &task;
-  st.affinity = task.affinity_pred;
-  st.duration_ns = 0;
-  st.trace = {};
-  return st;
-}
-
-void Runtime::begin(TaskGraph& graph) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  BPAR_CHECK(!session_active_, "Runtime session already active");
-  BPAR_CHECK(!poisoned_,
-             "Runtime poisoned by an unrecovered watchdog failure");
+void Runtime::start_session(TaskGraph& graph) {
   if (fault_injector_) {
     fault_injector_->begin_session();
     fault_injector_->rearm_stalls();
   }
   graph_ = &graph;
   // Quiescent point: the previous session drained every queue, so the
-  // FIFO's consumed segments can be freed without a reclamation protocol.
+  // FIFO's consumed segments can be freed without a reclamation protocol,
+  // and no worker reads a task state until a root is enqueued below.
   ready_fifo_.reclaim_consumed();
+  const std::size_t n = graph.size();
+  if (n > state_capacity_) {
+    states_ = std::make_unique<TaskState[]>(n);
+    state_capacity_ = n;
+  }
   executed_.store(0, mo_relaxed);
-  submitted_.store(graph.size(), mo_relaxed);
+  total_.store(n, mo_relaxed);
   active_.store(0, mo_relaxed);
   max_active_.store(0, mo_relaxed);
   locality_hits_.store(0, mo_relaxed);
@@ -200,81 +174,33 @@ void Runtime::begin(TaskGraph& graph) {
           .count());
   session_active_ = true;
 
-  // Tasks already present in the graph are published in two phases: every
-  // task needs its state in place before any root can run and decrement a
-  // successor's dependency counter.
-  for (TaskId id = 0; id < graph.size(); ++id) {
-    TaskState& st = init_state(id);
-    st.pending.store(st.task->num_deps, mo_relaxed);
+  // Two phases: every task needs its state in place before any root can
+  // run and decrement a successor's dependency counter.
+  for (TaskId id = 0; id < n; ++id) {
+    TaskState& st = states_[id];
+    const Task& task = graph.task(id);
+    st.pending.store(task.num_deps, mo_relaxed);
+    st.preferred.store(-1, mo_relaxed);
+    st.done.store(false, mo_relaxed);
+    st.task = &task;
+    st.affinity = task.affinity_pred;
+    st.duration_ns = 0;
+    st.trace = {};
     if (st.affinity != kInvalidTask) ++tasks_with_affinity_;
   }
   // Readiness must come from the graph's static num_deps: once the first
   // root is enqueued, workers run and decrement live counters concurrently
   // with this scan, and a task whose last predecessor finishes mid-scan
   // would otherwise be enqueued twice (once by the worker, once here).
-  for (TaskId id = 0; id < graph.size(); ++id) {
+  for (TaskId id = 0; id < n; ++id) {
     if (graph.task(id).num_deps == 0) enqueue_ready(id, -1);
-  }
-}
-
-TaskId Runtime::submit(std::function<void()> fn,
-                       std::span<const Access> accesses, TaskSpec spec) {
-  std::unique_lock<std::mutex> lock(mu_);
-  BPAR_CHECK(session_active_, "submit() outside a session");
-  const TaskId id = graph_->add_unlinked(std::move(fn), accesses,
-                                         std::move(spec), &scratch_preds_);
-  publish(id, scratch_preds_);
-  lock.unlock();
-  release_publish_bias(id);
-  return id;
-}
-
-Runtime::TaskState& Runtime::publish(TaskId id,
-                                     const std::vector<TaskId>& preds) {
-  TaskState& st = init_state(id);
-  // Bias the dependency counter by one so it cannot reach zero (and the
-  // task cannot be enqueued) until release_publish_bias(); predecessors
-  // may complete and decrement concurrently while we are still linking.
-  st.pending.store(1, mo_relaxed);
-  if (st.affinity != kInvalidTask) ++tasks_with_affinity_;
-  for (const TaskId pred : preds) {
-    // Count the dependency before the edge becomes visible, so a
-    // predecessor finishing right now cannot decrement below the bias.
-    st.pending.fetch_add(1, mo_relaxed);
-    TaskState& ps = state(pred);
-    bool will_notify;
-    {
-      const sync::SpinGuard guard(ps.succ_lock);
-      graph_->link(pred, id);
-      will_notify = !ps.completed;
-    }
-    if (!will_notify) st.pending.fetch_sub(1, mo_relaxed);
-  }
-  submitted_.store(submitted_.load(mo_relaxed) + 1, mo_release);
-  return st;
-}
-
-void Runtime::release_publish_bias(TaskId id) {
-  if (state(id).pending.fetch_sub(1, mo_acq_rel) == 1) {
-    enqueue_ready(id, -1);
-  }
-}
-
-void Runtime::taskwait() {
-  const std::uint64_t wait_start =
-      obs::tracing_enabled() ? obs::now_ns() : 0;
-  std::unique_lock<std::mutex> lock(mu_);
-  BPAR_CHECK(session_active_, "taskwait() outside a session");
-  wait_drained(lock);
-  if (wait_start != 0) {
-    obs::record_span(obs_taskwait_id_, wait_start, obs::now_ns());
   }
 }
 
 void Runtime::wait_drained(std::unique_lock<std::mutex>& lock) {
   const auto drained = [this] {
     return executed_.load(std::memory_order_acquire) ==
-           submitted_.load(mo_relaxed);
+           total_.load(mo_relaxed);
   };
   if (options_.watchdog_ms == 0) {
     done_cv_.wait(lock, drained);
@@ -326,10 +252,10 @@ void Runtime::wait_drained(std::unique_lock<std::mutex>& lock) {
 std::string Runtime::dump_locked(const std::string& headline) {
   std::ostringstream os;
   os << headline << "\n";
-  const std::size_t submitted = submitted_.load(mo_relaxed);
+  const std::size_t total = total_.load(mo_relaxed);
   const std::size_t executed = executed_.load(std::memory_order_acquire);
-  os << "  tasks: submitted=" << submitted << " executed=" << executed
-     << " outstanding=" << submitted - executed
+  os << "  tasks: total=" << total << " executed=" << executed
+     << " outstanding=" << total - executed
      << " active=" << active_.load(mo_relaxed)
      << " sleepers=" << sleepers_.load(mo_relaxed) << "\n";
   os << "  ready-fifo: head=" << ready_fifo_.head_approx()
@@ -343,14 +269,9 @@ std::string Runtime::dump_locked(const std::string& headline) {
   // Pending-counter histogram over unfinished tasks, plus the oldest one.
   std::size_t histogram[4] = {0, 0, 0, 0};  // pending 0 / 1 / 2 / >=3
   TaskId oldest = kInvalidTask;
-  for (TaskId id = 0; id < submitted; ++id) {
-    TaskState& st = state(id);
-    bool completed;
-    {
-      const sync::SpinGuard guard(st.succ_lock);
-      completed = st.completed;
-    }
-    if (completed) continue;
+  for (TaskId id = 0; id < total; ++id) {
+    const TaskState& st = states_[id];
+    if (st.done.load(mo_relaxed)) continue;
     const std::uint32_t pending = st.pending.load(mo_relaxed);
     ++histogram[pending < 3 ? pending : 3];
     if (oldest == kInvalidTask) oldest = id;
@@ -363,7 +284,7 @@ std::string Runtime::dump_locked(const std::string& headline) {
     os << "  oldest unfinished: task " << oldest << " kind="
        << task_kind_name(task.spec.kind);
     if (!task.spec.name.empty()) os << " name='" << task.spec.name << "'";
-    os << " pending=" << state(oldest).pending.load(mo_relaxed);
+    os << " pending=" << states_[oldest].pending.load(mo_relaxed);
     if (task.spec.layer >= 0) os << " layer=" << task.spec.layer;
     if (task.spec.step >= 0) os << " step=" << task.spec.step;
     os << "\n";
@@ -393,18 +314,21 @@ std::string Runtime::scheduler_state_dump() {
   return dump_locked("scheduler state");
 }
 
-RunStats Runtime::end() {
+RunStats Runtime::run(TaskGraph& graph) {
+  std::unique_lock<std::mutex> lock(mu_);
+  BPAR_CHECK(!session_active_, "Runtime session already active");
+  BPAR_CHECK(!poisoned_,
+             "Runtime poisoned by an unrecovered watchdog failure");
+  start_session(graph);
   const std::uint64_t wait_start =
       obs::tracing_enabled() ? obs::now_ns() : 0;
-  std::unique_lock<std::mutex> lock(mu_);
-  BPAR_CHECK(session_active_, "end() outside a session");
   wait_drained(lock);
   if (wait_start != 0) {
     obs::record_span(obs_taskwait_id_, wait_start, obs::now_ns());
   }
   RunStats stats;
   stats.wall_ns = now_ns();
-  const std::size_t total = submitted_.load(mo_relaxed);
+  const std::size_t total = total_.load(mo_relaxed);
   stats.tasks_executed = total;
   stats.max_concurrency = max_active_.load(mo_relaxed);
   stats.tasks_with_affinity = tasks_with_affinity_;
@@ -418,7 +342,7 @@ RunStats Runtime::end() {
   stats.task_duration_ns.resize(total);
   if (options_.record_trace) stats.trace.resize(total);
   for (TaskId id = 0; id < total; ++id) {
-    const TaskState& st = state(id);
+    const TaskState& st = states_[id];
     stats.task_duration_ns[id] = st.duration_ns;
     if (options_.record_trace) stats.trace[id] = st.trace;
   }
@@ -476,27 +400,6 @@ RunStats Runtime::end() {
   return stats;
 }
 
-RunStats Runtime::run(TaskGraph& graph) {
-  begin(graph);
-  return end();
-}
-
-void Runtime::parallel_for(
-    std::int64_t begin_index, std::int64_t end_index, std::int64_t grain,
-    const std::function<void(std::int64_t, std::int64_t)>& fn) {
-  BPAR_CHECK(grain > 0, "grain must be positive");
-  if (begin_index >= end_index) return;
-  TaskGraph graph;
-  begin(graph);
-  for (std::int64_t lo = begin_index; lo < end_index; lo += grain) {
-    const std::int64_t hi = std::min(end_index, lo + grain);
-    TaskSpec spec;
-    spec.kind = TaskKind::kGemmChunk;
-    submit([fn, lo, hi] { fn(lo, hi); }, std::move(spec));
-  }
-  end();
-}
-
 void Runtime::worker_loop(int worker_id) {
   obs::set_thread_name("worker " + std::to_string(worker_id));
   if (options_.sample_counters) {
@@ -516,7 +419,7 @@ void Runtime::worker_loop(int worker_id) {
 }
 
 void Runtime::execute_task(TaskId id, int worker_id) {
-  TaskState& st = state(id);
+  TaskState& st = states_[id];
   Worker& self = workers_[worker_id];
   if (options_.policy == SchedulerPolicy::kLocalityAware &&
       st.preferred.load(mo_relaxed) == worker_id) {
@@ -600,18 +503,10 @@ void Runtime::execute_task(TaskId id, int worker_id) {
     }
   }
 
-  // Completion snapshot: after `completed` flips under the lock, submit()
-  // counts any new edge to this task as already satisfied, so exactly the
-  // successors captured here are the ones we must notify.
-  self.succ_scratch.clear();
-  {
-    const sync::SpinGuard guard(st.succ_lock);
-    st.completed = true;
-    const auto& succs = st.task->successors;
-    self.succ_scratch.assign(succs.begin(), succs.end());
-  }
-  for (const TaskId succ : self.succ_scratch) {
-    TaskState& succ_state = state(succ);
+  // The graph is sealed for the whole run, so the successor list is final.
+  st.done.store(true, mo_relaxed);
+  for (const TaskId succ : st.task->successors) {
+    TaskState& succ_state = states_[succ];
     if (options_.policy == SchedulerPolicy::kLocalityAware &&
         succ_state.affinity == id) {
       succ_state.preferred.store(worker_id, mo_relaxed);
@@ -623,7 +518,7 @@ void Runtime::execute_task(TaskId id, int worker_id) {
   }
   const std::size_t done =
       executed_.fetch_add(1, std::memory_order_release) + 1;
-  if (done == submitted_.load(std::memory_order_acquire)) {
+  if (done == total_.load(std::memory_order_acquire)) {
     // Lock/unlock pairs with the waiter's predicate check under mu_ so the
     // notify cannot slip between its check and its wait.
     { const std::lock_guard<std::mutex> guard(mu_); }
@@ -702,7 +597,7 @@ bool Runtime::has_visible_work(int worker_id) const {
 void Runtime::enqueue_ready(TaskId id, int from_worker) {
   if (options_.policy == SchedulerPolicy::kLocalityAware &&
       from_worker >= 0 &&
-      state(id).preferred.load(mo_relaxed) == from_worker) {
+      states_[id].preferred.load(mo_relaxed) == from_worker) {
     // Producer-consumer locality: the consumer joins the producing
     // worker's own deque (owner push), where LIFO pop runs it while its
     // input is still cache-hot.

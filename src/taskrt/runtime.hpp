@@ -2,13 +2,11 @@
 // paper's §III-B: a worker pool consuming ready tasks whose dependencies
 // are fulfilled.
 //
-// Two execution modes:
-//  * run(graph)   — execute a fully built graph (blocking);
-//  * begin/submit/taskwait/end — OmpSs-style *dynamic* task creation: the
-//    main thread keeps submitting tasks while workers already execute
-//    earlier ones, which is how B-Par "adjusts the computation graph
-//    dynamically at run-time" for variable sequence lengths (paper
-//    §III-B).
+// run(graph) is the only way to execute tasks, and the graph it runs is
+// sealed: nothing adds a task or an edge while workers execute it. The
+// paper's run-time graph adjustment for variable sequence lengths (§III-B)
+// happens above the runtime — BParExecutor builds and caches one graph per
+// (length, rows) shape and runs the one that matches each call.
 //
 // Two scheduling policies (paper §IV-A):
 //  * kFifo — a single global FIFO ready queue ("breadth-first"), no
@@ -20,18 +18,17 @@
 //    end of sibling deques (never a deque's last entry — that one stays
 //    reserved for its cache-hot owner).
 //
-// The dispatch hot path is lock-free in steady state (see DESIGN.md
-// §task-runtime): per-worker Chase-Lev deques (owner pushes/pops bottom,
-// thieves steal top), a lock-free segmented MPMC FIFO for the global
-// queue, atomic per-task dependency counters, and atomic
-// executed/submitted counters for taskwait()/end(). Idle workers park on a
-// condition variable only after repeated failed steal sweeps; producers
-// wake them only when sleepers are registered. The global mutex `mu_` is
-// taken only for begin()/submit() graph mutation, error capture, and
-// taskwait()/end() blocking.
+// The dispatch hot path is lock-free (see DESIGN.md §task-runtime):
+// per-worker Chase-Lev deques (owner pushes/pops bottom, thieves steal
+// top), a lock-free segmented MPMC FIFO for the global queue, atomic
+// per-task dependency counters, and an atomic executed counter that run()
+// waits on. Idle workers park on a condition variable only after repeated
+// failed steal sweeps; producers wake them only when sleepers are
+// registered. The mutex `mu_` is taken only for session setup, error
+// capture, and run()'s blocking wait.
 //
 // Workers are persistent across runs. Tasks may throw: the first exception
-// is captured and rethrown from run()/end() after the graph drains.
+// is captured and rethrown from run() after the graph drains.
 #pragma once
 
 #include <atomic>
@@ -62,9 +59,9 @@ struct RuntimeOptions {
   bool record_trace = false;  // keep per-task (start, end, worker) tuples
   bool pin_threads = false;   // best-effort core pinning (Linux)
   /// Watchdog deadline: if no task completes for this long while the graph
-  /// is undrained, taskwait()/end() throws WatchdogError carrying a
-  /// scheduler-state dump instead of hanging. 0 disables. Must exceed the
-  /// longest individual task.
+  /// is undrained, run() throws WatchdogError carrying a scheduler-state
+  /// dump instead of hanging. 0 disables. Must exceed the longest
+  /// individual task.
   std::uint32_t watchdog_ms = 0;
   /// Deterministic fault injection (see fault.hpp). Disabled by default;
   /// when disabled here, the BPAR_FAULTS environment variable is consulted
@@ -91,7 +88,7 @@ struct RunStats {
   std::size_t tasks_with_affinity = 0;
   std::size_t locality_hits = 0;  // ran on the preferred (producer's) worker
   // Scheduler pressure counters (also published to the obs metrics
-  // registry under the "taskrt." prefix at end()).
+  // registry under the "taskrt." prefix at the end of each run()).
   std::size_t steals = 0;          // successful steals from sibling deques
   std::size_t steal_failures = 0;  // full sweeps that found nothing
   std::size_t parks = 0;           // times a worker went to sleep
@@ -131,48 +128,12 @@ class Runtime {
   Runtime& operator=(const Runtime&) = delete;
 
   /// Executes every task in `graph`, respecting dependencies. Blocking.
-  /// The graph can be re-run (execution state is external to the graph).
+  /// The graph must not change during the call; it can be re-run
+  /// (execution state is external to the graph). Rethrows the first task
+  /// exception once the graph has drained.
   RunStats run(TaskGraph& graph);
 
-  // ---- dynamic (OmpSs-style) sessions ----
-
-  /// Starts a session over `graph` (usually empty). Tasks already in the
-  /// graph are scheduled immediately; more can be submitted while workers
-  /// execute. The graph must outlive the session.
-  void begin(TaskGraph& graph);
-  /// Adds one task; it becomes runnable the moment its dependencies (among
-  /// previously submitted tasks) are fulfilled. Only the thread that called
-  /// begin() may submit.
-  TaskId submit(std::function<void()> fn, std::span<const Access> accesses,
-                TaskSpec spec = {});
-  TaskId submit(std::function<void()> fn,
-                std::initializer_list<Access> accesses, TaskSpec spec = {}) {
-    return submit(std::move(fn),
-                  std::span<const Access>(accesses.begin(), accesses.size()),
-                  std::move(spec));
-  }
-  /// First-class independent task: no accesses, so no dependency on any
-  /// other task and no traffic through the address table — in particular
-  /// no synthetic addresses that could alias a caller's real buffers.
-  /// Ready immediately.
-  TaskId submit(std::function<void()> fn, TaskSpec spec = {}) {
-    return submit(std::move(fn), std::span<const Access>{}, std::move(spec));
-  }
-  /// Blocks until every task submitted so far has executed (OmpSs
-  /// `taskwait`). More submissions may follow.
-  void taskwait();
-  /// taskwait() + finalize; returns the session's stats and rethrows the
-  /// first task exception, if any.
-  RunStats end();
-
-  /// Convenience fork-join: fn(i) for i in [begin, end), chunked by grain.
-  /// Used by the per-layer-barrier baseline executors for intra-op
-  /// parallelism. Chunks are independent tasks (no dependency addresses).
-  void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                    const std::function<void(std::int64_t, std::int64_t)>& fn);
-
   [[nodiscard]] int num_workers() const { return num_workers_; }
-  [[nodiscard]] SchedulerPolicy policy() const { return options_.policy; }
 
   /// The active fault injector, or nullptr when injection is disabled.
   [[nodiscard]] FaultInjector* fault_injector() {
@@ -180,24 +141,23 @@ class Runtime {
   }
 
   /// True once a watchdog failure left the graph undrained (workers may be
-  /// wedged): the next session will BPAR_CHECK-fail. Owners that want to
+  /// wedged): the next run() will BPAR_CHECK-fail. Owners that want to
   /// keep serving must discard this runtime and build a fresh one — the
-  /// serving engine's rebuild_executor() path. Call between sessions only.
+  /// serving engine's rebuild_executor() path. Call between runs only.
   [[nodiscard]] bool poisoned() const { return poisoned_; }
 
   /// Human-readable scheduler state (deque depths, FIFO cursors, pending
   /// histogram, oldest unfinished task) — what WatchdogError::what()
-  /// carries. Callable any time; outside a session it reports that.
+  /// carries. Callable any time; outside run() it reports that.
   [[nodiscard]] std::string scheduler_state_dump();
 
  private:
   // Per-task execution state, separate from the graph so a graph can be
   // re-run. Cache-line sized: adjacent tasks' counters never false-share.
   struct alignas(64) TaskState {
-    std::atomic<std::uint32_t> pending{0};  // unmet deps (+1 publish bias)
+    std::atomic<std::uint32_t> pending{0};    // unmet dependencies
     std::atomic<std::int32_t> preferred{-1};  // locality hint (worker id)
-    sync::SpinLock succ_lock;  // orders link() vs the completion snapshot
-    bool completed = false;    // guarded by succ_lock
+    std::atomic<bool> done{false};  // relaxed; read by the watchdog dump only
     const Task* task = nullptr;      // stable (deque storage in TaskGraph)
     TaskId affinity = kInvalidTask;  // copy of task->affinity_pred
     std::uint64_t duration_ns = 0;   // written by the executing worker only
@@ -207,7 +167,6 @@ class Runtime {
   // Everything one worker touches every task, padded apart from siblings.
   struct alignas(64) Worker {
     WorkStealingDeque deque;
-    std::vector<TaskId> succ_scratch;  // completion-snapshot buffer
     std::uint64_t busy_ns = 0;
     std::uint32_t trace_tick = 0;  // queue-depth counter sampling phase
     // Thread-scope PMU, created (and only ever touched) by the owning
@@ -215,11 +174,6 @@ class Runtime {
     std::unique_ptr<perf::PerfCounters> pmu;
     std::vector<RunStats::KindCounters> kind_counters;  // by TaskKind
   };
-
-  static constexpr std::size_t kStateChunkBits = 10;  // 1024 states/chunk
-  static constexpr std::size_t kStateChunkSize = std::size_t{1}
-                                                 << kStateChunkBits;
-  static constexpr std::size_t kMaxStateChunks = 4096;  // ~4.2M tasks/session
 
   void worker_loop(int worker_id);
   /// Finds the next task for `worker_id`: own deque, global FIFO, then a
@@ -230,24 +184,17 @@ class Runtime {
   /// so (`from_worker` is the enqueuing worker, -1 for the main thread),
   /// else the global FIFO. Wakes a parked worker if any.
   void enqueue_ready(TaskId id, int from_worker);
-  /// Publishes task `id` into the session: initializes its TaskState and
-  /// links predecessor edges with the completion-safe protocol. Caller
-  /// holds mu_. Returns the state (pending still holds the publish bias).
-  TaskState& publish(TaskId id, const std::vector<TaskId>& preds);
-  TaskState& init_state(TaskId id);
-  [[nodiscard]] TaskState& state(TaskId id) const {
-    return state_chunks_[id >> kStateChunkBits].load(sync::mo_acquire)
-        [id & (kStateChunkSize - 1)];
-  }
-  /// Drops the publish bias; enqueues the task if it became ready.
-  void release_publish_bias(TaskId id);
+  /// Resets the session counters and every task's state for `graph`, then
+  /// enqueues its roots. Caller holds mu_; every worker is idle.
+  void start_session(TaskGraph& graph);
   void notify_workers();
   [[nodiscard]] bool has_visible_work(int worker_id) const;
   std::uint64_t now_ns() const;
-  /// Blocks until executed == submitted. With a watchdog configured, fires
-  /// on no-progress deadlines: captures diagnostics, releases injected
-  /// stalls, and throws WatchdogError (closing the session; the runtime is
-  /// poisoned if the graph still does not drain). Caller holds `lock`.
+  /// Blocks until executed == the session's task count. With a watchdog
+  /// configured, fires on no-progress deadlines: captures diagnostics,
+  /// releases injected stalls, and throws WatchdogError (closing the
+  /// session; the runtime is poisoned if the graph still does not drain).
+  /// Caller holds `lock`.
   void wait_drained(std::unique_lock<std::mutex>& lock);
   /// Diagnostic text; caller holds mu_ and a session is active.
   [[nodiscard]] std::string dump_locked(const std::string& headline);
@@ -271,13 +218,16 @@ class Runtime {
   // --- cold path: session setup, blocking waits, error capture ---
   std::mutex mu_;
   std::condition_variable done_cv_;
-  bool session_active_ = false;  // main thread only
+  bool session_active_ = false;  // guarded by mu_
   bool poisoned_ = false;  // watchdog fired and the graph never drained
-  TaskGraph* graph_ = nullptr;   // main thread only
+  TaskGraph* graph_ = nullptr;   // guarded by mu_
   std::exception_ptr first_error_;  // guarded by mu_
   std::size_t tasks_with_affinity_ = 0;  // main thread only
   std::chrono::steady_clock::time_point session_start_;
-  std::vector<TaskId> scratch_preds_;  // main thread only
+  // One state per task, grown (never shrunk) to the largest graph run so
+  // far. Reallocated only at the quiescent start of run(), under mu_.
+  std::unique_ptr<TaskState[]> states_;
+  std::size_t state_capacity_ = 0;
 
   // --- parking lot ---
   std::mutex park_mu_;
@@ -288,7 +238,7 @@ class Runtime {
 
   // --- lock-free steady state ---
   alignas(64) std::atomic<std::size_t> executed_{0};
-  alignas(64) std::atomic<std::size_t> submitted_{0};  // written under mu_
+  alignas(64) std::atomic<std::size_t> total_{0};  // tasks in the session
   alignas(64) std::atomic<std::int32_t> active_{0};
   std::atomic<std::int32_t> max_active_{0};
   std::atomic<std::size_t> locality_hits_{0};
@@ -299,7 +249,6 @@ class Runtime {
   std::atomic<std::size_t> deque_pushes_{0};
   std::atomic<std::int32_t> pmu_workers_{0};  // workers whose PMU opened
   std::uint64_t session_start_steady_ns_ = 0;  // main thread only
-  std::unique_ptr<std::atomic<TaskState*>[]> state_chunks_;
   ReadyFifo ready_fifo_;
   std::unique_ptr<Worker[]> workers_;
   std::vector<std::thread> threads_;

@@ -54,33 +54,4 @@ inline void spin_pause(int iteration) {
   }
 }
 
-/// Tiny test-and-test-and-set spinlock. Used per *task* (never global) to
-/// order successor-list appends against the one-shot completion snapshot;
-/// contention is only possible while the main thread links a new task to a
-/// predecessor that is finishing at that exact moment.
-class SpinLock {
- public:
-  void lock() {
-    int spins = 0;
-    while (locked_.exchange(true, std::memory_order_acquire)) {
-      while (locked_.load(mo_relaxed)) spin_pause(spins++);
-    }
-  }
-  void unlock() { locked_.store(false, std::memory_order_release); }
-
- private:
-  std::atomic<bool> locked_{false};
-};
-
-class SpinGuard {
- public:
-  explicit SpinGuard(SpinLock& lock) : lock_(lock) { lock_.lock(); }
-  ~SpinGuard() { lock_.unlock(); }
-  SpinGuard(const SpinGuard&) = delete;
-  SpinGuard& operator=(const SpinGuard&) = delete;
-
- private:
-  SpinLock& lock_;
-};
-
 }  // namespace bpar::taskrt::sync

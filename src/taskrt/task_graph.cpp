@@ -36,17 +36,7 @@ const char* task_kind_name(TaskKind kind) {
 }
 
 TaskId TaskGraph::add(std::function<void()> fn,
-                      std::span<const Access> accesses, TaskSpec spec,
-                      std::vector<TaskId>* preds_out) {
-  const TaskId id =
-      add_unlinked(std::move(fn), accesses, std::move(spec), preds_out);
-  for (const TaskId pred : scratch_preds_) add_edge(pred, id);
-  return id;
-}
-
-TaskId TaskGraph::add_unlinked(std::function<void()> fn,
-                               std::span<const Access> accesses, TaskSpec spec,
-                               std::vector<TaskId>* preds_out) {
+                      std::span<const Access> accesses, TaskSpec spec) {
   const TaskId id = static_cast<TaskId>(tasks_.size());
   BPAR_CHECK(id != kInvalidTask, "task graph overflow");
   tasks_.emplace_back();
@@ -94,27 +84,12 @@ TaskId TaskGraph::add_unlinked(std::function<void()> fn,
   scratch_preds_.erase(
       std::unique(scratch_preds_.begin(), scratch_preds_.end()),
       scratch_preds_.end());
-  if (preds_out != nullptr) *preds_out = scratch_preds_;
-  return id;
-}
-
-void TaskGraph::link(TaskId pred, TaskId succ) {
-  BPAR_DCHECK(pred < succ, "dependency on future task");
-  add_edge(pred, succ);
-}
-
-void TaskGraph::add_edge(TaskId pred, TaskId succ) {
-  tasks_[pred].successors.push_back(succ);
-  ++tasks_[succ].num_deps;
-  ++edge_count_;
-}
-
-std::vector<TaskId> TaskGraph::roots() const {
-  std::vector<TaskId> out;
-  for (TaskId id = 0; id < tasks_.size(); ++id) {
-    if (tasks_[id].num_deps == 0) out.push_back(id);
+  for (const TaskId pred : scratch_preds_) {
+    tasks_[pred].successors.push_back(id);
   }
-  return out;
+  t.num_deps = static_cast<std::uint32_t>(scratch_preds_.size());
+  edge_count_ += scratch_preds_.size();
+  return id;
 }
 
 std::size_t TaskGraph::critical_path_length() const {

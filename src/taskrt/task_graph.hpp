@@ -11,9 +11,10 @@
 //     since that write (WAR), and then becomes the new last writer.
 //
 // Construction is sequential (matching the paper: the main thread walks
-// Algorithms 2/3 creating tasks in topological order); execution is handled
-// by `Runtime` (threaded) or `sim::Simulator` (discrete-event, for core
-// counts this machine does not have).
+// Algorithms 2/3 creating tasks in topological order) and finishes before
+// execution starts; execution is handled by `Runtime` (threaded) or
+// `sim::Simulator` (discrete-event, for core counts this machine does not
+// have).
 #pragma once
 
 #include <cstdint>
@@ -79,7 +80,6 @@ struct Task {
   std::vector<TaskId> successors;
   std::uint32_t num_deps = 0;      // direct predecessors
   TaskId affinity_pred = kInvalidTask;  // producer of first input (locality)
-  std::size_t first_input_bytes = 0;    // size hint of that input
 };
 
 class TaskGraph {
@@ -90,45 +90,25 @@ class TaskGraph {
   TaskGraph(TaskGraph&&) noexcept = default;
   TaskGraph& operator=(TaskGraph&&) noexcept = default;
 
-  /// Submits a task; dependencies are resolved immediately against all
-  /// previously submitted tasks. Returns the task's id (creation order).
-  /// When `preds_out` is non-null it receives the deduplicated direct
-  /// predecessors (used by Runtime's dynamic-submission sessions to count
-  /// only still-incomplete dependencies).
+  /// Adds a task; dependencies are resolved immediately against all
+  /// previously added tasks. Returns the task's id (creation order). An
+  /// empty access list makes an independent task that never touches the
+  /// address table.
   TaskId add(std::function<void()> fn, std::span<const Access> accesses,
-             TaskSpec spec = {}, std::vector<TaskId>* preds_out = nullptr);
+             TaskSpec spec = {});
 
   /// Convenience overload for initializer lists.
   TaskId add(std::function<void()> fn, std::initializer_list<Access> accesses,
-             TaskSpec spec = {}, std::vector<TaskId>* preds_out = nullptr) {
+             TaskSpec spec = {}) {
     return add(std::move(fn),
                std::span<const Access>(accesses.begin(), accesses.size()),
-               std::move(spec), preds_out);
+               std::move(spec));
   }
-
-  /// Like add(), but defers edge insertion: dependencies are *resolved*
-  /// (address table updated, `preds_out` filled with the deduplicated
-  /// direct predecessors) without touching any predecessor's successor
-  /// list. The caller then inserts each edge via link(), interleaved with
-  /// whatever synchronization it needs — Runtime uses this to order edge
-  /// appends against concurrent completion snapshots with a per-task lock.
-  /// An empty access list means an independent task: the address table is
-  /// not consulted at all, so synthetic addresses are never needed.
-  TaskId add_unlinked(std::function<void()> fn,
-                      std::span<const Access> accesses, TaskSpec spec,
-                      std::vector<TaskId>* preds_out);
-
-  /// Inserts the edge pred → succ (updates successor list, num_deps and
-  /// edge_count). Pair with add_unlinked(); `pred < succ` required.
-  void link(TaskId pred, TaskId succ);
 
   [[nodiscard]] std::size_t size() const { return tasks_.size(); }
   [[nodiscard]] bool empty() const { return tasks_.empty(); }
   [[nodiscard]] const Task& task(TaskId id) const { return tasks_[id]; }
   [[nodiscard]] Task& task(TaskId id) { return tasks_[id]; }
-
-  /// Tasks with no predecessors (ready at time 0).
-  [[nodiscard]] std::vector<TaskId> roots() const;
 
   /// Total directed edges (for stats / tests).
   [[nodiscard]] std::size_t edge_count() const { return edge_count_; }
@@ -153,10 +133,8 @@ class TaskGraph {
     std::vector<TaskId> readers_since_write;
   };
 
-  void add_edge(TaskId pred, TaskId succ);
-
-  // Deque: element addresses stay valid while the graph grows, so a
-  // Runtime session can execute tasks concurrently with add() calls.
+  // Deque: growing never moves a task, so large graphs build without
+  // copying the tasks already added.
   std::deque<Task> tasks_;
   std::unordered_map<const void*, AddressState> address_table_;
   std::size_t edge_count_ = 0;

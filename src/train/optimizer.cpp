@@ -134,7 +134,7 @@ void Sgd::step(rnn::Network& net, const rnn::NetworkGrads& grads) {
   float scale = 1.0F;
   if (config_.clip_norm > 0.0F) {
     const double norm = grads.l2_norm();
-    if (norm > config_.clip_norm) {
+    if (norm > static_cast<double>(config_.clip_norm)) {
       scale = config_.clip_norm / static_cast<float>(norm);
     }
   }

@@ -1,7 +1,6 @@
 // Fault-injection tests: deterministic fault plans, injected throws
-// propagating cleanly out of graphs and parallel_for at several worker
-// counts, and the watchdog turning a stalled graph into a diagnostic
-// instead of a hang.
+// propagating cleanly out of graphs at several worker counts, and the
+// watchdog turning a stalled graph into a diagnostic instead of a hang.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -144,22 +143,6 @@ TEST(FaultMatrix, PinnedThrowPropagatesAcrossWorkerCounts) {
     }
     rt.run(g2);
     EXPECT_EQ(reran.load(), 5) << workers << " workers";
-  }
-}
-
-TEST(FaultMatrix, ParallelForPropagatesInjectedFault) {
-  for (const int workers : {2, 8}) {
-    FaultSpec spec;
-    spec.throw_rate = 1.0;  // every task throws
-    RuntimeOptions opts;
-    opts.num_workers = workers;
-    opts.faults = spec;
-    opts.read_fault_env = false;
-    Runtime rt(opts);
-    EXPECT_THROW(
-        rt.parallel_for(0, 64, 8, [](std::int64_t, std::int64_t) {}),
-        InjectedFault)
-        << workers << " workers";
   }
 }
 

@@ -127,44 +127,6 @@ TEST_P(FuzzedGraphs, SimulatorMakespanRespectsBounds) {
   }
 }
 
-TEST_P(FuzzedGraphs, DynamicSubmissionMatchesStaticRun) {
-  const auto [seed, workers] = GetParam();
-  // Execute the same logical graph twice: once pre-built, once submitted
-  // dynamically task by task. Final cell values must agree because every
-  // graph execution respecting the dependencies is value-deterministic
-  // (all conflicting accesses are ordered).
-  auto build_and_run = [&](bool dynamic) {
-    std::vector<std::int64_t> cells(6, 0);
-    util::Rng rng(seed);
-    Runtime rt({.num_workers = workers});
-    TaskGraph graph;
-    if (dynamic) rt.begin(graph);
-    for (int i = 0; i < 80; ++i) {
-      const auto dst = rng.uniform_index(cells.size());
-      const auto src = rng.uniform_index(cells.size());
-      const std::int64_t k = static_cast<std::int64_t>(rng.uniform_index(7));
-      std::vector<Access> acc{inout(&cells[dst]), in(&cells[src])};
-      auto fn = [&cells, dst, src, k] {
-        cells[dst] = cells[dst] * 3 + cells[src] + k;
-      };
-      if (dynamic) {
-        rt.submit(std::move(fn),
-                  std::span<const Access>(acc.data(), acc.size()));
-      } else {
-        graph.add(std::move(fn),
-                  std::span<const Access>(acc.data(), acc.size()));
-      }
-    }
-    if (dynamic) {
-      rt.end();
-    } else {
-      rt.run(graph);
-    }
-    return cells;
-  };
-  EXPECT_EQ(build_and_run(false), build_and_run(true));
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Seeds, FuzzedGraphs,
     ::testing::Combine(::testing::Values(1ULL, 17ULL, 255ULL, 4096ULL,

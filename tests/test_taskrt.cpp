@@ -84,7 +84,8 @@ TEST(TaskGraph, IndependentAddressesCreateNoEdges) {
   g.add([] {}, {out(&x)});
   g.add([] {}, {out(&y)});
   EXPECT_EQ(g.edge_count(), 0U);
-  EXPECT_EQ(g.roots().size(), 2U);
+  EXPECT_EQ(g.task(0).num_deps, 0U);
+  EXPECT_EQ(g.task(1).num_deps, 0U);
   EXPECT_EQ(g.critical_path_length(), 1U);
 }
 
@@ -222,24 +223,6 @@ TEST(Runtime, EmptyGraphIsNoop) {
   EXPECT_EQ(stats.tasks_executed, 0U);
 }
 
-TEST(Runtime, ParallelForCoversRangeExactlyOnce) {
-  Runtime rt({.num_workers = 4});
-  std::vector<std::atomic<int>> hits(103);
-  rt.parallel_for(0, 103, 7, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      hits[static_cast<std::size_t>(i)].fetch_add(1);
-    }
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(Runtime, ParallelForEmptyRange) {
-  Runtime rt({.num_workers = 2});
-  bool called = false;
-  rt.parallel_for(5, 5, 1, [&](std::int64_t, std::int64_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
 TEST(Runtime, StatsTrackDurationsAndConcurrency) {
   Runtime rt({.num_workers = 4});
   TaskGraph g;
@@ -348,21 +331,61 @@ INSTANTIATE_TEST_SUITE_P(Workers, RuntimeStress,
                            return "w" + std::to_string(info.param);
                          });
 
-TEST(Runtime, StressExceptionPropagatesOutOfEnd) {
+TEST(Runtime, StressExceptionPropagatesOutOfRun) {
   Runtime rt({.num_workers = 4});
-  for (int rep = 0; rep < 3; ++rep) {
-    TaskGraph g;
-    rt.begin(g);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 2000; ++i) {
-      if (i == 997) {
-        rt.submit([] { throw std::runtime_error("boom"); });
-      } else {
-        rt.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-      }
+  std::atomic<int> ran{0};
+  TaskGraph g;
+  for (int i = 0; i < 2000; ++i) {
+    if (i == 997) {
+      g.add([] { throw std::runtime_error("boom"); }, {});
+    } else {
+      g.add([&ran] { ran.fetch_add(1, std::memory_order_relaxed); }, {});
     }
-    EXPECT_THROW(rt.end(), std::runtime_error);
+  }
+  // Each failed run still drains, so the same runtime runs the graph again.
+  for (int rep = 0; rep < 3; ++rep) {
+    ran.store(0, std::memory_order_relaxed);
+    EXPECT_THROW(rt.run(g), std::runtime_error);
     EXPECT_EQ(ran.load(), 1999);  // independent tasks still all ran
+  }
+}
+
+// Task states live in one array that run() grows to the largest graph so
+// far: a small graph after a large one must reuse the array without
+// leaking the large run's counters or stats into its own.
+TEST(Runtime, StateArrayGrowsAcrossGraphSizes) {
+  Runtime rt({.num_workers = 4,
+              .policy = SchedulerPolicy::kLocalityAware,
+              .record_trace = true});
+  struct Sized {
+    TaskGraph graph;
+    std::vector<std::atomic<int>> hits;
+    std::vector<int> slots;
+  };
+  // Chains of inout tasks over `lanes` slots, so every task but the
+  // first of each lane has a dependency counter to reset between runs.
+  const auto build = [](Sized& s, std::size_t lanes, std::size_t length) {
+    s.hits = std::vector<std::atomic<int>>(lanes * length);
+    s.slots.assign(lanes, 0);
+    for (std::size_t i = 0; i < lanes * length; ++i) {
+      s.graph.add(
+          [&s, i] { s.hits[i].fetch_add(1, std::memory_order_relaxed); },
+          {inout(&s.slots[i % lanes])});
+    }
+  };
+  Sized small;
+  Sized large;
+  build(small, 4, 8);     // 32 tasks
+  build(large, 64, 150);  // 9600 tasks
+  for (Sized* s : {&small, &large, &small}) {
+    for (auto& h : s->hits) h.store(0, std::memory_order_relaxed);
+    const RunStats stats = rt.run(s->graph);
+    const std::size_t n = s->graph.size();
+    EXPECT_EQ(stats.tasks_executed, n);
+    EXPECT_EQ(stats.task_duration_ns.size(), n);
+    EXPECT_EQ(stats.trace.size(), n);
+    for (const auto& h : s->hits) ASSERT_EQ(h.load(), 1);
+    for (const TaskTrace& t : stats.trace) EXPECT_GE(t.worker, 0);
   }
 }
 
@@ -401,22 +424,19 @@ TEST(Runtime, LocalityHitsSurviveActiveThief) {
   EXPECT_GE(stats.locality_hits, kChain * 9 / 10);
 }
 
-TEST(Runtime, IndependentSubmitCreatesNoEdgesOrAliases) {
+TEST(Runtime, IndependentTasksCreateNoEdgesOrAliases) {
   Runtime rt({.num_workers = 4});
   TaskGraph g;
-  rt.begin(g);
   std::atomic<int> ran{0};
   for (int i = 0; i < 64; ++i) {
-    rt.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    g.add([&ran] { ran.fetch_add(1, std::memory_order_relaxed); }, {});
   }
-  // One real dependency pair sharing the session: must still link, and the
+  // One real dependency pair sharing the graph: must still link, and the
   // independent tasks must not have polluted the address table around it.
   int x = 0;
-  rt.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); },
-            {out(&x)});
-  rt.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); },
-            {in(&x)});
-  rt.end();
+  g.add([&ran] { ran.fetch_add(1, std::memory_order_relaxed); }, {out(&x)});
+  g.add([&ran] { ran.fetch_add(1, std::memory_order_relaxed); }, {in(&x)});
+  rt.run(g);
   EXPECT_EQ(ran.load(), 66);
   EXPECT_EQ(g.edge_count(), 1U);
   for (TaskId id = 0; id < 64U; ++id) {
