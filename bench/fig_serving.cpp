@@ -2,10 +2,10 @@
 // (DESIGN.md §5f). Unlike the paper-figure benches this one executes for
 // real: each configuration spins up an InferenceEngine and drives it with a
 // closed-loop client fleet, sweeping the client count with dynamic
-// micro-batching on and off. More clients raise offered load; with batching
-// on the dispatcher coalesces them into larger micro-batches, trading a
-// bounded queueing delay (max_delay_us) for throughput, while the batch-1
-// column shows the latency floor.
+// micro-batching on and off (max_batch = 1). More clients raise offered
+// load; with batching on the dispatcher coalesces them into larger
+// micro-batches, trading a bounded queueing delay (max_delay_us) for
+// throughput, while the batch-1 rows show the latency floor.
 //
 //   ./fig_serving [--requests N] [--workers N] [--max-batch N]
 #include <algorithm>
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   for (const bool batching : {false, true}) {
     for (const int clients : {1, 2, 4, 8}) {
       bpar::serve::EngineOptions options = base;
-      options.enable_batching = batching;
+      if (!batching) options.max_batch = 1;
       bpar::serve::InferenceEngine engine(cfg, options);
       engine.warmup(seq_lengths);
       load.clients = clients;
@@ -97,9 +97,7 @@ int main(int argc, char** argv) {
                                 "p50(ms)", "p95(ms)", "p99(ms)"});
   for (const double fraction : {0.5, 0.9, 1.5, 2.0}) {
     const double rate = std::max(1.0, peak_rps * fraction);
-    bpar::serve::EngineOptions options = base;
-    options.enable_batching = true;
-    bpar::serve::InferenceEngine engine(cfg, options);
+    bpar::serve::InferenceEngine engine(cfg, base);
     engine.warmup(seq_lengths);
     bpar::serve::LoadgenOptions open = load;
     open.clients = 8;
@@ -146,11 +144,10 @@ int main(int argc, char** argv) {
                            ObsConfig{"obs-on", true, false},
                            ObsConfig{"prof-on", true, true}}) {
     bpar::serve::EngineOptions options = base;
-    options.enable_batching = true;
     options.trace_requests = mode.obs_on;
-    options.enable_sampler = mode.obs_on;
     options.sampler_period_ms = 1000;
-    options.stats_port = mode.obs_on ? 0 : -1;  // ephemeral listener when on
+    // An ephemeral listener when on; it starts the sampler too.
+    options.stats_port = mode.obs_on ? 0 : -1;
     options.enable_profiler = mode.profiler_on;
     bpar::serve::InferenceEngine engine(cfg, options);
     engine.warmup(seq_lengths);

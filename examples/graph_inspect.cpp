@@ -81,10 +81,11 @@ int main(int argc, char** argv) {
          .policy = bpar::taskrt::SchedulerPolicy::kLocalityAware,
          .record_trace = true});
     const auto stats = runtime.run(program.graph());
-    bpar::taskrt::write_chrome_trace_file(graph, stats,
-                                          args.get_string("trace"));
+    bpar::taskrt::write_unified_trace_file(graph, stats,
+                                           args.get_string("trace"));
     std::printf(
-        "wrote %s (open in chrome://tracing) — %.2f ms wall, max "
+        "wrote %s (open in Perfetto, or run bpar_prof analyze on it) — "
+        "%.2f ms wall, max "
         "concurrency %d, locality hits %zu/%zu\n",
         args.get_string("trace").c_str(), stats.wall_ms(),
         stats.max_concurrency, stats.locality_hits,

@@ -31,6 +31,7 @@ void MetricsSampler::start() {
   const std::lock_guard<std::mutex> lock(thread_mu_);
   if (thread_.joinable()) return;
   stopping_.store(false, std::memory_order_relaxed);
+  sample_now();  // the first tick, so windows have a baseline at once
   thread_ = std::thread([this] { thread_loop(); });
 }
 
@@ -50,15 +51,17 @@ void MetricsSampler::stop() {
 
 void MetricsSampler::thread_loop() {
   std::unique_lock<std::mutex> lock(thread_mu_);
-  while (!stopping_.load(std::memory_order_relaxed)) {
+  // start() took the first tick; each later one follows a full period.
+  const auto period = std::chrono::milliseconds(options_.period_ms);
+  const auto stopping = [&] {
+    return stopping_.load(std::memory_order_relaxed);
+  };
+  while (!cv_.wait_for(lock, period, stopping)) {
     // Sample while NOT holding thread_mu_ (registry + ring have their own
     // locks; stop() only needs thread_mu_ to flip the flag).
     lock.unlock();
     sample_now();
     lock.lock();
-    cv_.wait_for(lock, std::chrono::milliseconds(options_.period_ms), [&] {
-      return stopping_.load(std::memory_order_relaxed);
-    });
   }
 }
 

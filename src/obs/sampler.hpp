@@ -58,7 +58,8 @@ class MetricsSampler {
   MetricsSampler(const MetricsSampler&) = delete;
   MetricsSampler& operator=(const MetricsSampler&) = delete;
 
-  /// Spawns the sampling thread (idempotent).
+  /// Takes the first snapshot, then spawns the sampling thread, which
+  /// takes one more every period (idempotent).
   void start();
   /// Stops and joins the sampling thread (idempotent).
   void stop();

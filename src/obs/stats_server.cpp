@@ -30,6 +30,7 @@ void set_socket_timeout(int fd, int timeout_ms) {
 const char* status_reason(int status) {
   switch (status) {
     case 200: return "OK";
+    case 400: return "Bad Request";
     case 404: return "Not Found";
     case 405: return "Method Not Allowed";
     case 500: return "Internal Server Error";

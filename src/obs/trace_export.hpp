@@ -7,8 +7,8 @@
 // thread_name metadata rows. Open the file at https://ui.perfetto.dev or
 // chrome://tracing.
 //
-// The lower-level chrome_* helpers are shared with taskrt/export.cpp,
-// which merges per-task rows from a RunStats trace into the same document.
+// ChromeTraceWriter is shared with taskrt/export.cpp, which merges per-task
+// rows from a RunStats trace into the same document.
 #pragma once
 
 #include <cstdint>
@@ -63,11 +63,10 @@ void write_thread_events(ChromeTraceWriter& writer, const ThreadTrace& thread,
                          int pid, int tid, std::uint64_t base_ns,
                          bool skip_tasks = false);
 
-/// Extra events appended to a span-ring export: called with the open
-/// writer and the timestamp base so callers (e.g. the serving engine's
-/// request-stage markers in a flight-recorder dump) land on the same
-/// timeline. Same signature as taskrt::ExtraTraceEmitter, defined here so
-/// obs-level consumers need no taskrt dependency.
+/// Extra events appended to a trace export (this one, or
+/// taskrt::write_unified_trace): called with the open writer and the
+/// timestamp base so callers (e.g. the serving engine's request-stage
+/// markers) land on the same timeline.
 using ExtraEventEmitter =
     std::function<void(ChromeTraceWriter&, std::uint64_t base_ns)>;
 

@@ -13,6 +13,7 @@
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
+#include "serve/batcher.hpp"
 #include "taskrt/export.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
@@ -21,8 +22,6 @@
 namespace bpar::serve {
 
 namespace {
-
-constexpr std::chrono::steady_clock::time_point kNoDeadline{};
 
 /// Shared microsecond-scale latency edges for the serve.* histograms.
 std::vector<double> latency_edges_us() {
@@ -193,9 +192,8 @@ InferenceEngine::InferenceEngine(const rnn::NetworkConfig& config,
           exec::BParOptions{.common = options.executor,
                             .record_trace = options.record_trace})),
       started_(Clock::now()),
+      batcher_(std::make_unique<Batcher>(options_)),
       slo_(options.slo) {
-  BPAR_CHECK(options_.max_batch >= 1, "max_batch must be >= 1");
-  BPAR_CHECK(options_.max_queue >= 1, "max_queue must be >= 1");
   BPAR_CHECK(options_.max_batch_retries >= 0,
              "max_batch_retries must be >= 0");
   if (options_.trace_requests) {
@@ -209,15 +207,12 @@ InferenceEngine::InferenceEngine(const rnn::NetworkConfig& config,
 
 void InferenceEngine::start_flight_recorder() {
   if (options_.enable_profiler) {
-    profiler_ = std::make_unique<obs::SpanProfiler>(
-        obs::ProfilerOptions{.period_us = options_.profiler_period_us});
+    profiler_ = std::make_unique<obs::SpanProfiler>(obs::ProfilerOptions{});
     profiler_->start();
   }
   if (options_.dump_dir.empty()) return;
   obs::FlightRecorderOptions fo;
   fo.dir = options_.dump_dir;
-  fo.max_bundles = options_.dump_max_bundles;
-  fo.max_total_bytes = options_.dump_max_total_bytes;
   fo.debounce_ms = options_.dump_debounce_ms;
   flight_ = std::make_unique<obs::FlightRecorder>(fo);
   flight_->set_trace_writer(
@@ -235,14 +230,12 @@ void InferenceEngine::start_flight_recorder() {
 }
 
 void InferenceEngine::start_observability() {
-  if (options_.enable_sampler || options_.stats_port >= 0) {
+  if (options_.stats_port >= 0) {
     obs::SamplerOptions sampler_options;
     sampler_options.period_ms = options_.sampler_period_ms;
     sampler_options.rate_series = {"serve.requests", "serve.completed"};
     sampler_ = std::make_unique<obs::MetricsSampler>(sampler_options);
     sampler_->start();
-  }
-  if (options_.stats_port >= 0) {
     stats_server_ = std::make_unique<obs::StatsServer>();
     stats_server_->handle("/healthz", [](std::string_view) {
       return obs::HttpResponse{200, "text/plain; charset=utf-8", "ok\n"};
@@ -279,11 +272,16 @@ void InferenceEngine::start_observability() {
     // Live profile window: GET /profilez?seconds=N returns collapsed
     // flamegraph text. Blocks the (single-connection) stats thread for the
     // window, which is exactly what a "profile the next N seconds" call
-    // means.
+    // means. A `seconds` that is not wholly a finite number answers 400.
     stats_server_->handle("/profilez", [this](std::string_view query) {
       double seconds = 2.0;
       if (const std::string v = query_param(query, "seconds"); !v.empty()) {
-        seconds = std::strtod(v.c_str(), nullptr);
+        char* end = nullptr;
+        seconds = std::strtod(v.c_str(), &end);
+        if (*end != '\0' || !std::isfinite(seconds)) {
+          return obs::HttpResponse{400, "text/plain; charset=utf-8",
+                                   "seconds must be a finite number\n"};
+        }
       }
       seconds = std::clamp(seconds, 0.1, 30.0);
       return obs::HttpResponse{200, "text/plain; charset=utf-8",
@@ -316,9 +314,6 @@ void InferenceEngine::warmup(std::span<const int> seq_lengths) {
     for (int rows = 1; rows <= options_.max_batch; rows *= 2) {
       (void)executor_->infer_program(steps, rows);
     }
-    if (!options_.enable_batching) {
-      (void)executor_->infer_program(steps, 1);
-    }
   }
 }
 
@@ -343,86 +338,35 @@ std::string InferenceEngine::validate(const Request& request) const {
   return {};
 }
 
-std::size_t InferenceEngine::total_queued_locked() const {
-  std::size_t n = 0;
-  for (const auto& q : queues_) n += q.size();
-  return n;
-}
-
-std::uint32_t InferenceEngine::effective_shed_wait_us() const {
-  return options_.shed_wait_us != 0 ? options_.shed_wait_us
-                                    : 16U * options_.max_delay_us;
-}
-
 std::future<Response> InferenceEngine::submit(Request request) {
   BPAR_SPAN("serve.submit");
-  std::promise<Response> promise;
-  std::future<Response> future = promise.get_future();
-  const std::uint64_t id =
-      next_id_.fetch_add(1, std::memory_order_relaxed);
+  Pending pending;
+  pending.request = std::move(request);
+  pending.id = next_id_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t id = pending.id;
+  std::future<Response> future = pending.promise.get_future();
   submitted_.fetch_add(1, std::memory_order_relaxed);
   obs::Registry::instance().counter("serve.requests").add();
   record_request_event(id, RequestStage::kSubmitted);
 
   Response immediate;
-  immediate.id = id;
-  if (std::string error = validate(request); !error.empty()) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    obs::Registry::instance().counter("serve.failed").add();
+  immediate.error = validate(pending.request);
+  if (!immediate.error.empty()) {
     immediate.status = Status::kFailed;
-    immediate.error = std::move(error);
-    record_request_event(id, RequestStage::kResponded,
-                         static_cast<std::int32_t>(Status::kFailed));
-    promise.set_value(std::move(immediate));
-    return future;
-  }
-  // An already-expired deadline never earns a queue slot: answering now
-  // keeps dead requests from delaying live ones through the bounded queue.
-  if (request.deadline != kNoDeadline && Clock::now() > request.deadline) {
-    expired_.fetch_add(1, std::memory_order_relaxed);
-    obs::Registry::instance().counter("serve.deadline_exceeded").add();
-    immediate.status = Status::kDeadlineExceeded;
-    record_slo(Status::kDeadlineExceeded, 0.0);
-    record_request_event(
-        id, RequestStage::kResponded,
-        static_cast<std::int32_t>(Status::kDeadlineExceeded));
-    promise.set_value(std::move(immediate));
-    return future;
-  }
-
-  const auto cls = static_cast<std::size_t>(request.priority);
-  const std::size_t quota = options_.class_quota[cls] != 0
-                                ? options_.class_quota[cls]
-                                : options_.max_queue;
-  {
+  } else {
+    const std::uint64_t bytes = pending_bytes(pending);
+    const auto cls = static_cast<std::int32_t>(pending.request.priority);
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_.load(std::memory_order_relaxed)) {
-      immediate.status = Status::kShutdown;
-    } else if (total_queued_locked() >= options_.max_queue ||
-               queues_[cls].size() >= quota) {
-      immediate.status = Status::kRejected;
-    } else {
-      Pending pending;
-      pending.request = std::move(request);
-      pending.promise = std::move(promise);
-      pending.enqueued = Clock::now();
-      pending.id = id;
-      obs::serve_queue_memory().on_alloc(pending_bytes(pending));
-      queues_[cls].push_back(std::move(pending));
+    immediate.status = batcher_->admit(pending, Clock::now());
+    if (immediate.status == Status::kOk) {
+      obs::serve_queue_memory().on_alloc(bytes);
       publish_queue_depths_locked();
-      record_request_event(id, RequestStage::kQueued,
-                           static_cast<std::int32_t>(cls));
+      record_request_event(id, RequestStage::kQueued, cls);
       cv_.notify_all();
       return future;
     }
   }
-  if (immediate.status == Status::kRejected) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    obs::Registry::instance().counter("serve.rejected").add();
-  }
-  record_request_event(id, RequestStage::kResponded,
-                       static_cast<std::int32_t>(immediate.status));
-  promise.set_value(std::move(immediate));
+  respond(pending, std::move(immediate));
   return future;
 }
 
@@ -433,11 +377,8 @@ Response InferenceEngine::infer(Request request) {
 void InferenceEngine::shutdown() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_.load(std::memory_order_relaxed) &&
-        !dispatcher_.joinable()) {
-      return;
-    }
-    stopping_.store(true, std::memory_order_relaxed);
+    if (batcher_->closed() && !dispatcher_.joinable()) return;
+    batcher_->close();
     set_health(Health::kDraining);
   }
   cv_.notify_all();
@@ -449,142 +390,62 @@ void InferenceEngine::shutdown() {
   if (profiler_ != nullptr) profiler_->stop();
 }
 
-void InferenceEngine::shed_overdue_locked(Clock::time_point now) {
-  const std::uint32_t limit_us = effective_shed_wait_us();
-  const auto cap = static_cast<std::size_t>(options_.max_batch);
-  bool any = false;
-  // Lowest class first; kHigh (class 0) is never shed. Stop as soon as the
-  // backlog fits in one micro-batch again — shedding is a pressure valve,
-  // not a purge.
-  for (int cls = kNumPriorities - 1; cls >= 1; --cls) {
-    auto& queue = queues_[static_cast<std::size_t>(cls)];
-    while (!queue.empty() && total_queued_locked() > cap &&
-           us_between(queue.front().enqueued, now) >
-               static_cast<double>(limit_us)) {
-      Pending victim = std::move(queue.front());
-      queue.pop_front();
-      obs::serve_queue_memory().on_free(pending_bytes(victim));
-      any = true;
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      obs::Registry::instance().counter("serve.shed").add();
-      record_slo(Status::kShed, 0.0);
-      record_request_event(victim.id, RequestStage::kResponded,
-                           static_cast<std::int32_t>(Status::kShed));
-      Response response;
-      response.id = victim.id;
-      response.status = Status::kShed;
-      response.queue_us = us_between(victim.enqueued, now);
-      victim.promise.set_value(std::move(response));
-    }
-  }
-  if (any) {
-    BPAR_SPAN("serve.shed");
-    publish_queue_depths_locked();
-  }
-}
-
 void InferenceEngine::dispatcher_loop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] {
-      return stopping_.load(std::memory_order_relaxed) ||
-             total_queued_locked() > 0;
-    });
-    if (total_queued_locked() == 0) return;  // stopping && drained
-
-    shed_overdue_locked(Clock::now());
-    if (total_queued_locked() == 0) continue;
-
-    // Strict priority: the head comes from the highest non-empty class.
-    // The head request defines the micro-batch's shape group: BRNN outputs
-    // depend on the whole sequence, so only requests with the SAME length
-    // coalesce (the batch dimension pads; timesteps never do).
-    std::size_t head_cls = 0;
-    while (queues_[head_cls].empty()) ++head_cls;
-    const int cap = options_.enable_batching ? options_.max_batch : 1;
-    const int steps = queues_[head_cls].front().request.steps;
-    const Clock::time_point flush_at =
-        queues_[head_cls].front().enqueued +
-        std::chrono::microseconds(options_.max_delay_us);
-    const auto matching = [&] {
-      std::size_t m = 0;
-      for (const auto& q : queues_) {
-        for (const Pending& p : q) m += (p.request.steps == steps) ? 1 : 0;
+    const Clock::time_point now = Clock::now();
+    Batcher::Step step = batcher_->step(now);
+    if (step.shed.empty() && step.expired.empty() && step.batch.empty()) {
+      if (batcher_->closed() && batcher_->queued() == 0) return;
+      if (step.wake == Batcher::kNever) {
+        cv_.wait(lock);
+      } else {
+        cv_.wait_until(lock, step.wake);
       }
-      return m;
-    };
-    while (!stopping_.load(std::memory_order_relaxed) &&
-           matching() < static_cast<std::size_t>(cap) &&
-           Clock::now() < flush_at) {
-      cv_.wait_until(lock, flush_at);
-    }
-
-    // Seal: extract up to `cap` same-length requests, classes in priority
-    // order, FIFO within a class.
-    const Clock::time_point sealed = Clock::now();
-    std::vector<Pending> taken;
-    taken.reserve(static_cast<std::size_t>(cap));
-    for (auto& queue : queues_) {
-      for (auto it = queue.begin();
-           it != queue.end() &&
-           taken.size() < static_cast<std::size_t>(cap);) {
-        if (it->request.steps == steps) {
-          taken.push_back(std::move(*it));
-          obs::serve_queue_memory().on_free(pending_bytes(taken.back()));
-          it = queue.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      if (taken.size() >= static_cast<std::size_t>(cap)) break;
+      continue;
     }
     publish_queue_depths_locked();
-    for (const Pending& p : taken) {
-      record_request_event(p.id, RequestStage::kSealed,
-                           static_cast<std::int32_t>(taken.size()));
-    }
-
     lock.unlock();
-    process_batch(std::move(taken), sealed);
-  }
-}
 
-void InferenceEngine::process_batch(std::vector<Pending> taken,
-                                    Clock::time_point sealed) {
-  BPAR_SPAN("serve.batch");
-  auto& registry = obs::Registry::instance();
-
-  // Expired requests answer without executing.
-  std::vector<Pending> live;
-  live.reserve(taken.size());
-  for (Pending& p : taken) {
-    if (p.request.deadline != kNoDeadline && sealed > p.request.deadline) {
-      expired_.fetch_add(1, std::memory_order_relaxed);
-      registry.counter("serve.deadline_exceeded").add();
-      record_slo(Status::kDeadlineExceeded, 0.0);
-      record_request_event(
-          p.id, RequestStage::kResponded,
-          static_cast<std::int32_t>(Status::kDeadlineExceeded));
-      Response response;
-      response.id = p.id;
-      response.status = Status::kDeadlineExceeded;
-      response.queue_us = us_between(p.enqueued, sealed);
-      p.promise.set_value(std::move(response));
-    } else {
-      live.push_back(std::move(p));
+    // Shed, or sealed past their deadline: answered without executing.
+    const auto answer = [&](std::vector<Pending>& pendings, Status status) {
+      for (Pending& p : pendings) {
+        obs::serve_queue_memory().on_free(pending_bytes(p));
+        Response response;
+        response.status = status;
+        response.queue_us = us_between(p.enqueued, now);
+        respond(p, std::move(response));
+      }
+    };
+    if (!step.shed.empty()) {
+      BPAR_SPAN("serve.shed");
+      answer(step.shed, Status::kShed);
     }
-  }
-  if (live.empty()) return;
-
-  serve_group(std::move(live), sealed, /*depth=*/0);
-  check_slo_alert();
-
-  const double elapsed_s =
-      std::chrono::duration<double>(Clock::now() - started_).count();
-  if (elapsed_s > 0.0) {
-    registry.gauge("serve.throughput_rps")
-        .set(static_cast<double>(completed_.load(std::memory_order_relaxed)) /
-             elapsed_s);
+    const auto sealed_rows =
+        static_cast<std::int32_t>(step.expired.size() + step.batch.size());
+    for (const Pending& p : step.expired) {
+      record_request_event(p.id, RequestStage::kSealed, sealed_rows);
+    }
+    answer(step.expired, Status::kDeadlineExceeded);
+    if (!step.batch.empty()) {
+      BPAR_SPAN("serve.batch");
+      for (const Pending& p : step.batch) {
+        obs::serve_queue_memory().on_free(pending_bytes(p));
+        record_request_event(p.id, RequestStage::kSealed, sealed_rows);
+      }
+      serve_group(std::move(step.batch), now, /*depth=*/0);
+      check_slo_alert();
+      const double elapsed_s =
+          std::chrono::duration<double>(Clock::now() - started_).count();
+      const auto completed = answered_[static_cast<std::size_t>(Status::kOk)]
+                                 .load(std::memory_order_relaxed);
+      if (elapsed_s > 0.0) {
+        obs::Registry::instance()
+            .gauge("serve.throughput_rps")
+            .set(static_cast<double>(completed) / elapsed_s);
+      }
+    }
+    lock.lock();
   }
 }
 
@@ -593,18 +454,11 @@ std::string InferenceEngine::try_execute(const rnn::BatchData& batch,
                                          int rows,
                                          exec::InferResult& result) {
   try {
-    if (options_.rebuild_per_call) {
-      // Benchmark mode: pay graph construction on every batch.
-      exec::BParExecutor fresh(
-          net_, exec::BParOptions{.common = options_.executor});
-      result = fresh.infer(batch, {.want_logits = need_logits});
-    } else {
-      result = executor_->infer(batch, {.want_logits = need_logits});
-      if (options_.record_trace) {
-        std::lock_guard<std::mutex> lock(trace_mu_);
-        last_traced_program_ = &executor_->infer_program(steps, rows);
-        last_traced_stats_ = result.stats;
-      }
+    result = executor_->infer(batch, {.want_logits = need_logits});
+    if (options_.record_trace) {
+      std::lock_guard<std::mutex> lock(trace_mu_);
+      last_traced_program_ = &executor_->infer_program(steps, rows);
+      last_traced_stats_ = result.stats;
     }
   } catch (const taskrt::InjectedFault& e) {
     return std::string("injected fault: ") + e.what();
@@ -624,9 +478,7 @@ void InferenceEngine::serve_group(std::vector<Pending> live,
   auto& registry = obs::Registry::instance();
   const auto& cfg = net_.config();
   const int real_rows = static_cast<int>(live.size());
-  const int rows = options_.enable_batching
-                       ? bucket_rows(real_rows, options_.max_batch)
-                       : real_rows;
+  const int rows = bucket_rows(real_rows, options_.max_batch);
   const int steps = live.front().request.steps;
   const int outputs = cfg.many_to_many ? steps : 1;
   bool need_logits = false;
@@ -676,13 +528,9 @@ void InferenceEngine::serve_group(std::vector<Pending> live,
       for (const Pending& p : live) {
         record_request_event(p.id, RequestStage::kRetry, attempt);
       }
-      if (!options_.rebuild_per_call && executor_->runtime().poisoned()) {
-        rebuild_executor();
-      }
-      error = try_execute(batch, need_logits, steps, rows, result);
-    } else {
-      error = try_execute(batch, need_logits, steps, rows, result);
+      if (executor_->runtime().poisoned()) rebuild_executor();
     }
+    error = try_execute(batch, need_logits, steps, rows, result);
     if (error.empty()) break;
     BPAR_LOG_WARN << "serve: batch of " << real_rows << " (attempt "
                   << attempt + 1 << "/" << options_.max_batch_retries + 1
@@ -708,7 +556,7 @@ void InferenceEngine::serve_group(std::vector<Pending> live,
 
   // Degraded once a group exhausts its retries, healthy again after the
   // next clean group; draining (set by shutdown()) sticks.
-  if (!stopping_.load(std::memory_order_relaxed)) {
+  if (health() != Health::kDraining) {
     set_health(error.empty() ? Health::kHealthy : Health::kDegraded);
   }
   if (!error.empty()) {
@@ -740,7 +588,6 @@ void InferenceEngine::serve_group(std::vector<Pending> live,
     }
     Pending& p = live.front();
     Response response;
-    response.id = p.id;
     response.status = Status::kInternalError;
     response.error = error;
     response.batch_rows = rows;
@@ -748,19 +595,13 @@ void InferenceEngine::serve_group(std::vector<Pending> live,
     response.queue_us = us_between(p.enqueued, sealed);
     response.batch_form_us = form_us;
     response.exec_us = exec_us;
-    internal_errors_.fetch_add(1, std::memory_order_relaxed);
-    registry.counter("serve.internal_errors").add();
-    record_slo(Status::kInternalError, 0.0);
-    record_request_event(p.id, RequestStage::kResponded,
-                         static_cast<std::int32_t>(Status::kInternalError));
-    p.promise.set_value(std::move(response));
+    respond(p, std::move(response));
     return;
   }
 
   for (int r = 0; r < real_rows; ++r) {
     Pending& p = live[static_cast<std::size_t>(r)];
     Response response;
-    response.id = p.id;
     response.batch_rows = rows;
     response.real_rows = real_rows;
     response.queue_us = us_between(p.enqueued, sealed);
@@ -794,12 +635,7 @@ void InferenceEngine::serve_group(std::vector<Pending> live,
     queue_histogram().add(response.queue_us);
     const double request_us = us_between(p.enqueued, Clock::now());
     request_histogram().add(request_us);
-    record_slo(Status::kOk, request_us);
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    registry.counter("serve.completed").add();
-    record_request_event(p.id, RequestStage::kResponded,
-                         static_cast<std::int32_t>(Status::kOk));
-    p.promise.set_value(std::move(response));
+    respond(p, std::move(response), request_us);
   }
 }
 
@@ -828,6 +664,25 @@ void InferenceEngine::set_health(Health health) {
   BPAR_LOG_INFO << "serve: health "
                 << health_name(static_cast<Health>(previous)) << " -> "
                 << health_name(health);
+}
+
+void InferenceEngine::respond(Pending& pending, Response response,
+                              double latency_us) {
+  // Registry counter of each Status, by index; kShutdown has none.
+  static constexpr std::array<const char*, kNumStatuses> kCounters = {
+      "serve.completed", "serve.rejected", "serve.shed",
+      "serve.deadline_exceeded", nullptr, "serve.failed",
+      "serve.internal_errors"};
+  const auto index = static_cast<std::size_t>(response.status);
+  answered_[index].fetch_add(1, std::memory_order_relaxed);
+  if (kCounters[index] != nullptr) {
+    obs::Registry::instance().counter(kCounters[index]).add();
+  }
+  record_slo(response.status, latency_us);
+  record_request_event(pending.id, RequestStage::kResponded,
+                       static_cast<std::int32_t>(response.status));
+  response.id = pending.id;
+  pending.promise.set_value(std::move(response));
 }
 
 void InferenceEngine::record_request_event(std::uint64_t id,
@@ -865,13 +720,11 @@ void InferenceEngine::record_slo(Status status, double latency_us) {
 void InferenceEngine::publish_queue_depths_locked() {
   auto& registry = obs::Registry::instance();
   registry.gauge("serve.queue_depth")
-      .set(static_cast<double>(total_queued_locked()));
+      .set(static_cast<double>(batcher_->queued()));
   for (int cls = 0; cls < kNumPriorities; ++cls) {
-    registry
-        .gauge(std::string("serve.queue_depth.") +
-               priority_name(static_cast<Priority>(cls)))
-        .set(static_cast<double>(
-            queues_[static_cast<std::size_t>(cls)].size()));
+    const auto priority = static_cast<Priority>(cls);
+    registry.gauge(std::string("serve.queue_depth.") + priority_name(priority))
+        .set(static_cast<double>(batcher_->queued(priority)));
   }
 }
 
@@ -1047,14 +900,18 @@ std::string InferenceEngine::statz_json() const {
 }
 
 EngineStats InferenceEngine::stats() const {
+  const auto answered = [this](Status status) {
+    return answered_[static_cast<std::size_t>(status)].load(
+        std::memory_order_relaxed);
+  };
   EngineStats s;
   s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.shed = shed_.load(std::memory_order_relaxed);
-  s.expired = expired_.load(std::memory_order_relaxed);
-  s.failed = failed_.load(std::memory_order_relaxed);
-  s.internal_errors = internal_errors_.load(std::memory_order_relaxed);
+  s.completed = answered(Status::kOk);
+  s.rejected = answered(Status::kRejected);
+  s.shed = answered(Status::kShed);
+  s.expired = answered(Status::kDeadlineExceeded);
+  s.failed = answered(Status::kFailed);
+  s.internal_errors = answered(Status::kInternalError);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.padded_rows = padded_rows_.load(std::memory_order_relaxed);
   s.retries = retries_.load(std::memory_order_relaxed);
@@ -1065,9 +922,9 @@ EngineStats InferenceEngine::stats() const {
     std::lock_guard<std::mutex> lock(mu_);
     for (int cls = 0; cls < kNumPriorities; ++cls) {
       s.queue_depths[static_cast<std::size_t>(cls)] =
-          queues_[static_cast<std::size_t>(cls)].size();
+          batcher_->queued(static_cast<Priority>(cls));
     }
-    s.queue_depth = total_queued_locked();
+    s.queue_depth = batcher_->queued();
   }
   s.slo = slo_.snapshot();
   return s;
@@ -1163,10 +1020,7 @@ std::string InferenceEngine::profile_folded(double seconds) {
     return obs::folded_to_text(obs::fold_delta(before, profiler_->folded()));
   }
   // No continuous profiler: spin one up just for the window.
-  obs::ProfilerOptions po;
-  po.period_us =
-      options_.profiler_period_us != 0 ? options_.profiler_period_us : 2000;
-  obs::SpanProfiler ephemeral(po);
+  obs::SpanProfiler ephemeral(obs::ProfilerOptions{});
   ephemeral.start();
   std::this_thread::sleep_for(window);
   ephemeral.stop();
@@ -1181,7 +1035,7 @@ std::uint64_t InferenceEngine::pending_bytes(const Pending& pending) {
 
 std::size_t InferenceEngine::queue_depth() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return total_queued_locked();
+  return batcher_->queued();
 }
 
 }  // namespace bpar::serve

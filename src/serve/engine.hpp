@@ -20,7 +20,9 @@
 // overdue kNormal/kBatch requests with kShed when the backlog exceeds one
 // micro-batch — overload lands on the lowest classes while kHigh latency
 // stays flat. Already-expired deadlines are rejected at submit() so dead
-// requests never consume a queue slot.
+// requests never consume a queue slot. serve::Batcher (serve/batcher.hpp)
+// makes all of these decisions on an explicit clock; the dispatcher drives
+// it with steady-clock time and answers what it decides.
 //
 // Fault-hardened execution: every batch runs fp32 cells on the kernel
 // backend selected at start-up. EngineOptions::executor.faults/watchdog_ms
@@ -49,7 +51,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -87,6 +88,7 @@ struct EngineOptions {
   /// serving engine inherits the PR-2 fault stack through here.
   exec::CommonOptions executor{};
   /// Largest micro-batch the dispatcher coalesces (and the top row bucket).
+  /// 1 → every request executes alone (batch-1 latency mode).
   int max_batch = 8;
   /// Flush deadline: a formed batch executes as soon as it reaches
   /// max_batch OR the oldest queued request has waited this long.
@@ -94,12 +96,6 @@ struct EngineOptions {
   /// Bounded queue (all classes together); submissions beyond it reject
   /// with kRejected.
   std::size_t max_queue = 256;
-  /// false → every request executes alone (batch-1 latency mode).
-  bool enable_batching = true;
-  /// Benchmark knob: build a fresh executor (and thus fresh task graphs)
-  /// for every micro-batch instead of replaying the cached programs. Only
-  /// for measuring what the cache buys (tools/bpar_serve --rebuild).
-  bool rebuild_per_call = false;
   /// Record per-task timing in the executor so write_unified_trace() can
   /// export an analyzable trace (`bpar_prof analyze`) of the last batch.
   bool record_trace = false;
@@ -124,12 +120,9 @@ struct EngineOptions {
   // ---- live observability (DESIGN.md §5i) ----
   /// TCP port for the embedded stats endpoint (/metrics Prometheus text,
   /// /statz JSON, /healthz). -1 = no listener; 0 = ephemeral port (read it
-  /// back with stats_port()). Enabling the listener also enables the
-  /// sampler — /statz windows need time series behind them.
+  /// back with stats_port()). Enabling the listener also starts the
+  /// MetricsSampler — /statz windows need time series behind them.
   int stats_port = -1;
-  /// Run the background MetricsSampler even without a listener (windowed
-  /// rollups through stats()/statz_json()).
-  bool enable_sampler = false;
   /// Sampler tick period.
   std::uint32_t sampler_period_ms = 1000;
   /// Per-request stage tracing: every request logs admission → queue →
@@ -152,16 +145,11 @@ struct EngineOptions {
   /// Minimum spacing between automatic dumps (a run of stalled batches
   /// writes one bundle, not hundreds).
   std::uint32_t dump_debounce_ms = 5000;
-  /// Rotation bounds for the dump directory.
-  std::size_t dump_max_bundles = 8;
-  std::uint64_t dump_max_total_bytes = 64ULL << 20;
   /// Run the continuous span-stack profiler for the engine's lifetime, so
   /// `GET /profilez` serves windowed deltas and every dump bundle carries
   /// a folded profile. Off by default: sampling costs ~4 relaxed stores
   /// per span push/pop on every instrumented thread.
   bool enable_profiler = false;
-  /// Profiler sampling period (see obs::ProfilerOptions).
-  std::uint32_t profiler_period_us = 2000;
 };
 
 enum class Status {
@@ -267,6 +255,10 @@ struct EngineStats {
   obs::SloTracker::Snapshot slo{};
 };
 
+// The admission core, defined in serve/batcher.hpp.
+struct Pending;
+class Batcher;
+
 class InferenceEngine {
  public:
   /// Builds the network from `config` (load trained weights through
@@ -301,9 +293,6 @@ class InferenceEngine {
   /// queued, and joins the dispatcher. Idempotent.
   void shutdown();
 
-  /// Deprecated spelling kept for callers of stats() from before the
-  /// resilience layer; EngineStats is the real name.
-  using Stats = EngineStats;
   [[nodiscard]] EngineStats stats() const;
   [[nodiscard]] std::size_t queue_depth() const;
   [[nodiscard]] Health health() const;
@@ -360,16 +349,9 @@ class InferenceEngine {
  private:
   using Clock = std::chrono::steady_clock;
 
-  struct Pending {
-    Request request;
-    std::promise<Response> promise;
-    Clock::time_point enqueued;
-    std::uint64_t id = 0;
-  };
-
+  /// Steps the Batcher and answers its decisions until shutdown() has
+  /// drained the queues.
   void dispatcher_loop();
-  /// Serves one sealed micro-batch (dispatcher thread only).
-  void process_batch(std::vector<Pending> taken, Clock::time_point sealed);
   /// Forms + executes a request group with bounded retries; bisects on
   /// exhaustion. Answers every promise exactly once. Dispatcher thread.
   void serve_group(std::vector<Pending> live, Clock::time_point sealed,
@@ -378,11 +360,12 @@ class InferenceEngine {
   /// success.
   std::string try_execute(const rnn::BatchData& batch, bool need_logits,
                           int steps, int rows, exec::InferResult& result);
-  /// Answers overdue sheddable requests with kShed. Caller holds mu_.
-  void shed_overdue_locked(Clock::time_point now);
   /// Replaces a poisoned executor with a fresh one (dispatcher thread).
   void rebuild_executor();
   void set_health(Health health);
+  /// Answers `pending` with `response`: the per-Status counters, SLO
+  /// bookkeeping (latency_us counts for kOk only) and the kResponded event.
+  void respond(Pending& pending, Response response, double latency_us = 0.0);
   /// Appends to the bounded request-event ring (no-op unless
   /// EngineOptions::trace_requests). Any thread.
   void record_request_event(std::uint64_t id, RequestStage stage,
@@ -413,8 +396,6 @@ class InferenceEngine {
   /// queued request pins.
   static std::uint64_t pending_bytes(const Pending& pending);
   [[nodiscard]] std::string validate(const Request& request) const;
-  [[nodiscard]] std::size_t total_queued_locked() const;
-  [[nodiscard]] std::uint32_t effective_shed_wait_us() const;
 
   rnn::Network net_;
   EngineOptions options_;
@@ -423,10 +404,7 @@ class InferenceEngine {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  /// Per-class FIFO queues, indexed by Priority; strict priority across
-  /// classes at seal time. All guarded by mu_.
-  std::array<std::deque<Pending>, kNumPriorities> queues_;
-  std::atomic<bool> stopping_{false};  // written under mu_
+  std::unique_ptr<Batcher> batcher_;  // guarded by mu_
 
   mutable std::mutex trace_mu_;  // guards the two last-trace fields
   graph::TrainingProgram* last_traced_program_ = nullptr;
@@ -454,12 +432,8 @@ class InferenceEngine {
 
   std::atomic<std::uint64_t> next_id_{1};
   std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> expired_{0};
-  std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> internal_errors_{0};
+  /// Requests answered, indexed by Status.
+  std::array<std::atomic<std::uint64_t>, kNumStatuses> answered_{};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> padded_rows_{0};
   std::atomic<std::uint64_t> retries_{0};

@@ -29,8 +29,9 @@ struct SimOptions {
   MachineModel machine{};
   taskrt::SchedulerPolicy policy = taskrt::SchedulerPolicy::kFifo;
   int cores = 0;  // 0 → machine.cores
-  /// Record per-task (start, end, core) tuples — exportable with
-  /// taskrt::write_chrome_trace to visualize the simulated schedule.
+  /// Record per-task (start, end, core) tuples — taskrt::make_trace_model
+  /// turns them into an analysis model, which
+  /// obs::analysis::write_model_events renders as a trace.
   bool record_trace = false;
 };
 

@@ -129,47 +129,9 @@ void write_dot_file(const TaskGraph& graph, const std::string& path,
   write_dot(graph, os, options);
 }
 
-void write_chrome_trace(const TaskGraph& graph,
-                        std::span<const TaskTrace> trace, std::ostream& os) {
-  BPAR_CHECK(trace.size() == graph.size(),
-             "stats have no trace — run with record_trace = true");
-  os << "[";
-  bool first = true;
-  for (TaskId id = 0; id < graph.size(); ++id) {
-    const TaskTrace& tr = trace[id];
-    const Task& t = graph.task(id);
-    if (!first) os << ",";
-    first = false;
-    const std::string name =
-        t.spec.name.empty() ? task_kind_name(t.spec.kind) : t.spec.name;
-    os << "\n  {\"name\": " << obs::json_quote(name) << ", \"cat\": \""
-       << task_kind_name(t.spec.kind) << "\", \"ph\": \"X\", \"ts\": "
-       << static_cast<double>(tr.start_ns) / 1e3
-       << ", \"dur\": " << static_cast<double>(tr.end_ns - tr.start_ns) / 1e3
-       << ", \"pid\": 1, \"tid\": " << tr.worker << "}";
-  }
-  os << "\n]\n";
-}
-
-void write_chrome_trace(const TaskGraph& graph, const RunStats& stats,
-                        std::ostream& os) {
-  write_chrome_trace(graph, std::span<const TaskTrace>(stats.trace), os);
-}
-
-void write_chrome_trace_file(const TaskGraph& graph, const RunStats& stats,
-                             const std::string& path) {
-  std::ofstream os(path);
-  BPAR_CHECK(os.good(), "cannot open ", path);
-  write_chrome_trace(graph, stats, os);
-}
-
 void write_unified_trace(const TaskGraph& graph, const RunStats& stats,
-                         std::ostream& os) {
-  write_unified_trace(graph, stats, os, ExtraTraceEmitter{});
-}
-
-void write_unified_trace(const TaskGraph& graph, const RunStats& stats,
-                         std::ostream& os, const ExtraTraceEmitter& extra) {
+                         std::ostream& os,
+                         const obs::ExtraEventEmitter& extra) {
   BPAR_CHECK(stats.trace.size() == graph.size(),
              "stats have no trace — run with record_trace = true");
   // The RunStats trace is session-relative; obs events are absolute
@@ -223,13 +185,8 @@ void write_unified_trace(const TaskGraph& graph, const RunStats& stats,
 }
 
 void write_unified_trace_file(const TaskGraph& graph, const RunStats& stats,
-                              const std::string& path) {
-  write_unified_trace_file(graph, stats, path, ExtraTraceEmitter{});
-}
-
-void write_unified_trace_file(const TaskGraph& graph, const RunStats& stats,
                               const std::string& path,
-                              const ExtraTraceEmitter& extra) {
+                              const obs::ExtraEventEmitter& extra) {
   std::ofstream os(path);
   BPAR_CHECK(os.good(), "cannot open ", path);
   write_unified_trace(graph, stats, os, extra);

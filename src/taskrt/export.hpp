@@ -2,10 +2,9 @@
 //  * Graphviz DOT of a TaskGraph (colored by task kind, grouped by layer),
 //    like the paper's Fig. 2 dependency diagrams;
 //  * Chrome-tracing JSON ("chrome://tracing" / Perfetto) of a recorded
-//    RunStats trace, one row per worker.
+//    RunStats trace, one row per worker, merged with the obs spans.
 #pragma once
 
-#include <functional>
 #include <iosfwd>
 #include <span>
 #include <string>
@@ -29,42 +28,21 @@ void write_dot(const TaskGraph& graph, std::ostream& os,
 void write_dot_file(const TaskGraph& graph, const std::string& path,
                     const DotOptions& options = {});
 
-/// Writes a Chrome-tracing JSON document from per-task (start, end,
-/// worker) tuples — one per task in `graph` (works for real executions and
-/// for simulated schedules alike).
-void write_chrome_trace(const TaskGraph& graph,
-                        std::span<const TaskTrace> trace, std::ostream& os);
-
-/// Convenience overload for a run recorded with
-/// RuntimeOptions::record_trace.
-void write_chrome_trace(const TaskGraph& graph, const RunStats& stats,
-                        std::ostream& os);
-void write_chrome_trace_file(const TaskGraph& graph, const RunStats& stats,
-                             const std::string& path);
-
 /// One merged chrome-trace document: fully named task slices from a
 /// recorded RunStats trace (one row per worker) plus every obs span,
 /// counter, and instant collected so far (one row per recording thread) on
-/// a single shared timeline. Requires record_trace; spans require tracing
-/// to have been enabled during the run.
+/// a single shared timeline; `bpar_prof analyze` reads it back. Requires
+/// record_trace; spans require tracing to have been enabled during the run.
+/// `extra` is for callers that hold event sources outside the obs rings
+/// (the serving engine's per-request stage log): it runs after the standard
+/// rows, with the writer and the export base, so absolute steady-clock
+/// timestamps minus `base_ns` line up with everything else.
 void write_unified_trace(const TaskGraph& graph, const RunStats& stats,
-                         std::ostream& os);
-void write_unified_trace_file(const TaskGraph& graph, const RunStats& stats,
-                              const std::string& path);
-
-/// Hook for callers that hold event sources outside the obs rings (the
-/// serving engine's per-request stage log): invoked after the standard rows
-/// are written, with the writer and the export base so extra events land on
-/// the shared timeline. Absolute steady-clock timestamps minus `base_ns`
-/// line up with everything else.
-using ExtraTraceEmitter =
-    std::function<void(obs::ChromeTraceWriter& writer, std::uint64_t base_ns)>;
-
-void write_unified_trace(const TaskGraph& graph, const RunStats& stats,
-                         std::ostream& os, const ExtraTraceEmitter& extra);
+                         std::ostream& os,
+                         const obs::ExtraEventEmitter& extra = {});
 void write_unified_trace_file(const TaskGraph& graph, const RunStats& stats,
                               const std::string& path,
-                              const ExtraTraceEmitter& extra);
+                              const obs::ExtraEventEmitter& extra = {});
 
 /// Direct predecessor lists, reconstructed by inverting the graph's
 /// successor edges. Index = TaskId.

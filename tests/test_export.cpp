@@ -1,8 +1,11 @@
 // DOT / Chrome-trace export tests.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <algorithm>
 #include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
@@ -79,7 +82,7 @@ TEST(ChromeTrace, EscapedNamesProduceValidJson) {
   Runtime rt({.num_workers = 1, .record_trace = true});
   const RunStats stats = rt.run(g);
   std::ostringstream os;
-  write_chrome_trace(g, stats, os);
+  write_unified_trace(g, stats, os);
   const bpar::obs::JsonValue doc = bpar::obs::json_parse(os.str());
   ASSERT_TRUE(doc.is_array());
   bool found = false;
@@ -162,17 +165,21 @@ TEST(ChromeTrace, EmitsOneEventPerTask) {
   Runtime rt({.num_workers = 2, .record_trace = true});
   const RunStats stats = rt.run(g);
   std::ostringstream os;
-  write_chrome_trace(g, stats, os);
-  const std::string json = os.str();
-  EXPECT_EQ(json.front(), '[');
-  std::size_t events = 0;
-  for (std::size_t pos = json.find("\"ph\": \"X\"");
-       pos != std::string::npos; pos = json.find("\"ph\": \"X\"", pos + 1)) {
-    ++events;
+  write_unified_trace(g, stats, os);
+  const bpar::obs::JsonValue doc = bpar::obs::json_parse(os.str());
+  ASSERT_TRUE(doc.is_array());
+  // Task slices sit on the worker rows (tid < 100), one per task.
+  std::vector<std::string> names;
+  std::vector<std::string> cats;
+  for (const auto& ev : doc.array) {
+    if (ev.at("ph").str == "X" && ev.at("tid").number < 100.0) {
+      names.push_back(ev.at("name").str);
+      cats.push_back(ev.at("cat").str);
+    }
   }
-  EXPECT_EQ(events, 4U);
-  EXPECT_NE(json.find("\"name\": \"root\""), std::string::npos);
-  EXPECT_NE(json.find("\"cat\": \"merge\""), std::string::npos);
+  EXPECT_EQ(names.size(), 4U);
+  EXPECT_NE(std::find(names.begin(), names.end(), "root"), names.end());
+  EXPECT_NE(std::find(cats.begin(), cats.end(), "merge"), cats.end());
 }
 
 TEST(ChromeTrace, RequiresRecordedTrace) {
@@ -183,7 +190,7 @@ TEST(ChromeTrace, RequiresRecordedTrace) {
   Runtime rt({.num_workers = 1});  // no trace
   const RunStats stats = rt.run(g);
   std::ostringstream os;
-  EXPECT_DEATH(write_chrome_trace(g, stats, os), "record_trace");
+  EXPECT_DEATH(write_unified_trace(g, stats, os), "record_trace");
 }
 
 TEST(FileExports, WriteToDisk) {

@@ -270,6 +270,15 @@ TEST(FlightEngine, DebugDumpEndpointAndProfilezServeOverHttp) {
   while (std::getline(lines, line)) {
     ASSERT_NE(line.rfind(' '), std::string::npos) << line;
   }
+
+  // A window that is not wholly a finite number is refused, not profiled.
+  for (const char* bad : {"nan", "abc"}) {
+    const auto refused = obs::http_get(
+        "127.0.0.1", static_cast<std::uint16_t>(port),
+        std::string("/profilez?seconds=") + bad);
+    ASSERT_TRUE(refused.ok) << refused.error;
+    EXPECT_EQ(refused.status, 400) << bad;
+  }
 }
 
 // A dump taken from a record_trace engine after real traffic must feed the

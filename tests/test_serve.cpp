@@ -1,7 +1,10 @@
-// Serving engine suite (DESIGN.md §5f): micro-batcher flush rules, padding
+// Serving engine suite (DESIGN.md §5f, §5h): the admission core
+// (serve::Batcher: flush, coalescing, priority, quotas, deadlines and
+// shedding) on virtual time with no engine, then the engine itself: padding
 // masking (batched results must match a batch-1 sequential reference),
-// cached-program determinism, FIFO fairness, backpressure, deadlines, and a
-// many-client concurrency smoke that doubles as the TSan target.
+// cached-program determinism, how it answers each admission decision, NaN
+// bisection, and a many-client concurrency smoke that doubles as the TSan
+// target.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -11,7 +14,6 @@
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "exec/sequential.hpp"
@@ -20,20 +22,23 @@
 #include "obs/metrics.hpp"
 #include "obs/stats_server.hpp"
 #include "rnn/network.hpp"
+#include "serve/batcher.hpp"
 #include "serve/engine.hpp"
 #include "serve/loadgen.hpp"
-#include "taskrt/fault.hpp"
-#include "util/rng.hpp"
 
 namespace bpar {
 namespace {
 
+using serve::Batcher;
 using serve::EngineOptions;
 using serve::InferenceEngine;
 using serve::LoadgenOptions;
+using serve::Pending;
+using serve::Priority;
 using serve::Request;
 using serve::Response;
 using serve::Status;
+using std::chrono::microseconds;
 
 rnn::NetworkConfig small_config(int seq = 6, int max_batch = 4) {
   rnn::NetworkConfig cfg;
@@ -76,6 +81,194 @@ rnn::BatchData unit_batch(const rnn::NetworkConfig& cfg,
   batch.labels = request.labels;
   return batch;
 }
+
+// ---- admission core on virtual time (serve::Batcher) ----
+
+using Ids = std::vector<std::uint64_t>;
+
+/// Virtual time: `us` microseconds after an origin kept clear of the clock's
+/// epoch, which a Request's deadline uses to mean "no deadline".
+Batcher::TimePoint at(std::int64_t us) {
+  return Batcher::TimePoint{} + std::chrono::seconds(100) + microseconds(us);
+}
+
+EngineOptions batcher_options(int max_batch, std::uint32_t max_delay_us,
+                              std::uint32_t shed_wait_us = 0) {
+  EngineOptions options;
+  options.max_batch = max_batch;
+  options.max_delay_us = max_delay_us;
+  options.shed_wait_us = shed_wait_us;
+  return options;
+}
+
+/// Admits request `id` of `steps` timesteps at virtual time `at_us`.
+Status admit(Batcher& batcher, std::uint64_t id, int steps,
+             std::int64_t at_us, Priority priority = Priority::kNormal,
+             Batcher::TimePoint deadline = {}) {
+  Pending pending;
+  pending.id = id;
+  pending.request.steps = steps;
+  pending.request.priority = priority;
+  pending.request.deadline = deadline;
+  return batcher.admit(pending, at(at_us));
+}
+
+Ids ids(const std::vector<Pending>& pendings) {
+  Ids out;
+  for (const Pending& p : pendings) out.push_back(p.id);
+  return out;
+}
+
+TEST(ServeBatcher, SealsWhenFullOrExactlyAtFlushTime) {
+  Batcher full(batcher_options(/*max_batch=*/3, /*max_delay_us=*/500));
+  ASSERT_EQ(admit(full, 1, 6, 0), Status::kOk);
+  ASSERT_EQ(admit(full, 2, 6, 0), Status::kOk);
+  const Batcher::Step waiting = full.step(at(0));
+  EXPECT_TRUE(waiting.batch.empty());
+  EXPECT_EQ(waiting.wake, at(500));  // head.enqueued + max_delay_us
+  ASSERT_EQ(admit(full, 3, 6, 10), Status::kOk);
+  EXPECT_EQ(ids(full.step(at(10)).batch), (Ids{1, 2, 3}));
+
+  Batcher underfull(batcher_options(/*max_batch=*/8, /*max_delay_us=*/2000));
+  ASSERT_EQ(admit(underfull, 1, 6, 0), Status::kOk);
+  ASSERT_EQ(admit(underfull, 2, 6, 100), Status::kOk);
+  EXPECT_TRUE(underfull.step(at(1999)).batch.empty());
+  EXPECT_EQ(ids(underfull.step(at(2000)).batch), (Ids{1, 2}));
+}
+
+// The head's length fixes its group; later shapes never overtake it, and
+// each class stays FIFO across batches.
+TEST(ServeBatcher, OnlySameLengthCoalescesAndHeadGroupGoesFirst) {
+  Batcher batcher(batcher_options(/*max_batch=*/2, /*max_delay_us=*/500));
+  ASSERT_EQ(admit(batcher, 1, 6, 0), Status::kOk);
+  ASSERT_EQ(admit(batcher, 2, 9, 1), Status::kOk);
+  ASSERT_EQ(admit(batcher, 3, 6, 2), Status::kOk);
+  ASSERT_EQ(admit(batcher, 4, 6, 3), Status::kOk);
+  EXPECT_EQ(ids(batcher.step(at(3)).batch), (Ids{1, 3}));
+  EXPECT_TRUE(batcher.step(at(3)).batch.empty());  // head 2 waits alone
+  EXPECT_EQ(ids(batcher.step(at(501)).batch), (Ids{2}));
+  EXPECT_EQ(ids(batcher.step(at(503)).batch), (Ids{4}));
+}
+
+TEST(ServeBatcher, QuotaAndSharedQueueReject) {
+  EngineOptions options = batcher_options(/*max_batch=*/8, 500);
+  options.max_queue = 3;
+  options.class_quota[static_cast<std::size_t>(Priority::kBatch)] = 1;
+  Batcher batcher(options);
+  EXPECT_EQ(admit(batcher, 1, 6, 0, Priority::kBatch), Status::kOk);
+  EXPECT_EQ(admit(batcher, 2, 6, 0, Priority::kBatch), Status::kRejected);
+  // The quota leaves the shared queue to the other classes, until
+  // max_queue is reached for every class.
+  EXPECT_EQ(admit(batcher, 3, 6, 0), Status::kOk);
+  EXPECT_EQ(admit(batcher, 4, 6, 0, Priority::kHigh), Status::kOk);
+  EXPECT_EQ(admit(batcher, 5, 6, 0, Priority::kHigh), Status::kRejected);
+  EXPECT_EQ(batcher.queued(Priority::kBatch), 1U);
+  EXPECT_EQ(batcher.queued(), 3U);
+}
+
+TEST(ServeBatcher, DeadlineExpiresAtAdmitWithoutASlotAndAtSeal) {
+  EngineOptions options = batcher_options(/*max_batch=*/4, 500);
+  options.max_queue = 2;
+  Batcher batcher(options);
+  EXPECT_EQ(admit(batcher, 1, 6, 0, Priority::kNormal, at(-1)),
+            Status::kDeadlineExceeded);
+  // Both slots are still free; a deadline equal to `now` has not passed.
+  EXPECT_EQ(admit(batcher, 2, 6, 0, Priority::kNormal, at(0)), Status::kOk);
+  EXPECT_EQ(admit(batcher, 3, 6, 0), Status::kOk);
+  const Batcher::Step sealed = batcher.step(at(500));
+  EXPECT_EQ(ids(sealed.expired), (Ids{2}));
+  EXPECT_EQ(ids(sealed.batch), (Ids{3}));
+}
+
+TEST(ServeBatcher, HighClassHeadsAndLowerClassesFillItsRows) {
+  Batcher batcher(batcher_options(/*max_batch=*/3, /*max_delay_us=*/500));
+  ASSERT_EQ(admit(batcher, 1, 6, 0, Priority::kBatch), Status::kOk);
+  ASSERT_EQ(admit(batcher, 2, 6, 1), Status::kOk);
+  ASSERT_EQ(admit(batcher, 3, 9, 2, Priority::kHigh), Status::kOk);
+  ASSERT_EQ(admit(batcher, 4, 6, 3, Priority::kHigh), Status::kOk);
+  ASSERT_EQ(admit(batcher, 5, 6, 4), Status::kOk);
+  // The oldest kHigh request heads the first group, though it arrived
+  // after two lower-class ones; alone in its length, it waits to flush.
+  EXPECT_TRUE(batcher.step(at(4)).batch.empty());
+  EXPECT_EQ(ids(batcher.step(at(502)).batch), (Ids{3}));
+  // The next kHigh head's group is full at once; kNormal fills its rows
+  // before kBatch.
+  EXPECT_EQ(ids(batcher.step(at(502)).batch), (Ids{4, 2, 5}));
+  EXPECT_EQ(batcher.queued(Priority::kBatch), 1U);
+}
+
+TEST(ServeBatcher, ShedsOverdueLowClassesOldestFirstHighNever) {
+  Batcher mixed(batcher_options(/*max_batch=*/2, 500, /*shed_wait_us=*/1000));
+  ASSERT_EQ(admit(mixed, 1, 6, 0, Priority::kBatch), Status::kOk);
+  ASSERT_EQ(admit(mixed, 2, 6, 0, Priority::kBatch), Status::kOk);
+  for (std::uint64_t id = 3; id <= 5; ++id) {
+    ASSERT_EQ(admit(mixed, id, 6, 0), Status::kOk);
+  }
+  // kBatch first, then the oldest kNormal, until one micro-batch remains.
+  const Batcher::Step down = mixed.step(at(1001));
+  EXPECT_EQ(ids(down.shed), (Ids{1, 2, 3}));
+  EXPECT_EQ(ids(down.batch), (Ids{4, 5}));
+
+  Batcher high(batcher_options(/*max_batch=*/2, 500, /*shed_wait_us=*/1000));
+  ASSERT_EQ(admit(high, 1, 6, 0, Priority::kBatch), Status::kOk);
+  for (std::uint64_t id = 2; id <= 4; ++id) {
+    ASSERT_EQ(admit(high, id, 6, 0, Priority::kHigh), Status::kOk);
+  }
+  // The backlog stays above max_batch: only kBatch was sheddable.
+  const Batcher::Step kept = high.step(at(1001));
+  EXPECT_EQ(ids(kept.shed), (Ids{1}));
+  EXPECT_EQ(ids(kept.batch), (Ids{2, 3}));
+}
+
+TEST(ServeBatcher, ShedsOnlyWhenAHeadIsPicked) {
+  Batcher batcher(
+      batcher_options(/*max_batch=*/2, 5000, /*shed_wait_us=*/1000));
+  ASSERT_EQ(admit(batcher, 1, 6, 0, Priority::kBatch), Status::kOk);
+  ASSERT_TRUE(batcher.step(at(0)).batch.empty());  // head 1 opens a group
+  for (std::uint64_t id = 2; id <= 4; ++id) {
+    ASSERT_EQ(admit(batcher, id, 9, 0, Priority::kBatch), Status::kOk);
+  }
+  // Overdue under backlog, but the open group keeps its head.
+  EXPECT_TRUE(batcher.step(at(2000)).shed.empty());
+  EXPECT_EQ(ids(batcher.step(at(5000)).batch), (Ids{1}));
+  const Batcher::Step next = batcher.step(at(5000));
+  EXPECT_EQ(ids(next.shed), (Ids{2}));
+  EXPECT_EQ(ids(next.batch), (Ids{3, 4}));
+}
+
+// shed_wait_us = 0 means 16 × max_delay_us, and "waited longer" is strict.
+// With max_batch = 1 (batch-1 mode) the backlog may not exceed one request.
+TEST(ServeBatcher, DefaultShedWaitIsSixteenFlushDelays) {
+  Batcher batcher(batcher_options(/*max_batch=*/1, /*max_delay_us=*/100));
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    ASSERT_EQ(admit(batcher, id, 6, 0, Priority::kBatch), Status::kOk);
+  }
+  const Batcher::Step at_limit = batcher.step(at(1600));
+  EXPECT_TRUE(at_limit.shed.empty());
+  EXPECT_EQ(ids(at_limit.batch), (Ids{1}));
+  const Batcher::Step past = batcher.step(at(1601));
+  EXPECT_EQ(ids(past.shed), (Ids{2}));
+  EXPECT_EQ(ids(past.batch), (Ids{3}));
+}
+
+TEST(ServeBatcher, DrainingSealsAtOnce) {
+  Batcher batcher(batcher_options(/*max_batch=*/8, /*max_delay_us=*/500));
+  ASSERT_EQ(admit(batcher, 1, 6, 0), Status::kOk);
+  ASSERT_EQ(admit(batcher, 2, 9, 0), Status::kOk);
+  ASSERT_EQ(admit(batcher, 3, 6, 0), Status::kOk);
+  EXPECT_TRUE(batcher.step(at(0)).batch.empty());
+  batcher.close();
+  // Admission checks the deadline before shutdown, shutdown before space.
+  EXPECT_EQ(admit(batcher, 4, 6, 0, Priority::kNormal, at(-1)),
+            Status::kDeadlineExceeded);
+  EXPECT_EQ(admit(batcher, 5, 6, 0), Status::kShutdown);
+  EXPECT_EQ(ids(batcher.step(at(0)).batch), (Ids{1, 3}));
+  EXPECT_EQ(ids(batcher.step(at(0)).batch), (Ids{2}));
+  EXPECT_EQ(batcher.step(at(0)).wake, Batcher::kNever);
+  EXPECT_EQ(batcher.queued(), 0U);
+}
+
+// ---- the engine ----
 
 TEST(ServeBucketRows, PowersOfTwoClampedToMaxBatch) {
   EXPECT_EQ(InferenceEngine::bucket_rows(1, 8), 1);
@@ -158,133 +351,131 @@ TEST(ServeEngine, PaddedBatchMatchesSequentialReference) {
   EXPECT_EQ(engine.stats().padded_rows, 1U);
 }
 
-TEST(ServeBatcher, FlushesWhenFull) {
-  const auto cfg = small_config();
-  EngineOptions options = quiet_options(/*max_batch=*/4);
-  options.max_delay_us = 10'000'000;  // would wait ten seconds if size
-                                      // didn't trigger the flush
-  InferenceEngine engine(cfg, options);
-
-  std::vector<std::future<Response>> futures;
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    futures.push_back(
-        engine.submit(serve::make_request(cfg, cfg.seq_length, seed, true)));
-  }
-  for (auto& f : futures) {
-    const Response response = f.get();
-    EXPECT_EQ(response.status, Status::kOk);
-    EXPECT_EQ(response.real_rows, 4);
-  }
-  EXPECT_EQ(engine.stats().batches, 1U);
-  EXPECT_EQ(engine.stats().padded_rows, 0U);
-}
-
-TEST(ServeBatcher, FlushesOnDeadlineWhenUnderfull) {
+// How the engine answers each admission decision and publishes the queue
+// depths, deterministically: the 60 s flush delay keeps every group open
+// until shutdown() drains it.
+TEST(ServeEngine, AnswersEachAdmissionDecisionAndDrains) {
   const auto cfg = small_config();
   EngineOptions options = quiet_options(/*max_batch=*/8);
-  options.max_delay_us = 2000;
+  options.max_delay_us = 60'000'000;
+  options.max_queue = 4;
+  options.class_quota[static_cast<std::size_t>(Priority::kBatch)] = 1;
   InferenceEngine engine(cfg, options);
+  const auto submit = [&](int steps, Priority priority, bool expired = false) {
+    Request r = serve::make_request(cfg, steps, 1, /*with_labels=*/true);
+    r.priority = priority;
+    if (expired) {
+      r.deadline =
+          std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+    }
+    return engine.submit(std::move(r));
+  };
+  // Refusals are answered inside submit(); a request that was queued
+  // instead reads kOk here rather than blocking until the 60 s flush.
+  const auto refused = [](std::future<Response> f) {
+    if (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+      return Status::kOk;
+    }
+    return f.get().status;
+  };
+  const auto gauge = [](const std::string& suffix) {
+    return obs::Registry::instance().snapshot(false).gauges.at(
+        "serve.queue_depth" + suffix);
+  };
 
-  auto f0 = engine.submit(serve::make_request(cfg, cfg.seq_length, 0, true));
-  auto f1 = engine.submit(serve::make_request(cfg, cfg.seq_length, 1, true));
-  const Response r0 = f0.get();
-  const Response r1 = f1.get();
-  EXPECT_EQ(r0.status, Status::kOk);
-  EXPECT_EQ(r1.status, Status::kOk);
-  // Both served without 6 more requests ever arriving.
-  EXPECT_LE(r0.real_rows, 2);
-  EXPECT_GE(engine.stats().batches, 1U);
-  EXPECT_EQ(engine.stats().completed, 2U);
+  std::vector<std::future<Response>> queued;
+  queued.push_back(submit(6, Priority::kBatch));
+  EXPECT_EQ(refused(submit(6, Priority::kBatch)), Status::kRejected);  // quota
+  EXPECT_EQ(refused(submit(6, Priority::kNormal, /*expired=*/true)),
+            Status::kDeadlineExceeded);
+  queued.push_back(submit(6, Priority::kNormal));
+  queued.push_back(submit(6, Priority::kNormal));
+  queued.push_back(submit(9, Priority::kHigh));
+  EXPECT_EQ(refused(submit(6, Priority::kHigh)), Status::kRejected);  // full
+  EXPECT_EQ(engine.stats().queue_depths,
+            (std::array<std::size_t, serve::kNumPriorities>{1, 2, 1}));
+  EXPECT_EQ(gauge(""), 4.0);
+  EXPECT_EQ(gauge(".high"), 1.0);
+  EXPECT_EQ(gauge(".normal"), 2.0);
+  EXPECT_EQ(gauge(".batch"), 1.0);
+
+  engine.shutdown();  // seals both open groups at once
+  std::vector<Response> served;
+  for (auto& f : queued) served.push_back(f.get());
+  for (const Response& r : served) EXPECT_EQ(r.status, Status::kOk);
+  // The three length-6 requests share one 4-row batch; length 9 rides alone.
+  EXPECT_EQ(served[0].real_rows, 3);
+  EXPECT_EQ(served[0].batch_rows, 4);
+  EXPECT_EQ(served[3].real_rows, 1);
+  EXPECT_EQ(engine.executor().cached_programs(false), 2U);
+  EXPECT_EQ(engine.infer(serve::make_request(cfg, 6, 2, true)).status,
+            Status::kShutdown);
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.completed, 4U);
+  EXPECT_EQ(stats.rejected, 2U);
+  EXPECT_EQ(stats.expired, 1U);
+  EXPECT_EQ(stats.padded_rows, 1U);
+  for (const char* suffix : {"", ".high", ".normal", ".batch"}) {
+    EXPECT_EQ(gauge(suffix), 0.0) << suffix;
+  }
 }
 
-TEST(ServeBatcher, FifoOrderAcrossBatches) {
+// Four lengths, so no group fills before shutdown(). However many of them
+// were queued when the dispatcher picked its first head, the kNormal
+// request is the only sheddable one of a backlog above max_batch by the
+// time drain picks the next head (a whole batch has executed since, far
+// beyond the 1 µs shed wait), so it alone is shed.
+TEST(ServeEngine, AnswersShedWithoutExecuting) {
   const auto cfg = small_config();
   EngineOptions options = quiet_options(/*max_batch=*/2);
+  options.max_delay_us = 60'000'000;
+  options.shed_wait_us = 1;
   InferenceEngine engine(cfg, options);
-
-  std::vector<std::future<Response>> futures;
-  for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    futures.push_back(
-        engine.submit(serve::make_request(cfg, cfg.seq_length, seed, true)));
+  const auto submit = [&](int steps, Priority priority) {
+    Request r = serve::make_request(cfg, steps, 1, /*with_labels=*/true);
+    r.priority = priority;
+    return engine.submit(std::move(r));
+  };
+  auto high = submit(6, Priority::kHigh);
+  auto normal = submit(9, Priority::kNormal);
+  auto high2 = submit(7, Priority::kHigh);
+  auto high3 = submit(8, Priority::kHigh);
+  engine.shutdown();
+  EXPECT_EQ(normal.get().status, Status::kShed);
+  for (auto* f : {&high, &high2, &high3}) {
+    EXPECT_EQ(f->get().status, Status::kOk);
   }
-  // FIFO: by the time the LAST submission is answered, every earlier
-  // same-shape request must already have its response.
-  EXPECT_EQ(futures.back().get().status, Status::kOk);
-  for (std::size_t i = 0; i + 1 < futures.size(); ++i) {
-    EXPECT_EQ(futures[i].wait_for(std::chrono::seconds(0)),
-              std::future_status::ready)
-        << "request " << i << " overtaken by a later one";
-    EXPECT_EQ(futures[i].get().status, Status::kOk);
-  }
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.shed, 1U);
+  EXPECT_EQ(stats.completed, 3U);
+  EXPECT_EQ(stats.batches, 3U);
 }
 
-TEST(ServeEngine, MixedLengthsOnlyCoalesceSameShape) {
-  const auto cfg = small_config(/*seq=*/6);
-  EngineOptions options = quiet_options(/*max_batch=*/4);
-  options.max_delay_us = 20000;
-  InferenceEngine engine(cfg, options);
-
-  auto fa = engine.submit(serve::make_request(cfg, 6, 1, true));
-  auto fb = engine.submit(serve::make_request(cfg, 9, 2, true));
-  auto fc = engine.submit(serve::make_request(cfg, 6, 3, true));
-  const Response ra = fa.get();
-  const Response rb = fb.get();
-  const Response rc = fc.get();
-  ASSERT_EQ(ra.status, Status::kOk);
-  ASSERT_EQ(rb.status, Status::kOk);
-  ASSERT_EQ(rc.status, Status::kOk);
-  // The length-9 request never rides in a length-6 batch.
-  EXPECT_EQ(rb.real_rows, 1);
-  EXPECT_EQ(rb.predictions.size(), 1U);
-  // Two shape groups → at least two micro-batches, and exactly one cached
-  // forward program per (length, row-bucket) pair actually served.
-  EXPECT_GE(engine.stats().batches, 2U);
-  EXPECT_EQ(engine.executor().cached_programs(false), 2U);
-}
-
-TEST(ServeEngine, RejectsWhenQueueFull) {
-  const auto cfg = small_config();
-  EngineOptions options = quiet_options(/*max_batch=*/64);
-  options.max_delay_us = 10'000'000;  // dispatcher sits on the open batch
-  options.max_queue = 4;
-  InferenceEngine engine(cfg, options);
-
-  std::vector<std::future<Response>> futures;
-  for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    futures.push_back(
-        engine.submit(serve::make_request(cfg, cfg.seq_length, seed, true)));
-  }
-  // The 5th submission bounced off the bounded queue immediately.
-  EXPECT_EQ(futures.back().get().status, Status::kRejected);
-  engine.shutdown();  // drains the four queued requests
-  int ok = 0;
-  for (std::size_t i = 0; i + 1 < futures.size(); ++i) {
-    ok += futures[i].get().status == Status::kOk ? 1 : 0;
-  }
-  EXPECT_EQ(ok, 4);
-  EXPECT_EQ(engine.stats().rejected, 1U);
-  EXPECT_EQ(engine.stats().completed, 4U);
-}
-
-TEST(ServeEngine, ExpiredRequestsSkipExecution) {
+// A request admitted live whose deadline passes while its group is open is
+// answered at the seal and takes no row: its batchmate runs alone. The
+// 60 s flush delay holds the group open until shutdown(), and the deadline
+// has passed by then, however slowly the test runs.
+TEST(ServeEngine, AnswersExpiredAtSealWithoutExecuting) {
   const auto cfg = small_config();
   EngineOptions options = quiet_options(/*max_batch=*/4);
-  options.max_delay_us = 20000;
+  options.max_delay_us = 60'000'000;
   InferenceEngine engine(cfg, options);
-
   Request late = serve::make_request(cfg, cfg.seq_length, 1, true);
-  late.deadline = std::chrono::steady_clock::now() -
-                  std::chrono::milliseconds(1);  // already expired
+  late.deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
+  const auto deadline = late.deadline;
   auto f_late = engine.submit(std::move(late));
-  std::vector<std::future<Response>> rest;
-  for (std::uint64_t seed = 2; seed <= 4; ++seed) {
-    rest.push_back(
-        engine.submit(serve::make_request(cfg, cfg.seq_length, seed, true)));
+  auto f_live = engine.submit(serve::make_request(cfg, cfg.seq_length, 2, true));
+  while (std::chrono::steady_clock::now() <= deadline) {
   }
+  engine.shutdown();
   EXPECT_EQ(f_late.get().status, Status::kDeadlineExceeded);
-  for (auto& f : rest) EXPECT_EQ(f.get().status, Status::kOk);
-  EXPECT_EQ(engine.stats().expired, 1U);
-  EXPECT_EQ(engine.stats().completed, 3U);
+  const Response live = f_live.get();
+  EXPECT_EQ(live.status, Status::kOk);
+  EXPECT_EQ(live.real_rows, 1);
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.expired, 1U);
+  EXPECT_EQ(stats.batches, 1U);
 }
 
 TEST(ServeEngine, ValidatesRequests) {
@@ -303,16 +494,6 @@ TEST(ServeEngine, ValidatesRequests) {
 
   EXPECT_EQ(engine.stats().failed, 2U);
   EXPECT_EQ(engine.stats().completed, 0U);
-}
-
-TEST(ServeEngine, ShutdownAnswersNewSubmitsWithShutdown) {
-  const auto cfg = small_config();
-  InferenceEngine engine(cfg, quiet_options());
-  (void)engine.infer(serve::make_request(cfg, cfg.seq_length, 1, true));
-  engine.shutdown();
-  const Response after =
-      engine.infer(serve::make_request(cfg, cfg.seq_length, 2, true));
-  EXPECT_EQ(after.status, Status::kShutdown);
 }
 
 // ≥8 concurrent clients hammering the bounded queue; every submitted
@@ -351,142 +532,6 @@ TEST(ServeConcurrency, ManyClientsNoLostResponses) {
 }
 
 // ---- resilience layer (DESIGN.md §5h) ----
-
-using serve::Priority;
-
-// Satellite regression: an already-expired deadline must be answered at
-// submit() — immediately, and WITHOUT occupying a bounded-queue slot.
-TEST(ServeAdmission, ExpiredDeadlineAnsweredAtSubmitWithoutSlot) {
-  const auto cfg = small_config();
-  EngineOptions options = quiet_options(/*max_batch=*/4);
-  options.max_delay_us = 50000;  // dispatcher sits on the open batch
-  options.max_queue = 1;         // a single slot, taken by the live request
-  InferenceEngine engine(cfg, options);
-
-  Request expired = serve::make_request(cfg, cfg.seq_length, 2, true);
-  expired.deadline =
-      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
-  auto f = engine.submit(std::move(expired));
-  // Answered synchronously — the dispatcher never sees it.
-  ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  EXPECT_EQ(f.get().status, Status::kDeadlineExceeded);
-  // The single queue slot is still free: a live request submitted right
-  // after is admitted instead of bouncing off a dead occupant.
-  auto live = engine.submit(serve::make_request(cfg, cfg.seq_length, 1, true));
-  engine.shutdown();  // seals the open batch
-  EXPECT_EQ(live.get().status, Status::kOk);
-  EXPECT_EQ(engine.stats().expired, 1U);
-  EXPECT_EQ(engine.stats().rejected, 0U);
-}
-
-TEST(ServeAdmission, ClassQuotaRejectsWithoutFillingSharedQueue) {
-  const auto cfg = small_config();
-  EngineOptions options = quiet_options(/*max_batch=*/8);
-  options.max_delay_us = 10'000'000;  // queued requests stay queued
-  options.max_queue = 8;
-  options.class_quota[static_cast<int>(Priority::kBatch)] = 1;
-  InferenceEngine engine(cfg, options);
-
-  Request b1 = serve::make_request(cfg, cfg.seq_length, 1, true);
-  b1.priority = Priority::kBatch;
-  Request b2 = serve::make_request(cfg, cfg.seq_length, 2, true);
-  b2.priority = Priority::kBatch;
-  auto f1 = engine.submit(std::move(b1));
-  auto f2 = engine.submit(std::move(b2));
-  // Second kBatch submission bounced off the class quota...
-  ASSERT_EQ(f2.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  EXPECT_EQ(f2.get().status, Status::kRejected);
-  // ...while the shared queue still admits other classes.
-  auto f3 = engine.submit(serve::make_request(cfg, cfg.seq_length, 3, true));
-  engine.shutdown();  // drains the open batch
-  EXPECT_EQ(f1.get().status, Status::kOk);
-  EXPECT_EQ(f3.get().status, Status::kOk);
-  EXPECT_EQ(engine.stats().rejected, 1U);
-}
-
-// Delay-inject every task so one in-flight batch reliably blocks the
-// dispatcher long enough for later submissions to pile up in the queues.
-EngineOptions slow_options(int max_batch) {
-  EngineOptions options = quiet_options(max_batch);
-  options.executor.faults =
-      taskrt::FaultSpec::parse("seed=1,delay=1,delay_us=500");
-  options.max_delay_us = 500;
-  options.shed_wait_us = 10'000'000;  // tests that want shedding dial it in
-  return options;
-}
-
-// Bounded poll until the dispatcher has sealed everything queued so far
-// (the blocker is then in flight), instead of racing a fixed sleep against
-// its seal.
-void wait_until_sealed(const InferenceEngine& engine) {
-  const auto give_up =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (engine.stats().queue_depth != 0) {
-    ASSERT_LT(std::chrono::steady_clock::now(), give_up)
-        << "blocker never sealed";
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-}
-
-TEST(ServePriority, HighClassServedBeforeBatchClass) {
-  const auto cfg = small_config();
-  EngineOptions options = slow_options(/*max_batch=*/1);  // no coalescing
-  InferenceEngine engine(cfg, options);
-
-  // Blocker seals alone; kBatch then kHigh queue up behind it.
-  auto blocker =
-      engine.submit(serve::make_request(cfg, cfg.seq_length, 1, true));
-  wait_until_sealed(engine);
-  Request low = serve::make_request(cfg, cfg.seq_length, 2, true);
-  low.priority = Priority::kBatch;
-  Request high = serve::make_request(cfg, cfg.seq_length, 3, true);
-  high.priority = Priority::kHigh;
-  auto f_low = engine.submit(std::move(low));
-  auto f_high = engine.submit(std::move(high));
-
-  EXPECT_EQ(f_low.get().status, Status::kOk);
-  // Strict priority: by the time the kBatch request is answered, the
-  // LATER-submitted kHigh one must already have its response.
-  ASSERT_EQ(f_high.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_EQ(f_high.get().status, Status::kOk);
-  EXPECT_EQ(blocker.get().status, Status::kOk);
-}
-
-TEST(ServeShedding, OverdueLowClassesShedHighNever) {
-  const auto cfg = small_config();
-  EngineOptions options = slow_options(/*max_batch=*/2);
-  options.shed_wait_us = 1000;  // 1ms — the blocker takes far longer
-  InferenceEngine engine(cfg, options);
-
-  auto blocker =
-      engine.submit(serve::make_request(cfg, cfg.seq_length, 1, true));
-  wait_until_sealed(engine);
-  std::vector<std::future<Response>> lows;
-  for (std::uint64_t seed = 2; seed <= 6; ++seed) {
-    Request r = serve::make_request(cfg, cfg.seq_length, seed, true);
-    r.priority = Priority::kBatch;
-    lows.push_back(engine.submit(std::move(r)));
-  }
-  Request high = serve::make_request(cfg, cfg.seq_length, 7, true);
-  high.priority = Priority::kHigh;
-  auto f_high = engine.submit(std::move(high));
-
-  // Backlog at the shed check: 6 > max_batch. Sheds kBatch (oldest first)
-  // until the backlog fits one micro-batch again — 4 shed, and never kHigh.
-  EXPECT_EQ(f_high.get().status, Status::kOk);
-  int shed = 0;
-  int ok = 0;
-  for (auto& f : lows) {
-    const Status s = f.get().status;
-    shed += s == Status::kShed ? 1 : 0;
-    ok += s == Status::kOk ? 1 : 0;
-  }
-  EXPECT_EQ(blocker.get().status, Status::kOk);
-  EXPECT_EQ(shed, 4);
-  EXPECT_EQ(ok, 1);
-  EXPECT_EQ(engine.stats().shed, 4U);
-}
 
 // A request whose features are NaN poisons its whole micro-batch (the
 // batch-mean loss goes NaN → the finite() guard fails). Retries cannot
@@ -552,52 +597,6 @@ TEST(ServeRecovery, BisectionIsolatesPoisonedRequestBitExactly) {
 // on every SIMD backend, so the NaN must survive it, not only the tails.
 TEST(ServeRecovery, BisectionIsolatesPoisonedRequestOnVectorActivations) {
   expect_bisection_isolates_poison(32);
-}
-
-// Queue-depth gauges: while requests of each class sit in the queue
-// (underfull batch, long flush deadline) the per-class gauges and the
-// stats() per-class depths must agree with what was enqueued.
-TEST(ServeObservability, PerClassQueueDepthGaugesPublished) {
-  const auto cfg = small_config();
-  EngineOptions options = quiet_options(/*max_batch=*/8);
-  options.max_delay_us = 500'000;  // hold underfull batches half a second
-  InferenceEngine engine(cfg, options);
-
-  std::vector<std::future<Response>> futures;
-  const auto submit_with = [&](serve::Priority priority, int n) {
-    for (int i = 0; i < n; ++i) {
-      Request r = serve::make_request(cfg, cfg.seq_length,
-                                      static_cast<std::uint64_t>(i + 1),
-                                      /*with_labels=*/false);
-      r.priority = priority;
-      futures.push_back(engine.submit(std::move(r)));
-    }
-  };
-  submit_with(serve::Priority::kHigh, 1);
-  submit_with(serve::Priority::kNormal, 2);
-  submit_with(serve::Priority::kBatch, 3);
-
-  // All six are queued (6 < max_batch) until the flush deadline; the
-  // dispatcher may seal them at any time after that, so read immediately.
-  const auto stats = engine.stats();
-  const auto snap = obs::Registry::instance().snapshot(false);
-  if (stats.queue_depth == 6) {  // not yet sealed: depths must match
-    EXPECT_EQ(stats.queue_depths[0], 1U);
-    EXPECT_EQ(stats.queue_depths[1], 2U);
-    EXPECT_EQ(stats.queue_depths[2], 3U);
-    EXPECT_EQ(snap.gauges.at("serve.queue_depth"), 6.0);
-    EXPECT_EQ(snap.gauges.at("serve.queue_depth.high"), 1.0);
-    EXPECT_EQ(snap.gauges.at("serve.queue_depth.normal"), 2.0);
-    EXPECT_EQ(snap.gauges.at("serve.queue_depth.batch"), 3.0);
-  }
-  for (auto& f : futures) EXPECT_EQ(f.get().status, Status::kOk);
-  engine.shutdown();
-  // Everything drained: the gauges must have been republished to zero.
-  const auto drained = obs::Registry::instance().snapshot(false);
-  EXPECT_EQ(drained.gauges.at("serve.queue_depth"), 0.0);
-  EXPECT_EQ(drained.gauges.at("serve.queue_depth.high"), 0.0);
-  EXPECT_EQ(drained.gauges.at("serve.queue_depth.normal"), 0.0);
-  EXPECT_EQ(drained.gauges.at("serve.queue_depth.batch"), 0.0);
 }
 
 // Request-scoped tracing through the ugliest path the engine has: a
@@ -728,24 +727,12 @@ TEST(ServeObservability, StatzJsonParsesWithSchema) {
   EXPECT_EQ(health.status, 200);
   EXPECT_EQ(health.body, "ok\n");
 
-  // The sampler thread's first tick races the request under load: poll
-  // (bounded) until it has ticked instead of assuming it already has.
-  obs::JsonValue doc;
-  const auto give_up =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  for (;;) {
-    const auto statz = obs::http_get(
-        "127.0.0.1", static_cast<std::uint16_t>(port), "/statz");
-    ASSERT_TRUE(statz.ok) << statz.error;
-    ASSERT_EQ(statz.status, 200);
-    doc = obs::json_parse(statz.body);
-    const obs::JsonValue* sampler = doc.find("sampler");
-    if (sampler == nullptr || sampler->at("ticks").number >= 1.0 ||
-        std::chrono::steady_clock::now() > give_up) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  // The sampler takes its first tick in start(), so /statz carries one.
+  const auto statz = obs::http_get(
+      "127.0.0.1", static_cast<std::uint16_t>(port), "/statz");
+  ASSERT_TRUE(statz.ok) << statz.error;
+  ASSERT_EQ(statz.status, 200);
+  const obs::JsonValue doc = obs::json_parse(statz.body);
   EXPECT_EQ(doc.at("type").str, "statz");
   EXPECT_EQ(doc.at("schema_version").number, 1.0);
   EXPECT_GE(doc.at("uptime_s").number, 0.0);

@@ -6,8 +6,7 @@
 // counters.
 //
 //   ./bpar_serve --clients 8 --requests 50 --max-batch 8 --max-delay-us 500
-//   ./bpar_serve --compare            # cached program replay vs rebuild
-//   ./bpar_serve --no-batching        # batch-1 latency mode
+//   ./bpar_serve --max-batch 1        # batch-1 latency mode
 //   ./bpar_serve --rate 2000 --priorities high,normal,batch
 //                --shed-wait-us 4000  # open-loop overload + shedding
 //   ./bpar_serve --faults 'seed=7,throw=0.02,stall=0.002'
@@ -17,7 +16,6 @@
 // analyze` consumes unchanged (serve.queue_us / serve.batch_form_us /
 // serve.exec_us histograms, shed/retry counters, dispatcher spans).
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,11 +52,6 @@ std::vector<int> parse_seq_list(const std::string& text) {
   return out;
 }
 
-struct RunOutcome {
-  bpar::serve::LoadgenResult load;
-  bpar::serve::EngineStats stats;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -68,7 +61,8 @@ int main(int argc, char** argv) {
   args.add_int("requests", 50, "requests per client");
   args.add_int("workers", 4, "executor worker threads");
   args.add_int("replicas", 4, "executor replicas (clamped to batch rows)");
-  args.add_int("max-batch", 8, "largest coalesced micro-batch");
+  args.add_int("max-batch", 8,
+               "largest coalesced micro-batch (1 = batch-1 mode)");
   args.add_int("max-delay-us", 500, "micro-batch flush deadline");
   args.add_int("queue", 256, "bounded request queue capacity");
   args.add_int("hidden", 64, "hidden size");
@@ -76,13 +70,8 @@ int main(int argc, char** argv) {
   args.add_int("classes", 10, "output classes");
   args.add_string("seq", "20", "comma-separated request sequence lengths");
   args.add_int("seed", 1, "request generator seed");
-  args.add_flag("no-batching", "serve every request alone (batch-1 mode)");
   args.add_flag("no-labels",
                 "send unlabeled requests (skips loss/logit extraction)");
-  args.add_flag("rebuild",
-                "rebuild task graphs per micro-batch (no program cache)");
-  args.add_flag("compare",
-                "run cached-replay and rebuild-per-call back to back");
   args.add_string("backend", "",
                   "kernel backend: scalar|avx2|avx512|neon|native "
                   "(default: auto-detect, or $BPAR_KERNEL_BACKEND)");
@@ -119,7 +108,6 @@ int main(int argc, char** argv) {
   args.add_flag("profile",
                 "run the continuous span-stack profiler (GET /profilez "
                 "windows; dump bundles carry a folded profile)");
-  args.add_int("profiler-period-us", 2000, "profiler sampling period");
   if (!args.parse(argc, argv)) return 1;
   bpar::obs::ObsSession session("bpar_serve", args,
                                 bpar::obs::ReportMode::kJson);
@@ -162,7 +150,6 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(args.get_int("max-delay-us"));
   engine_options.max_queue =
       static_cast<std::size_t>(args.get_int("queue"));
-  engine_options.enable_batching = !args.flag("no-batching");
   engine_options.shed_wait_us =
       static_cast<std::uint32_t>(args.get_int("shed-wait-us"));
   engine_options.max_batch_retries =
@@ -177,8 +164,6 @@ int main(int argc, char** argv) {
   engine_options.dump_debounce_ms =
       static_cast<std::uint32_t>(args.get_int("dump-debounce-ms"));
   engine_options.enable_profiler = args.flag("profile");
-  engine_options.profiler_period_us =
-      static_cast<std::uint32_t>(args.get_int("profiler-period-us"));
   try {
     engine_options.executor.faults =
         bpar::taskrt::FaultSpec::parse(args.get_string("faults"));
@@ -210,68 +195,51 @@ int main(int argc, char** argv) {
     load_options.priorities = {bpar::serve::Priority::kNormal};
   }
 
-  // With --trace, the cached-mode engine records per-task timing and is
-  // kept alive past session.finish() so its unified (task slices + obs
-  // spans) trace replaces the spans-only one — `bpar_prof analyze` needs
-  // the task slices.
+  // With --trace the engine records per-task timing, and its unified
+  // (task slices + obs spans) trace replaces the spans-only one after
+  // session.finish() — `bpar_prof analyze` needs the task slices. An armed
+  // flight recorder also wants per-task timing: a dump whose trace carries
+  // task slices is analyzable, one without is just spans.
   const std::string trace_path = args.get_string("trace");
-  std::unique_ptr<bpar::serve::InferenceEngine> traced_engine;
-  const auto run_one = [&](bool rebuild) -> RunOutcome {
-    bpar::serve::EngineOptions options = engine_options;
-    options.rebuild_per_call = rebuild;
-    // An armed flight recorder also wants per-task timing: a dump whose
-    // trace carries task slices is analyzable (`bpar_prof analyze`), one
-    // without is just spans. Rebuild mode has no cached program to trace.
-    options.record_trace =
-        (!trace_path.empty() || !options.dump_dir.empty()) && !rebuild;
-    auto engine =
-        std::make_unique<bpar::serve::InferenceEngine>(cfg, options);
-    if (engine->stats_port() >= 0) {
-      std::printf("stats endpoint: http://127.0.0.1:%d  "
-                  "(/metrics /statz /healthz /profilez /debug/dump)\n",
-                  engine->stats_port());
-      std::fflush(stdout);
-    }
-    engine->warmup(seq_lengths);
-    RunOutcome outcome;
-    outcome.load = bpar::serve::run_load(*engine, load_options);
-    engine->shutdown();
-    outcome.stats = engine->stats();
-    if (const auto* flight = engine->flight_recorder()) {
-      std::printf("flight recorder: %llu dump(s) in %s  (%llu suppressed)\n",
-                  static_cast<unsigned long long>(flight->dumps()),
-                  flight->options().dir.c_str(),
-                  static_cast<unsigned long long>(flight->suppressed()));
-      std::fflush(stdout);
-    }
-    if (options.record_trace && !trace_path.empty()) {
-      traced_engine = std::move(engine);
-    }
-    return outcome;
-  };
-
-  std::vector<std::pair<std::string, bool>> modes;
-  if (args.flag("compare")) {
-    modes = {{"cached", false}, {"rebuild", true}};
-  } else {
-    const bool rebuild = args.flag("rebuild");
-    modes = {{rebuild ? "rebuild" : "cached", rebuild}};
-  }
+  engine_options.record_trace =
+      !trace_path.empty() || !engine_options.dump_dir.empty();
 
   const std::string traffic =
       load_options.rate_rps > 0.0
           ? "open loop @ " + std::to_string(args.get_int("rate")) + " rps"
           : std::string("closed loop");
   std::printf("bpar_serve: %d clients x %d requests (%s), max_batch=%d, "
-              "max_delay=%ldus, batching=%s, backend=%s, faults=%s\n\n",
+              "max_delay=%ldus, backend=%s, faults=%s\n\n",
               load_options.clients, load_options.requests_per_client,
               traffic.c_str(),
               engine_options.max_batch,
               static_cast<long>(engine_options.max_delay_us),
-              engine_options.enable_batching ? "on" : "off",
               bpar::kernels::active_backend_name(),
               engine_options.executor.faults.enabled() ? "on" : "off");
 
+  bpar::serve::InferenceEngine engine(cfg, engine_options);
+  if (engine.stats_port() >= 0) {
+    std::printf("stats endpoint: http://127.0.0.1:%d  "
+                "(/metrics /statz /healthz /profilez /debug/dump)\n",
+                engine.stats_port());
+    std::fflush(stdout);
+  }
+  engine.warmup(seq_lengths);
+  const bpar::serve::LoadgenResult load =
+      bpar::serve::run_load(engine, load_options);
+  engine.shutdown();
+  const bpar::serve::EngineStats stats = engine.stats();
+  if (const auto* flight = engine.flight_recorder()) {
+    std::printf("flight recorder: %llu dump(s) in %s  (%llu suppressed)\n",
+                static_cast<unsigned long long>(flight->dumps()),
+                flight->options().dir.c_str(),
+                static_cast<unsigned long long>(flight->suppressed()));
+    std::fflush(stdout);
+  }
+
+  // The row name "cached" (every batch replays a cached program) keys the
+  // table/serving/cached/* entries of bench_results/baseline.json.
+  const std::string name = "cached";
   bpar::util::Table table({"mode", "offered rps", "throughput rps", "p50 ms",
                            "p95 ms", "p99 ms", "mean ms", "ok", "rejected",
                            "shed", "expired", "failed", "batches",
@@ -281,38 +249,29 @@ int main(int argc, char** argv) {
   bpar::util::Table resilience_table(
       {"mode", "retries", "bisections", "internal errors", "rebuilds",
        "health"});
-  for (const auto& [name, rebuild] : modes) {
-    const RunOutcome outcome = run_one(rebuild);
-    const auto& p = outcome.load.latency_ms;
-    table.add_row({name, bpar::util::fmt(outcome.load.offered_rps, 1),
-                   bpar::util::fmt(outcome.load.throughput_rps, 1),
-                   bpar::util::fmt(p.p50, 3), bpar::util::fmt(p.p95, 3),
-                   bpar::util::fmt(p.p99, 3), bpar::util::fmt(p.mean, 3),
-                   std::to_string(outcome.load.ok),
-                   std::to_string(outcome.load.rejected),
-                   std::to_string(outcome.load.shed),
-                   std::to_string(outcome.load.expired),
-                   std::to_string(outcome.load.failed),
-                   std::to_string(outcome.stats.batches),
-                   std::to_string(outcome.stats.padded_rows)});
-    for (int s = 0; s < bpar::serve::kNumStatuses; ++s) {
-      const auto idx = static_cast<std::size_t>(s);
-      if (outcome.load.by_status[idx] == 0) continue;
-      const auto& sp = outcome.load.latency_by_status[idx];
-      status_table.add_row(
-          {name,
-           bpar::serve::status_name(static_cast<bpar::serve::Status>(s)),
-           std::to_string(outcome.load.by_status[idx]),
-           bpar::util::fmt(sp.p50, 3), bpar::util::fmt(sp.p95, 3),
-           bpar::util::fmt(sp.p99, 3)});
-    }
-    resilience_table.add_row(
-        {name, std::to_string(outcome.stats.retries),
-         std::to_string(outcome.stats.bisections),
-         std::to_string(outcome.stats.internal_errors),
-         std::to_string(outcome.stats.executor_rebuilds),
-         bpar::serve::health_name(outcome.stats.health)});
+  const auto& p = load.latency_ms;
+  table.add_row({name, bpar::util::fmt(load.offered_rps, 1),
+                 bpar::util::fmt(load.throughput_rps, 1),
+                 bpar::util::fmt(p.p50, 3), bpar::util::fmt(p.p95, 3),
+                 bpar::util::fmt(p.p99, 3), bpar::util::fmt(p.mean, 3),
+                 std::to_string(load.ok), std::to_string(load.rejected),
+                 std::to_string(load.shed), std::to_string(load.expired),
+                 std::to_string(load.failed), std::to_string(stats.batches),
+                 std::to_string(stats.padded_rows)});
+  for (int s = 0; s < bpar::serve::kNumStatuses; ++s) {
+    const auto idx = static_cast<std::size_t>(s);
+    if (load.by_status[idx] == 0) continue;
+    const auto& sp = load.latency_by_status[idx];
+    status_table.add_row(
+        {name, bpar::serve::status_name(static_cast<bpar::serve::Status>(s)),
+         std::to_string(load.by_status[idx]), bpar::util::fmt(sp.p50, 3),
+         bpar::util::fmt(sp.p95, 3), bpar::util::fmt(sp.p99, 3)});
   }
+  resilience_table.add_row(
+      {name, std::to_string(stats.retries), std::to_string(stats.bisections),
+       std::to_string(stats.internal_errors),
+       std::to_string(stats.executor_rebuilds),
+       bpar::serve::health_name(stats.health)});
   table.print("serving load test");
   status_table.print("per-status outcomes");
   resilience_table.print("resilience counters");
@@ -322,8 +281,8 @@ int main(int argc, char** argv) {
   session.report().add_table("serving_resilience", resilience_table.header(),
                              resilience_table.data());
   session.finish();
-  if (traced_engine != nullptr) {
-    traced_engine->write_unified_trace(trace_path);
+  if (!trace_path.empty()) {
+    engine.write_unified_trace(trace_path);
     std::printf("\nwrote %s (analyze with: bpar_prof analyze %s)\n",
                 trace_path.c_str(), trace_path.c_str());
   }
