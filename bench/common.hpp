@@ -49,7 +49,7 @@ struct SimSetup {
 /// Simulated per-batch time (ms) of B-Par with `replicas` mini-batches.
 /// Optionally returns the full simulator result. `schedule_profile` picks
 /// another schedule of the same graph ("bseq" — the B-Seq baseline —
-/// "fused_merge", "layer_barriers", "sequential", "framework").
+/// "fused_merge", "framework").
 [[nodiscard]] double simulate_bpar(bpar::rnn::Network& net,
                                    const SimSetup& setup, int replicas,
                                    bpar::sim::SimResult* result = nullptr,

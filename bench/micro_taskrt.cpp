@@ -88,8 +88,7 @@ BENCHMARK(BM_DispatchOverhead)
     ->UseRealTime();
 
 // Same workload with span tracing armed: the delta against the benchmark
-// above is the telemetry layer's dispatch-path cost (budget: <5% with
-// tracing on, 0% when compiled out via BPAR_NO_TRACING).
+// above is the telemetry layer's dispatch-path cost (budget: <5%).
 void BM_DispatchOverheadTraced(benchmark::State& state) {
   bpar::obs::set_tracing_enabled(true);
   Runtime rt({.num_workers = static_cast<int>(state.range(0)),

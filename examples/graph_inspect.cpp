@@ -85,11 +85,9 @@ int main(int argc, char** argv) {
                                            args.get_string("trace"));
     std::printf(
         "wrote %s (open in Perfetto, or run bpar_prof analyze on it) — "
-        "%.2f ms wall, max "
-        "concurrency %d, locality hits %zu/%zu\n",
+        "%.2f ms wall, locality hits %zu/%zu\n",
         args.get_string("trace").c_str(), stats.wall_ms(),
-        stats.max_concurrency, stats.locality_hits,
-        stats.tasks_with_affinity);
+        stats.locality_hits, stats.tasks_with_affinity);
   }
   return 0;
 }

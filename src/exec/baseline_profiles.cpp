@@ -23,14 +23,6 @@ FrameworkProfile pytorch_cpu_profile() {
           .max_intra_op_chunks = 12};
 }
 
-FrameworkProfile native_profile() {
-  return {.name = "native",
-          .gemm_cost_multiplier = 1.0,
-          .per_op_overhead_ns = 0.0,
-          .intra_op_efficiency = 1.0,
-          .max_intra_op_chunks = 1};
-}
-
 int intra_op_chunks(int lanes, int batch_rows) {
   return std::clamp(lanes, 1, std::max(1, batch_rows / 4));
 }

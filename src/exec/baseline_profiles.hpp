@@ -41,9 +41,6 @@ struct FrameworkProfile {
 /// PyTorch 1.7 CPU: op-by-op dispatch, weaker RNN-cell kernels.
 [[nodiscard]] FrameworkProfile pytorch_cpu_profile();
 
-/// B-Par / B-Seq run our own kernels with no framework overhead.
-[[nodiscard]] FrameworkProfile native_profile();
-
 /// Intra-op chunks a cell of `batch_rows` rows splits into across `lanes`
 /// cores: at most one chunk per four rows.
 [[nodiscard]] int intra_op_chunks(int lanes, int batch_rows);

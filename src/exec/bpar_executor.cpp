@@ -27,7 +27,6 @@ taskrt::RuntimeOptions runtime_options(const BParOptions& options) {
   ro.num_workers = options.common.num_workers;
   ro.policy = options.common.policy;
   ro.record_trace = options.record_trace;
-  ro.pin_threads = options.common.pin_threads;
   ro.watchdog_ms = options.common.watchdog_ms;
   ro.faults = options.common.faults;
   ro.sample_counters = options.sample_counters;

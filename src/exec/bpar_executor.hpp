@@ -28,7 +28,7 @@
 namespace bpar::exec {
 
 struct BParOptions {
-  /// Workers, replicas (mbs:N), policy, pinning, watchdog, faults.
+  /// Workers, replicas (mbs:N), policy, watchdog, faults.
   CommonOptions common{};
   bool record_trace = false;
   bool compute_input_grads = false;  // also produce per-timestep dL/dx

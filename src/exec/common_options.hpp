@@ -2,8 +2,8 @@
 //
 // Each executor's options struct embeds one CommonOptions as its first
 // member, so the shared knobs are declared (and defaulted) exactly once:
-// worker count, mini-batch replicas, scheduler policy, thread pinning, the
-// runtime watchdog, and deterministic fault injection. bpar::ExecutorOptions
+// worker count, mini-batch replicas, scheduler policy, the runtime
+// watchdog, and deterministic fault injection. bpar::ExecutorOptions
 // — the facade-level options type of make_executor / Model — is an alias of
 // this struct, so facade callers and direct executor construction can never
 // disagree on a default (tests/test_serve.cpp pins that down).
@@ -24,7 +24,6 @@ struct CommonOptions {
   int num_workers = 0;   // 0 → hardware concurrency
   int num_replicas = 1;  // mini-batches (the paper's mbs:N)
   taskrt::SchedulerPolicy policy = taskrt::SchedulerPolicy::kLocalityAware;
-  bool pin_threads = false;  // pin workers to the allowed cpuset (Linux)
   /// Runtime watchdog: fail with a scheduler-state dump instead of hanging
   /// when no task completes for this many ms (0 → off).
   std::uint32_t watchdog_ms = 0;

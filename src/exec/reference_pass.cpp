@@ -171,19 +171,6 @@ void backward_pass(const rnn::Network& net, rnn::Workspace& ws,
   }
 }
 
-void extract_predictions(const rnn::Workspace& ws, std::span<int> out) {
-  auto& mutable_ws = const_cast<rnn::Workspace&>(ws);
-  const int outputs = ws.num_outputs();
-  BPAR_CHECK(static_cast<int>(out.size()) == outputs * ws.batch(),
-             "prediction buffer size mismatch");
-  for (int t = 0; t < outputs; ++t) {
-    kernels::argmax_rows(
-        mutable_ws.probs(t).cview(),
-        out.subspan(static_cast<std::size_t>(t) * ws.batch(),
-                    static_cast<std::size_t>(ws.batch())));
-  }
-}
-
 void init_infer_outputs(const rnn::Workspace& ws, int total_batch,
                         bool want_logits, InferResult& result) {
   result.outputs = ws.num_outputs();

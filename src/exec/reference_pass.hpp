@@ -8,8 +8,6 @@
 // identical to this pass.
 #pragma once
 
-#include <span>
-
 #include "exec/executor.hpp"
 #include "rnn/batch.hpp"
 #include "rnn/network.hpp"
@@ -32,10 +30,6 @@ double forward_pass(const rnn::Network& net, rnn::Workspace& ws,
 void backward_pass(const rnn::Network& net, rnn::Workspace& ws,
                    const rnn::BatchData& batch, int r0, int total_batch,
                    rnn::NetworkGrads& grads);
-
-/// Argmax predictions from the workspace's probs (after forward_pass).
-/// `out` has ws.batch() entries for many-to-one, steps*batch otherwise.
-void extract_predictions(const rnn::Workspace& ws, std::span<int> out);
 
 /// Sizes `result`'s shape fields and output buffers for a `total_batch`-row
 /// batch of `ws`'s configuration (logits allocated only when requested).

@@ -138,10 +138,6 @@ void TrainingProgram::resolve_schedule() {
     // free-running B-Par schedule
   } else if (p == "fused_merge") {
     sched_.fuse_merge = true;
-  } else if (p == "layer_barriers") {
-    sched_.per_layer_barriers = true;
-  } else if (p == "sequential") {
-    sched_.sequential_directions = true;
   } else if (p == "framework") {
     sched_.per_layer_barriers = true;
     sched_.sequential_directions = true;

@@ -81,9 +81,9 @@ struct BuildOptions {
 
   /// Named schedule shape: "" or "bpar" (default — free-running task
   /// schedule), "fused_merge" (merge folded into forward cells, the
-  /// ablation), "layer_barriers", "sequential", "framework" (barriers +
-  /// sequential directions — the Keras/PyTorch emulation), "bseq" (each
-  /// replica one serial chain — data parallelism only, the paper's B-Seq).
+  /// ablation), "framework" (per-layer barriers + sequential directions —
+  /// the Keras/PyTorch emulation), "bseq" (each replica one serial chain —
+  /// data parallelism only, the paper's B-Seq).
   std::string schedule_profile;
 };
 

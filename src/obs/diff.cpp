@@ -88,11 +88,15 @@ bool is_higher_better(std::string_view key) {
   static constexpr std::string_view kHigherBetter[] = {
       "speedup",     "parallelism", "utilization", "hit_rate",
       "efficiency",  "gflops",      "throughput",  "ipc",
+      "(rps)",
   };
   for (const std::string_view marker : kHigherBetter) {
     if (key.find(marker) != std::string_view::npos) return true;
   }
-  return false;
+  // A table's `ok` column counts served requests; "ok" elsewhere in a key
+  // (a benchmark name, say) marks nothing.
+  const std::size_t slash = key.rfind('/');
+  return key.substr(slash == std::string_view::npos ? 0 : slash + 1) == "ok";
 }
 
 MetricMap flatten(const JsonValue& doc) {

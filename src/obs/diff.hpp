@@ -34,7 +34,8 @@ namespace bpar::obs::diff {
 using MetricMap = std::map<std::string, double>;
 
 /// True for metrics where larger is better (speedup, parallelism,
-/// utilization, ...); false for times and counts, where smaller is better.
+/// utilization, request rates marked "(rps)", a table's `ok` column, ...);
+/// false for times and counts, where smaller is better.
 [[nodiscard]] bool is_higher_better(std::string_view key);
 
 /// Flattens a supported document into a metric map. Throws util::Error on

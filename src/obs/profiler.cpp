@@ -34,7 +34,6 @@ StackDirectory& stack_directory() {
   return *dir;
 }
 
-#if !defined(BPAR_NO_TRACING)
 struct LocalStack {
   StackSlot* slot = nullptr;
   ~LocalStack() {
@@ -67,11 +66,8 @@ StackSlot& my_slot() {
   }
   return *local.slot;
 }
-#endif  // !BPAR_NO_TRACING
 
 }  // namespace
-
-#if !defined(BPAR_NO_TRACING)
 
 namespace detail {
 std::atomic<int> g_profiling_active{0};
@@ -99,8 +95,6 @@ void span_stack_pop() {
   s.version.fetch_add(1, std::memory_order_acq_rel);
 }
 
-#endif  // !BPAR_NO_TRACING
-
 SpanProfiler::SpanProfiler(ProfilerOptions options) : options_(options) {}
 
 SpanProfiler::~SpanProfiler() { stop(); }
@@ -108,9 +102,7 @@ SpanProfiler::~SpanProfiler() { stop(); }
 void SpanProfiler::start() {
   if (running_) return;
   running_ = true;
-#if !defined(BPAR_NO_TRACING)
   detail::g_profiling_active.fetch_add(1, std::memory_order_relaxed);
-#endif
   if (options_.period_us > 0) {
     {
       const std::lock_guard<std::mutex> lock(thread_mu_);
@@ -130,9 +122,7 @@ void SpanProfiler::stop() {
     cv_.notify_all();
     thread_.join();
   }
-#if !defined(BPAR_NO_TRACING)
   detail::g_profiling_active.fetch_sub(1, std::memory_order_relaxed);
-#endif
   running_ = false;
 }
 

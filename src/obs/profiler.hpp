@@ -10,7 +10,7 @@
 //
 // Cost model:
 //  * profiler off: one relaxed load + branch per span (same as the
-//    tracing gate); zero with BPAR_NO_TRACING;
+//    tracing gate);
 //  * profiler on: ~4 relaxed atomic stores per span push/pop — no locks,
 //    no allocation on the instrumented thread;
 //  * the sampler never blocks writers: a torn read (seqlock version moved

@@ -5,19 +5,9 @@
 
 #include "obs/histogram.hpp"
 #include "obs/memory.hpp"
+#include "obs/trace.hpp"
 
 namespace bpar::obs {
-
-namespace {
-
-std::uint64_t steady_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 MetricsSampler::MetricsSampler(SamplerOptions options)
     : options_(std::move(options)) {
@@ -65,7 +55,7 @@ void MetricsSampler::thread_loop() {
   }
 }
 
-void MetricsSampler::sample_now() { sample_at(steady_now_ns()); }
+void MetricsSampler::sample_now() { sample_at(now_ns()); }
 
 void MetricsSampler::sample_at(std::uint64_t ts_ns) {
   Registry::instance().counter("obs.sampler.ticks").add();

@@ -36,11 +36,6 @@ class ObsSession {
   ObsSession(std::string binary, const util::ArgParser& args, ReportMode mode);
   ~ObsSession();
 
-  [[nodiscard]] bool trace_requested() const { return !trace_path_.empty(); }
-  [[nodiscard]] bool metrics_requested() const {
-    return !metrics_path_.empty();
-  }
-
   /// JSONL mode: appends one typed row (no-op when --metrics is unset or the
   /// session is in kJson mode).
   void log(std::string_view type, const std::map<std::string, double>& fields);

@@ -1,20 +1,10 @@
 #include "obs/slo.hpp"
 
 #include <algorithm>
-#include <chrono>
+
+#include "obs/trace.hpp"
 
 namespace bpar::obs {
-
-namespace {
-
-std::uint64_t steady_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 SloTracker::SloTracker(SloOptions options) : options_(options) {
   if (options_.short_window_s == 0) options_.short_window_s = 1;
@@ -29,7 +19,7 @@ SloTracker::SloTracker(SloOptions options) : options_(options) {
 }
 
 void SloTracker::record(bool ok, double latency_us) {
-  record_at(steady_now_ns(), ok, latency_us);
+  record_at(now_ns(), ok, latency_us);
 }
 
 void SloTracker::record_at(std::uint64_t ts_ns, bool ok, double latency_us) {
@@ -70,7 +60,7 @@ double SloTracker::window_error_ratio_locked(std::uint64_t now_s,
 }
 
 SloTracker::Snapshot SloTracker::snapshot() const {
-  return snapshot_at(steady_now_ns());
+  return snapshot_at(now_ns());
 }
 
 SloTracker::Snapshot SloTracker::snapshot_at(std::uint64_t ts_ns) const {

@@ -171,7 +171,6 @@ std::uint64_t now_ns() {
           .count());
 }
 
-#if !defined(BPAR_NO_TRACING)
 namespace detail {
 std::atomic<bool> g_tracing_enabled{false};
 }  // namespace detail
@@ -179,7 +178,6 @@ std::atomic<bool> g_tracing_enabled{false};
 void set_tracing_enabled(bool on) {
   detail::g_tracing_enabled.store(on, std::memory_order_relaxed);
 }
-#endif
 
 std::uint16_t intern_name(std::string_view name) {
   NameTable& table = name_table();

@@ -11,8 +11,7 @@
 //  * names are interned once per call site (`BPAR_SPAN("x")` hides a
 //    function-local static), so events carry a 2-byte id, not a string;
 //  * recording is gated on a single relaxed atomic flag. When the flag is
-//    off the cost of an instrumented scope is one load + branch; when the
-//    build defines BPAR_NO_TRACING the macros compile to nothing at all.
+//    off the cost of an instrumented scope is one load + branch.
 //
 // Timestamps are absolute steady_clock nanoseconds, the same clock the task
 // runtime stamps task traces with, so kernel spans, trainer phases, and
@@ -51,10 +50,6 @@ struct TraceEvent {
 
 // ---- enable/disable ----
 
-#if defined(BPAR_NO_TRACING)
-constexpr bool tracing_enabled() { return false; }
-inline void set_tracing_enabled(bool) {}
-#else
 namespace detail {
 extern std::atomic<bool> g_tracing_enabled;
 }  // namespace detail
@@ -62,7 +57,6 @@ extern std::atomic<bool> g_tracing_enabled;
   return detail::g_tracing_enabled.load(std::memory_order_relaxed);
 }
 void set_tracing_enabled(bool on);
-#endif
 
 // ---- span-stack maintenance (profiler support) ----
 //
@@ -70,13 +64,8 @@ void set_tracing_enabled(bool on);
 // pushes its interned name onto a per-thread seqlock-guarded stack so the
 // profiler's sampling thread can read "what is this thread doing right
 // now" without stopping it. The gate is one relaxed load, the same cost
-// model as tracing_enabled(); with BPAR_NO_TRACING both compile away.
+// model as tracing_enabled().
 
-#if defined(BPAR_NO_TRACING)
-constexpr bool profiling_active() { return false; }
-inline void span_stack_push(std::uint16_t) {}
-inline void span_stack_pop() {}
-#else
 namespace detail {
 extern std::atomic<int> g_profiling_active;  // live SpanProfiler count
 }  // namespace detail
@@ -88,7 +77,6 @@ extern std::atomic<int> g_profiling_active;  // live SpanProfiler count
 /// with a successful push so enable/disable mid-span stays balanced.
 void span_stack_push(std::uint16_t name);
 void span_stack_pop();
-#endif
 
 // ---- name interning ----
 
@@ -165,17 +153,6 @@ class Span {
 
 }  // namespace bpar::obs
 
-#if defined(BPAR_NO_TRACING)
-
-#define BPAR_SPAN(name_literal) \
-  do {                          \
-  } while (false)
-#define BPAR_COUNTER(name_literal, value) \
-  do {                                    \
-  } while (false)
-
-#else
-
 #define BPAR_OBS_CAT2(a, b) a##b
 #define BPAR_OBS_CAT(a, b) BPAR_OBS_CAT2(a, b)
 
@@ -197,5 +174,3 @@ class Span {
                                   static_cast<std::uint64_t>(value));       \
     }                                                                       \
   } while (false)
-
-#endif  // BPAR_NO_TRACING

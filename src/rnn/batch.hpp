@@ -5,7 +5,6 @@
 // per (timestep, sequence) for many-to-many (size T*B, index t*B + b).
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -23,16 +22,6 @@ struct BatchData {
 
   [[nodiscard]] bool many_to_many() const {
     return static_cast<int>(labels.size()) == steps() * batch();
-  }
-
-  /// Labels for output timestep `t` (t = 0 for many-to-one).
-  [[nodiscard]] std::span<const int> labels_at(int t) const {
-    if (!many_to_many()) {
-      BPAR_DCHECK(t == 0);
-      return labels;
-    }
-    return std::span<const int>(labels).subspan(
-        static_cast<std::size_t>(t) * batch(), static_cast<std::size_t>(batch()));
   }
 
   void validate(int expected_input, int expected_steps) const {

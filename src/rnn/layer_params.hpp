@@ -62,14 +62,6 @@ struct LayerGrads {
   void init_like(const LayerParams& params);
   void zero();
   void accumulate(const LayerGrads& other);
-
-  [[nodiscard]] tensor::MatrixView dw_input(int input_size) {
-    return dw.view().block(0, 0, input_size, dw.cols());
-  }
-  [[nodiscard]] tensor::MatrixView dw_recurrent(int input_size,
-                                                int hidden_size) {
-    return dw.view().block(input_size, 0, hidden_size, dw.cols());
-  }
 };
 
 /// Writes a K-major gate matrix (LayerParams::w, LayerGrads::dw or an

@@ -66,13 +66,6 @@ double us_between(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double, std::micro>(b - a).count();
 }
 
-std::uint64_t steady_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 /// Value of `key=value` inside an HTTP query string ("" when absent).
 std::string query_param(std::string_view query, std::string_view key) {
   std::size_t pos = 0;
@@ -311,8 +304,9 @@ void InferenceEngine::load_weights(const std::string& path) {
 void InferenceEngine::warmup(std::span<const int> seq_lengths) {
   BPAR_SPAN("serve.warmup");
   for (const int steps : seq_lengths) {
-    for (int rows = 1; rows <= options_.max_batch; rows *= 2) {
-      (void)executor_->infer_program(steps, rows);
+    for (int rows = 1; rows <= options_.max_batch; ++rows) {
+      (void)executor_->infer_program(steps,
+                                     bucket_rows(rows, options_.max_batch));
     }
   }
 }
@@ -691,7 +685,7 @@ void InferenceEngine::record_request_event(std::uint64_t id,
   if (!options_.trace_requests) return;
   RequestEvent event;
   event.id = id;
-  event.ts_ns = steady_ns();
+  event.ts_ns = obs::now_ns();
   event.stage = stage;
   event.arg = arg;
   const std::lock_guard<std::mutex> lock(req_mu_);

@@ -9,11 +9,6 @@
 #include "util/check.hpp"
 #include "util/logging.hpp"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace bpar::taskrt {
 
 using sync::mo_acq_rel;
@@ -46,7 +41,7 @@ std::uint64_t RunStats::total_busy_ns() const {
 }
 
 Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
-  if (!options_.faults.enabled() && options_.read_fault_env) {
+  if (!options_.faults.enabled()) {
     if (const char* env = std::getenv("BPAR_FAULTS");
         env != nullptr && env[0] != '\0') {
       options_.faults = FaultSpec::parse(env);
@@ -79,39 +74,9 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
         obs::intern_name("deque_depth_w" + std::to_string(w)));
   }
 
-#if defined(__linux__)
-  // Pin onto the CPUs this process is actually allowed to run on (the
-  // container/cgroup cpuset), not onto raw 0..hardware_concurrency-1 —
-  // those ids can lie outside the allowed mask and the pin would either
-  // fail or strand a worker.
-  std::vector<int> allowed_cpus;
-  if (options_.pin_threads) {
-    cpu_set_t process_mask;
-    CPU_ZERO(&process_mask);
-    if (sched_getaffinity(0, sizeof process_mask, &process_mask) == 0) {
-      for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-        if (CPU_ISSET(cpu, &process_mask)) allowed_cpus.push_back(cpu);
-      }
-    }
-  }
-#endif
-
   threads_.reserve(static_cast<std::size_t>(num_workers_));
   for (int w = 0; w < num_workers_; ++w) {
     threads_.emplace_back([this, w] { worker_loop(w); });
-#if defined(__linux__)
-    if (!allowed_cpus.empty()) {
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      CPU_SET(static_cast<std::size_t>(
-                  allowed_cpus[static_cast<std::size_t>(w) %
-                               allowed_cpus.size()]),
-              &set);
-      // Best effort: pinning may still be forbidden.
-      pthread_setaffinity_np(threads_.back().native_handle(), sizeof set,
-                             &set);
-    }
-#endif
   }
 }
 
@@ -151,8 +116,6 @@ void Runtime::start_session(TaskGraph& graph) {
   }
   executed_.store(0, mo_relaxed);
   total_.store(n, mo_relaxed);
-  active_.store(0, mo_relaxed);
-  max_active_.store(0, mo_relaxed);
   locality_hits_.store(0, mo_relaxed);
   steals_.store(0, mo_relaxed);
   steal_failures_.store(0, mo_relaxed);
@@ -256,7 +219,6 @@ std::string Runtime::dump_locked(const std::string& headline) {
   const std::size_t executed = executed_.load(std::memory_order_acquire);
   os << "  tasks: total=" << total << " executed=" << executed
      << " outstanding=" << total - executed
-     << " active=" << active_.load(mo_relaxed)
      << " sleepers=" << sleepers_.load(mo_relaxed) << "\n";
   os << "  ready-fifo: head=" << ready_fifo_.head_approx()
      << " tail=" << ready_fifo_.tail_approx()
@@ -330,7 +292,6 @@ RunStats Runtime::run(TaskGraph& graph) {
   stats.wall_ns = now_ns();
   const std::size_t total = total_.load(mo_relaxed);
   stats.tasks_executed = total;
-  stats.max_concurrency = max_active_.load(mo_relaxed);
   stats.tasks_with_affinity = tasks_with_affinity_;
   stats.locality_hits = locality_hits_.load(mo_relaxed);
   stats.steals = steals_.load(mo_relaxed);
@@ -385,7 +346,6 @@ RunStats Runtime::run(TaskGraph& graph) {
   reg.counter("taskrt.busy_ns").add(busy);
   reg.counter("taskrt.idle_ns").add(capacity > busy ? capacity - busy : 0);
   reg.gauge("taskrt.parallel_efficiency").set(stats.parallel_efficiency());
-  reg.gauge("taskrt.max_concurrency").set(stats.max_concurrency);
   for (std::size_t k = 0; k < stats.kind_counters.size(); ++k) {
     const RunStats::KindCounters& kc = stats.kind_counters[k];
     if (kc.tasks == 0) continue;
@@ -424,12 +384,6 @@ void Runtime::execute_task(TaskId id, int worker_id) {
   if (options_.policy == SchedulerPolicy::kLocalityAware &&
       st.preferred.load(mo_relaxed) == worker_id) {
     locality_hits_.fetch_add(1, mo_relaxed);
-  }
-  const std::int32_t concurrent = active_.fetch_add(1, mo_relaxed) + 1;
-  std::int32_t seen_max = max_active_.load(mo_relaxed);
-  while (seen_max < concurrent &&
-         !max_active_.compare_exchange_weak(seen_max, concurrent,
-                                            mo_relaxed)) {
   }
   // Fault injection runs BEFORE the start sample (disabled injection costs
   // exactly this null test): injected delays/stalls become gaps on the
@@ -473,7 +427,6 @@ void Runtime::execute_task(TaskId id, int worker_id) {
   // busy time cover the task body only, so parallel_efficiency() does not
   // absorb scheduler overhead or (formerly) mutex wait.
   const std::uint64_t finish = now_ns();
-  active_.fetch_sub(1, mo_relaxed);
   st.duration_ns = finish - start;
   self.busy_ns += finish - start;
   if (options_.record_trace) st.trace = {start, finish, worker_id};

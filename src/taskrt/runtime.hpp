@@ -55,19 +55,16 @@ enum class SchedulerPolicy { kFifo, kLocalityAware };
 
 struct RuntimeOptions {
   int num_workers = 0;  // 0 → hardware_concurrency()
-  SchedulerPolicy policy = SchedulerPolicy::kFifo;
+  SchedulerPolicy policy = SchedulerPolicy::kLocalityAware;
   bool record_trace = false;  // keep per-task (start, end, worker) tuples
-  bool pin_threads = false;   // best-effort core pinning (Linux)
   /// Watchdog deadline: if no task completes for this long while the graph
   /// is undrained, run() throws WatchdogError carrying a scheduler-state
   /// dump instead of hanging. 0 disables. Must exceed the longest
   /// individual task.
   std::uint32_t watchdog_ms = 0;
   /// Deterministic fault injection (see fault.hpp). Disabled by default;
-  /// when disabled here, the BPAR_FAULTS environment variable is consulted
-  /// unless read_fault_env is false.
+  /// when disabled here, the BPAR_FAULTS environment variable is consulted.
   FaultSpec faults{};
-  bool read_fault_env = true;
   /// Per-task-class hardware counters: every worker opens thread-scope
   /// perf events and slices one running session into per-task deltas
   /// (RunStats::kind_counters). No-op when perf_event_open is denied —
@@ -84,7 +81,6 @@ struct TaskTrace {
 struct RunStats {
   std::uint64_t wall_ns = 0;
   std::size_t tasks_executed = 0;
-  std::int32_t max_concurrency = 0;
   std::size_t tasks_with_affinity = 0;
   std::size_t locality_hits = 0;  // ran on the preferred (producer's) worker
   // Scheduler pressure counters (also published to the obs metrics
@@ -239,9 +235,7 @@ class Runtime {
   // --- lock-free steady state ---
   alignas(64) std::atomic<std::size_t> executed_{0};
   alignas(64) std::atomic<std::size_t> total_{0};  // tasks in the session
-  alignas(64) std::atomic<std::int32_t> active_{0};
-  std::atomic<std::int32_t> max_active_{0};
-  std::atomic<std::size_t> locality_hits_{0};
+  alignas(64) std::atomic<std::size_t> locality_hits_{0};
   std::atomic<std::size_t> steals_{0};
   std::atomic<std::size_t> steal_failures_{0};
   std::atomic<std::size_t> parks_{0};

@@ -161,30 +161,16 @@ void write_matrix(std::ostream& os, const Matrix& m) {
            static_cast<std::streamsize>(m.count() * sizeof(float)));
 }
 
-namespace {
-void read_matrix_impl(std::istream& is, Matrix& m, bool allow_resize) {
+void read_matrix(std::istream& is, Matrix& m) {
   int shape[2] = {0, 0};
   is.read(reinterpret_cast<char*>(shape), sizeof shape);
   BPAR_CHECK(is.good(), "truncated matrix stream");
-  if (allow_resize) {
-    m.resize(shape[0], shape[1]);
-  } else {
-    BPAR_CHECK(shape[0] == m.rows() && shape[1] == m.cols(),
-               "matrix shape mismatch: got ", shape[0], "x", shape[1],
-               " want ", m.rows(), "x", m.cols());
-  }
+  BPAR_CHECK(shape[0] == m.rows() && shape[1] == m.cols(),
+             "matrix shape mismatch: got ", shape[0], "x", shape[1],
+             " want ", m.rows(), "x", m.cols());
   is.read(reinterpret_cast<char*>(m.data()),
           static_cast<std::streamsize>(m.count() * sizeof(float)));
   BPAR_CHECK(is.good(), "truncated matrix payload");
-}
-}  // namespace
-
-void read_matrix(std::istream& is, Matrix& m) {
-  read_matrix_impl(is, m, false);
-}
-
-void read_matrix_any_shape(std::istream& is, Matrix& m) {
-  read_matrix_impl(is, m, true);
 }
 
 bool all_finite(ConstMatrixView m) {

@@ -138,7 +138,5 @@ void copy(ConstMatrixView src, MatrixView dst);
 void write_matrix(std::ostream& os, const Matrix& m);
 /// Reads a matrix written by write_matrix; the shape must match `m`.
 void read_matrix(std::istream& is, Matrix& m);
-/// Reads a matrix written by write_matrix, resizing `m` to the stored shape.
-void read_matrix_any_shape(std::istream& is, Matrix& m);
 
 }  // namespace bpar::tensor

@@ -362,6 +362,28 @@ TEST(Diff, HigherIsBetterDirection) {
       obs::diff::diff_maps(new_map, old_map);
   EXPECT_EQ(rise.regressions(), 0U);
   EXPECT_EQ(rise.improvements(), 1U);
+
+  // Served request rates and the `ok` column of the serving tables.
+  for (const char* key : {"table/fig_serving_openloop/0.90/served(rps)",
+                          "table/fig_serving_openloop/0.90/offered(rps)",
+                          "table/fig_serving/4c-batched/throughput(rps)",
+                          "table/fig_serving_openloop/0.90/ok",
+                          "table/serving/cached/ok", "ok"}) {
+    EXPECT_TRUE(obs::diff::is_higher_better(key)) << key;
+  }
+  // "ok" inside a segment is not the `ok` column.
+  for (const char* key : {"gbench/BM_Lookup/real_time",
+                          "table/fig_serving_openloop/0.90/p99_ms",
+                          "table/chaos/took_ms", "table/ok/p50_ms"}) {
+    EXPECT_FALSE(obs::diff::is_higher_better(key)) << key;
+  }
+  const obs::diff::DiffResult served = obs::diff::diff_maps(
+      {{"table/fig_serving_openloop/0.90/served(rps)", 900.0},
+       {"table/fig_serving_openloop/0.90/ok", 100.0}},
+      {{"table/fig_serving_openloop/0.90/served(rps)", 8000.0},
+       {"table/fig_serving_openloop/0.90/ok", 900.0}});
+  EXPECT_EQ(served.regressions(), 0U);
+  EXPECT_EQ(served.improvements(), 2U);
 }
 
 TEST(Diff, StructuralMismatchExitsTwo) {

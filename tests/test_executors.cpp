@@ -144,16 +144,8 @@ TEST_P(ExecutorEquivalence, AllExecutorsMatchSequential) {
                            {.num_workers = 4, .num_replicas = 4});
     });
   }
-  add("bpar_w4_pinned", [](rnn::Network& n) {
-    return std::make_unique<BParExecutor>(
-        n, exec::BParOptions{
-               .common = {.num_workers = 4,
-                          .policy = taskrt::SchedulerPolicy::kLocalityAware,
-                          .pin_threads = true}});
-  });
   // Every named schedule profile of the one B-Par program.
-  for (const char* profile : {"bpar", "fused_merge", "layer_barriers",
-                              "sequential", "framework", "bseq"}) {
+  for (const char* profile : {"bpar", "fused_merge", "framework", "bseq"}) {
     add(std::string("profile_") + profile, [profile](rnn::Network& n) {
       return std::make_unique<BParExecutor>(
           n, exec::BParOptions{.common = {.num_workers = 4},

@@ -95,7 +95,6 @@ TEST(ChromeTrace, EscapedNamesProduceValidJson) {
   EXPECT_TRUE(found);
 }
 
-#if !defined(BPAR_NO_TRACING)
 TEST(UnifiedTrace, MergesTaskRowsAndSpanRows) {
   bpar::obs::clear();
   bpar::obs::set_tracing_enabled(true);
@@ -143,7 +142,6 @@ TEST(UnifiedTrace, MergesTaskRowsAndSpanRows) {
   EXPECT_EQ(ring_task_slices, 0U);
   bpar::obs::clear();
 }
-#endif  // !BPAR_NO_TRACING
 
 TEST(DotExport, TruncatesLargeGraphs) {
   TaskGraph g;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -40,9 +41,9 @@ TEST(FaultSpec, MalformedSpecThrows) {
 }
 
 TEST(FaultInjector, DisabledSpecCreatesNoInjector) {
+  unsetenv("BPAR_FAULTS");  // an empty spec falls back to the environment
   RuntimeOptions opts;
   opts.num_workers = 2;
-  opts.read_fault_env = false;
   Runtime rt(opts);
   EXPECT_EQ(rt.fault_injector(), nullptr);
 }
@@ -54,7 +55,6 @@ std::uint64_t run_and_count_throws(const FaultSpec& spec, int tasks,
   RuntimeOptions opts;
   opts.num_workers = workers;
   opts.faults = spec;
-  opts.read_fault_env = false;
   Runtime rt(opts);
   TaskGraph g;
   std::atomic<int> ran{0};
@@ -96,7 +96,6 @@ TEST(FaultInjector, SessionsDecorrelateSchedules) {
   RuntimeOptions opts;
   opts.num_workers = 2;
   opts.faults = spec;
-  opts.read_fault_env = false;
   Runtime rt(opts);
   TaskGraph g;
   for (int i = 0; i < 5; ++i) g.add([] {}, {});
@@ -123,7 +122,6 @@ TEST(FaultMatrix, PinnedThrowPropagatesAcrossWorkerCounts) {
     RuntimeOptions opts;
     opts.num_workers = workers;
     opts.faults = spec;
-    opts.read_fault_env = false;
     Runtime rt(opts);
     TaskGraph g;
     std::atomic<int> ran{0};
@@ -153,7 +151,6 @@ TEST(Watchdog, StalledTaskYieldsDiagnosticNotHang) {
   opts.num_workers = 4;
   opts.faults = spec;
   opts.watchdog_ms = 150;
-  opts.read_fault_env = false;
   Runtime rt(opts);
   TaskGraph g;
   for (int i = 0; i < 8; ++i) g.add([] {}, {});
@@ -179,10 +176,10 @@ TEST(Watchdog, StalledTaskYieldsDiagnosticNotHang) {
 }
 
 TEST(Watchdog, QuietGraphDoesNotTrip) {
+  unsetenv("BPAR_FAULTS");
   RuntimeOptions opts;
   opts.num_workers = 4;
   opts.watchdog_ms = 2000;
-  opts.read_fault_env = false;
   Runtime rt(opts);
   TaskGraph g;
   std::atomic<int> ran{0};
@@ -194,9 +191,9 @@ TEST(Watchdog, QuietGraphDoesNotTrip) {
 }
 
 TEST(Watchdog, SchedulerDumpAvailableWhenIdle) {
+  unsetenv("BPAR_FAULTS");
   RuntimeOptions opts;
   opts.num_workers = 2;
-  opts.read_fault_env = false;
   Runtime rt(opts);
   EXPECT_NE(rt.scheduler_state_dump().find("idle"), std::string::npos);
 }

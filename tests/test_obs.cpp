@@ -64,7 +64,6 @@ TEST_F(TraceTest, DurationRoundTripsThroughFloatPayload) {
   TraceEvent ev;
   ev.payload = 0;
   EXPECT_EQ(ev.duration_ns(), 0.0);
-#if !defined(BPAR_NO_TRACING)
   set_tracing_enabled(true);
   const std::uint16_t id = intern_name("test.duration");
   record_span(id, 1000, 251000);  // 250 us
@@ -80,10 +79,7 @@ TEST_F(TraceTest, DurationRoundTripsThroughFloatPayload) {
     }
   }
   EXPECT_TRUE(found);
-#endif
 }
-
-#if !defined(BPAR_NO_TRACING)
 
 // Finds the collected trace for the thread labeled `name`.
 const ThreadTrace* find_thread(const std::vector<ThreadTrace>& threads,
@@ -198,8 +194,6 @@ TEST_F(TraceTest, ExportedTraceJsonParsesAndNamesThreads) {
   EXPECT_TRUE(saw_span);
   EXPECT_TRUE(saw_counter);
 }
-
-#endif  // !BPAR_NO_TRACING
 
 TEST(JsonEscape, EscapesQuotesBackslashesAndControls) {
   EXPECT_EQ(json_escape("plain"), "plain");

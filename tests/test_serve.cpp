@@ -351,6 +351,33 @@ TEST(ServeEngine, PaddedBatchMatchesSequentialReference) {
   EXPECT_EQ(engine.stats().padded_rows, 1U);
 }
 
+// max_batch = 6 clamps the top row bucket to 6 rows, below the next power
+// of two: warmup() must build it too, so a full group replays a prebuilt
+// program instead of building one on the dispatcher's path.
+TEST(ServeEngine, WarmupBuildsEveryRowBucket) {
+  const auto cfg = small_config();
+  EngineOptions options = quiet_options(/*max_batch=*/6);
+  options.max_delay_us = 60'000'000;  // the group seals only when full
+  InferenceEngine engine(cfg, options);
+  const int lengths[] = {cfg.seq_length};
+  engine.warmup(lengths);
+  EXPECT_EQ(engine.executor().cached_programs(false), 4U);  // 1, 2, 4, 6
+
+  std::vector<std::future<Response>> futures;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    futures.push_back(
+        engine.submit(serve::make_request(cfg, cfg.seq_length, seed, true)));
+  }
+  for (auto& f : futures) {
+    const Response response = f.get();
+    ASSERT_EQ(response.status, Status::kOk);
+    EXPECT_EQ(response.real_rows, 6);
+    EXPECT_EQ(response.batch_rows, 6);
+  }
+  EXPECT_EQ(engine.stats().batches, 1U);
+  EXPECT_EQ(engine.executor().cached_programs(false), 4U);
+}
+
 // How the engine answers each admission decision and publishes the queue
 // depths, deterministically: the 60 s flush delay keeps every group open
 // until shutdown() drains it.

@@ -223,7 +223,7 @@ TEST(Runtime, EmptyGraphIsNoop) {
   EXPECT_EQ(stats.tasks_executed, 0U);
 }
 
-TEST(Runtime, StatsTrackDurationsAndConcurrency) {
+TEST(Runtime, StatsTrackDurationsAndBusyTime) {
   Runtime rt({.num_workers = 4});
   TaskGraph g;
   std::vector<int> slots(8);
@@ -238,7 +238,6 @@ TEST(Runtime, StatsTrackDurationsAndConcurrency) {
   const RunStats stats = rt.run(g);
   EXPECT_EQ(stats.task_duration_ns.size(), 8U);
   for (const auto d : stats.task_duration_ns) EXPECT_GT(d, 0U);
-  EXPECT_GE(stats.max_concurrency, 1);
   EXPECT_GT(stats.wall_ns, 0U);
   EXPECT_GT(stats.total_busy_ns(), 0U);
 }
@@ -443,23 +442,6 @@ TEST(Runtime, IndependentTasksCreateNoEdgesOrAliases) {
     EXPECT_EQ(g.task(id).num_deps, 0U);
     EXPECT_TRUE(g.task(id).successors.empty());
   }
-}
-
-TEST(Runtime, PinnedThreadsExecuteNormally) {
-  // Pinning is best-effort: on any host this must not change semantics.
-  Runtime rt({.num_workers = 4,
-              .policy = SchedulerPolicy::kLocalityAware,
-              .pin_threads = true});
-  TaskGraph g;
-  std::atomic<int> count{0};
-  std::vector<int> slots(100);
-  for (auto& s : slots) {
-    g.add([&count] { count.fetch_add(1, std::memory_order_relaxed); },
-          {out(&s)});
-  }
-  const RunStats stats = rt.run(g);
-  EXPECT_EQ(stats.tasks_executed, 100U);
-  EXPECT_EQ(count.load(), 100);
 }
 
 }  // namespace
