@@ -226,6 +226,12 @@ void record_instant(std::uint16_t name, std::uint64_t ts_ns) {
   local_ring().ring->record({ts_ns, 0, name, EventKind::kInstant, 0});
 }
 
+void record_instant(std::uint16_t name, std::uint64_t ts_ns, std::uint32_t id,
+                    std::uint8_t arg) {
+  if (!tracing_enabled()) return;
+  local_ring().ring->record({ts_ns, id, name, EventKind::kKeyedInstant, arg});
+}
+
 void set_thread_name(std::string name) {
   LocalRing& local = local_state();
   if (local.ring == nullptr) {

@@ -27,10 +27,11 @@
 namespace bpar::obs {
 
 enum class EventKind : std::uint8_t {
-  kSpan = 0,     // payload = duration ns (float bits)
-  kTask = 1,     // runtime task execution; extra = TaskKind, payload as kSpan
-  kCounter = 2,  // payload = sampled value (saturating u32)
-  kInstant = 3,  // point event, payload unused
+  kSpan = 0,          // payload = duration ns (float bits)
+  kTask = 1,          // task execution; extra = TaskKind, payload as kSpan
+  kCounter = 2,       // payload = sampled value (saturating u32)
+  kInstant = 3,       // point event, payload unused
+  kKeyedInstant = 4,  // point event; payload = id, extra = argument byte
 };
 
 /// One decoded trace event. The in-ring representation packs this into
@@ -40,7 +41,7 @@ struct TraceEvent {
   std::uint32_t payload = 0; // see EventKind
   std::uint16_t name = 0;    // interned name id
   EventKind kind = EventKind::kSpan;
-  std::uint8_t extra = 0;    // kTask: the TaskKind byte
+  std::uint8_t extra = 0;    // kTask: TaskKind; kKeyedInstant: argument
 
   [[nodiscard]] double duration_ns() const;  // decodes the float payload
 };
@@ -95,6 +96,10 @@ void record_task(std::uint16_t name, std::uint8_t task_kind,
 void record_counter(std::uint16_t name, std::uint64_t ts_ns,
                     std::uint64_t value);
 void record_instant(std::uint16_t name, std::uint64_t ts_ns);
+/// An instant keyed by `id` with a one-byte argument; the exporter writes
+/// it with args {"id": id, "arg": arg}.
+void record_instant(std::uint16_t name, std::uint64_t ts_ns, std::uint32_t id,
+                    std::uint8_t arg);
 
 /// Labels the calling thread's row in the exported trace ("main",
 /// "worker 3", ...). Callable before or after the first event.

@@ -21,6 +21,7 @@ const char* event_cat(EventKind kind) {
     case EventKind::kCounter:
       return "counter";
     case EventKind::kInstant:
+    case EventKind::kKeyedInstant:
       return "instant";
   }
   return "span";
@@ -118,6 +119,12 @@ void write_thread_events(ChromeTraceWriter& writer, const ThreadTrace& thread,
       case EventKind::kInstant:
         writer.instant(name, ts, pid, tid);
         break;
+      case EventKind::kKeyedInstant:
+        writer.instant_args(name, ts, pid, tid,
+                            "{\"id\": " + std::to_string(ev.payload) +
+                                ", \"arg\": " + std::to_string(ev.extra) +
+                                "}");
+        break;
     }
   }
 }
@@ -137,10 +144,6 @@ std::uint64_t earliest_ts(const std::vector<ThreadTrace>& threads) {
 }
 
 void write_trace_json(std::ostream& os) {
-  write_trace_json(os, ExtraEventEmitter{});
-}
-
-void write_trace_json(std::ostream& os, const ExtraEventEmitter& extra) {
   const std::vector<ThreadTrace> threads = collect();
   const std::uint64_t base = earliest_ts(threads);
   constexpr int kPid = 1;
@@ -157,7 +160,6 @@ void write_trace_json(std::ostream& os, const ExtraEventEmitter& extra) {
   for (const ThreadTrace& t : threads) {
     write_thread_events(writer, t, kPid, t.ring_id, base);
   }
-  if (extra) extra(writer, base);
 }
 
 void write_trace_json_file(const std::string& path) {

@@ -5,14 +5,13 @@
 // stacks), a "C" counter sample per counter event (ready-FIFO depth,
 // per-worker deque depths), an "i" instant per instant event, plus
 // thread_name metadata rows. Open the file at https://ui.perfetto.dev or
-// chrome://tracing.
+// chrome://tracing. A keyed instant carries args {"id": …, "arg": …}.
 //
 // ChromeTraceWriter is shared with taskrt/export.cpp, which merges per-task
 // rows from a RunStats trace into the same document.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -42,8 +41,8 @@ class ChromeTraceWriter {
                std::uint64_t value);
   void instant(std::string_view name, std::uint64_t ts_ns, int pid, int tid);
   /// Instant carrying a pre-rendered JSON args object (complete `{...}`
-  /// literal) — how per-request stage markers publish {req, arg, ...} for
-  /// `bpar_prof request` to re-parse.
+  /// literal) — how keyed instants publish {id, arg} (the serving
+  /// engine's request-stage markers, which `bpar_prof request` re-parses).
   void instant_args(std::string_view name, std::uint64_t ts_ns, int pid,
                     int tid, std::string_view args_json);
 
@@ -63,16 +62,8 @@ void write_thread_events(ChromeTraceWriter& writer, const ThreadTrace& thread,
                          int pid, int tid, std::uint64_t base_ns,
                          bool skip_tasks = false);
 
-/// Extra events appended to a trace export (this one, or
-/// taskrt::write_unified_trace): called with the open writer and the
-/// timestamp base so callers (e.g. the serving engine's request-stage
-/// markers) land on the same timeline.
-using ExtraEventEmitter =
-    std::function<void(ChromeTraceWriter&, std::uint64_t base_ns)>;
-
 /// The whole-process timeline: collect() rendered as one chrome-trace JSON.
 void write_trace_json(std::ostream& os);
-void write_trace_json(std::ostream& os, const ExtraEventEmitter& extra);
 void write_trace_json_file(const std::string& path);
 
 /// Smallest timestamp across `threads` (0 when empty) — the export base so

@@ -91,6 +91,25 @@ double logsumexp(std::span<const float> logits) {
   return hi + std::log(sum);
 }
 
+/// Records `stage` of request `id` as a `req.<stage>` keyed instant in the
+/// calling thread's span ring: the id mod 2^32 and `arg` saturated at 255.
+/// Untraced, it costs the one relaxed load of the tracing gate.
+void record_stage(std::uint64_t id, RequestStage stage, int arg = 0) {
+  if (!obs::tracing_enabled()) return;
+  static const std::array<std::uint16_t, kNumRequestStages> kNames = [] {
+    std::array<std::uint16_t, kNumRequestStages> names{};
+    for (std::size_t s = 0; s < names.size(); ++s) {
+      names[s] = obs::intern_name(
+          std::string("req.") +
+          request_stage_name(static_cast<RequestStage>(s)));
+    }
+    return names;
+  }();
+  obs::record_instant(kNames[static_cast<std::size_t>(stage)], obs::now_ns(),
+                      static_cast<std::uint32_t>(id),
+                      static_cast<std::uint8_t>(std::clamp(arg, 0, 255)));
+}
+
 }  // namespace
 
 const char* status_name(Status status) {
@@ -189,10 +208,6 @@ InferenceEngine::InferenceEngine(const rnn::NetworkConfig& config,
       slo_(options.slo) {
   BPAR_CHECK(options_.max_batch_retries >= 0,
              "max_batch_retries must be >= 0");
-  if (options_.trace_requests) {
-    request_events_.assign(kMaxRequestEvents, RequestEvent{});
-  }
-
   start_flight_recorder();
   start_observability();
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
@@ -341,7 +356,7 @@ std::future<Response> InferenceEngine::submit(Request request) {
   std::future<Response> future = pending.promise.get_future();
   submitted_.fetch_add(1, std::memory_order_relaxed);
   obs::Registry::instance().counter("serve.requests").add();
-  record_request_event(id, RequestStage::kSubmitted);
+  record_stage(id, RequestStage::kSubmitted);
 
   Response immediate;
   immediate.error = validate(pending.request);
@@ -349,13 +364,13 @@ std::future<Response> InferenceEngine::submit(Request request) {
     immediate.status = Status::kFailed;
   } else {
     const std::uint64_t bytes = pending_bytes(pending);
-    const auto cls = static_cast<std::int32_t>(pending.request.priority);
+    const auto cls = static_cast<int>(pending.request.priority);
     std::lock_guard<std::mutex> lock(mu_);
     immediate.status = batcher_->admit(pending, Clock::now());
     if (immediate.status == Status::kOk) {
       obs::serve_queue_memory().on_alloc(bytes);
       publish_queue_depths_locked();
-      record_request_event(id, RequestStage::kQueued, cls);
+      record_stage(id, RequestStage::kQueued, cls);
       cv_.notify_all();
       return future;
     }
@@ -416,16 +431,16 @@ void InferenceEngine::dispatcher_loop() {
       answer(step.shed, Status::kShed);
     }
     const auto sealed_rows =
-        static_cast<std::int32_t>(step.expired.size() + step.batch.size());
+        static_cast<int>(step.expired.size() + step.batch.size());
     for (const Pending& p : step.expired) {
-      record_request_event(p.id, RequestStage::kSealed, sealed_rows);
+      record_stage(p.id, RequestStage::kSealed, sealed_rows);
     }
     answer(step.expired, Status::kDeadlineExceeded);
     if (!step.batch.empty()) {
       BPAR_SPAN("serve.batch");
       for (const Pending& p : step.batch) {
         obs::serve_queue_memory().on_free(pending_bytes(p));
-        record_request_event(p.id, RequestStage::kSealed, sealed_rows);
+        record_stage(p.id, RequestStage::kSealed, sealed_rows);
       }
       serve_group(std::move(step.batch), now, /*depth=*/0);
       check_slo_alert();
@@ -503,7 +518,7 @@ void InferenceEngine::serve_group(std::vector<Pending> live,
   }
   const Clock::time_point formed = Clock::now();
   for (const Pending& p : live) {
-    record_request_event(p.id, RequestStage::kFormed, rows);
+    record_stage(p.id, RequestStage::kFormed, rows);
   }
 
   // Bounded retries: fault schedules decorrelate across runtime sessions,
@@ -512,7 +527,7 @@ void InferenceEngine::serve_group(std::vector<Pending> live,
   exec::InferResult result;
   std::string error;
   for (const Pending& p : live) {
-    record_request_event(p.id, RequestStage::kExecBegin);
+    record_stage(p.id, RequestStage::kExecBegin);
   }
   for (int attempt = 0; attempt <= options_.max_batch_retries; ++attempt) {
     if (attempt > 0) {
@@ -520,7 +535,7 @@ void InferenceEngine::serve_group(std::vector<Pending> live,
       retries_.fetch_add(1, std::memory_order_relaxed);
       registry.counter("serve.retries").add();
       for (const Pending& p : live) {
-        record_request_event(p.id, RequestStage::kRetry, attempt);
+        record_stage(p.id, RequestStage::kRetry, attempt);
       }
       if (executor_->runtime().poisoned()) rebuild_executor();
     }
@@ -532,8 +547,7 @@ void InferenceEngine::serve_group(std::vector<Pending> live,
   }
   const Clock::time_point done = Clock::now();
   for (const Pending& p : live) {
-    record_request_event(p.id, RequestStage::kExecEnd,
-                         error.empty() ? 0 : 1);
+    record_stage(p.id, RequestStage::kExecEnd, error.empty() ? 0 : 1);
   }
 
   const double form_us = us_between(sealed, formed);
@@ -568,7 +582,7 @@ void InferenceEngine::serve_group(std::vector<Pending> live,
       bisections_.fetch_add(1, std::memory_order_relaxed);
       registry.counter("serve.bisections").add();
       for (const Pending& p : live) {
-        record_request_event(p.id, RequestStage::kBisect, depth);
+        record_stage(p.id, RequestStage::kBisect, depth);
       }
       const auto mid =
           live.begin() + static_cast<std::ptrdiff_t>(live.size() / 2);
@@ -673,25 +687,10 @@ void InferenceEngine::respond(Pending& pending, Response response,
     obs::Registry::instance().counter(kCounters[index]).add();
   }
   record_slo(response.status, latency_us);
-  record_request_event(pending.id, RequestStage::kResponded,
-                       static_cast<std::int32_t>(response.status));
+  record_stage(pending.id, RequestStage::kResponded,
+               static_cast<int>(response.status));
   response.id = pending.id;
   pending.promise.set_value(std::move(response));
-}
-
-void InferenceEngine::record_request_event(std::uint64_t id,
-                                           RequestStage stage,
-                                           std::int32_t arg) {
-  if (!options_.trace_requests) return;
-  RequestEvent event;
-  event.id = id;
-  event.ts_ns = obs::now_ns();
-  event.stage = stage;
-  event.arg = arg;
-  const std::lock_guard<std::mutex> lock(req_mu_);
-  request_events_[request_events_next_] = event;
-  request_events_next_ = (request_events_next_ + 1) % request_events_.size();
-  ++request_events_recorded_;
 }
 
 void InferenceEngine::record_slo(Status status, double latency_us) {
@@ -720,29 +719,6 @@ void InferenceEngine::publish_queue_depths_locked() {
     registry.gauge(std::string("serve.queue_depth.") + priority_name(priority))
         .set(static_cast<double>(batcher_->queued(priority)));
   }
-}
-
-std::vector<RequestEvent> InferenceEngine::request_events() const {
-  const std::lock_guard<std::mutex> lock(req_mu_);
-  const std::size_t slots = request_events_.size();
-  const auto held = static_cast<std::size_t>(
-      std::min<std::uint64_t>(request_events_recorded_, slots));
-  // Until the ring wraps, the oldest event is in slot 0; after, it is the
-  // one the next event will overwrite.
-  const std::size_t oldest = held < slots ? 0 : request_events_next_;
-  std::vector<RequestEvent> events;
-  events.reserve(held);
-  for (std::size_t i = 0; i < held; ++i) {
-    events.push_back(request_events_[(oldest + i) % slots]);
-  }
-  return events;
-}
-
-std::uint64_t InferenceEngine::request_events_dropped() const {
-  const std::lock_guard<std::mutex> lock(req_mu_);
-  const std::uint64_t slots = request_events_.size();
-  return request_events_recorded_ > slots ? request_events_recorded_ - slots
-                                          : 0;
 }
 
 int InferenceEngine::stats_port() const {
@@ -928,59 +904,27 @@ Health InferenceEngine::health() const {
   return static_cast<Health>(health_.load(std::memory_order_relaxed));
 }
 
-obs::ExtraEventEmitter InferenceEngine::request_marker_emitter() const {
-  // Request stage markers ride along as instants on their own row (tid 99,
-  // below the worker rows, beside the obs ring rows at 100+): one
-  // "req.<stage>" marker per event with {req, arg[, status]} args so
-  // `bpar_prof request <id>` can rebuild any request's timeline. Events
-  // are captured by value: the emitter must stay valid after this returns.
-  return [events = request_events()](obs::ChromeTraceWriter& writer,
-                                     std::uint64_t base_ns) {
-    constexpr int kPid = 1;
-    constexpr int kRequestTid = 99;
-    if (events.empty()) return;
-    writer.thread_name(kPid, kRequestTid, "requests");
-    for (const RequestEvent& event : events) {
-      const std::uint64_t ts =
-          event.ts_ns > base_ns ? event.ts_ns - base_ns : 0;
-      std::string args = "{\"req\": " + std::to_string(event.id) +
-                         ", \"arg\": " + std::to_string(event.arg);
-      if (event.stage == RequestStage::kResponded) {
-        args += ", \"status\": " +
-                obs::json_quote(status_name(
-                    static_cast<Status>(event.arg)));
-      }
-      args += "}";
-      writer.instant_args(
-          std::string("req.") + request_stage_name(event.stage), ts, kPid,
-          kRequestTid, args);
-    }
-  };
-}
-
 void InferenceEngine::write_unified_trace(const std::string& path) {
   BPAR_CHECK(options_.record_trace,
              "write_unified_trace requires EngineOptions::record_trace");
-  const obs::ExtraEventEmitter emit_requests = request_marker_emitter();
   std::lock_guard<std::mutex> lock(trace_mu_);
   BPAR_CHECK(last_traced_program_ != nullptr,
              "no cached-path micro-batch has been served yet");
   taskrt::write_unified_trace_file(last_traced_program_->graph(),
-                                   last_traced_stats_, path, emit_requests);
+                                   last_traced_stats_, path);
 }
 
 bool InferenceEngine::write_flight_trace(std::ostream& os) {
-  const obs::ExtraEventEmitter emit_requests = request_marker_emitter();
   std::lock_guard<std::mutex> lock(trace_mu_);
   if (last_traced_program_ != nullptr) {
     // Full bundle: the last traced micro-batch's task slices (the rows
     // `bpar_prof analyze` needs) + spans + request markers.
     taskrt::write_unified_trace(last_traced_program_->graph(),
-                                last_traced_stats_, os, emit_requests);
+                                last_traced_stats_, os);
   } else {
     // No traced batch (record_trace off, or nothing served yet): spans and
     // request markers still make a timeline Perfetto opens.
-    obs::write_trace_json(os, emit_requests);
+    obs::write_trace_json(os);
   }
   return true;
 }

@@ -43,7 +43,10 @@
 // serve.batch_form_us / serve.exec_us), request/batch/shed/retry counters,
 // the health gauge, and BPAR_SPAN tracing on the submit, batch, retry, and
 // bisect paths, so `bpar_prof analyze` attributes retry/shed time on
-// serving runs unchanged.
+// serving runs unchanged. While span tracing is on, every request stage
+// (RequestStage) is also a `req.<stage>` keyed instant in the span ring of
+// the thread that reaches it — the submitting client or the dispatcher —
+// which `bpar_prof request <id>` reads back from any exported trace.
 #pragma once
 
 #include <array>
@@ -67,7 +70,6 @@
 #include "obs/sampler.hpp"
 #include "obs/slo.hpp"
 #include "obs/stats_server.hpp"
-#include "obs/trace_export.hpp"
 #include "rnn/network.hpp"
 
 namespace bpar::serve {
@@ -125,18 +127,13 @@ struct EngineOptions {
   int stats_port = -1;
   /// Sampler tick period.
   std::uint32_t sampler_period_ms = 1000;
-  /// Per-request stage tracing: every request logs admission → queue →
-  /// seal → form → execute → respond markers into a bounded ring that
-  /// write_unified_trace() merges onto the timeline ("requests" row) and
-  /// `bpar_prof request <id>` reconstructs.
-  bool trace_requests = true;
   /// Availability / latency objectives for the built-in SLO tracker.
   obs::SloOptions slo{};
 
   // ---- flight recorder + profiler (DESIGN.md §5j) ----
   /// Directory for flight-recorder dump bundles. Non-empty arms the
   /// recorder: runtime watchdog errors and SLO both-window alerting each
-  /// snapshot the last N seconds of spans / task rows / request events /
+  /// snapshot the last N seconds of spans / task rows / request markers /
   /// metrics into a rotated, size-bounded bundle here, and
   /// `GET /debug/dump` forces one manually. Fatal signals leave an
   /// async-signal-safe marker file in the same directory. Empty = no
@@ -172,10 +169,11 @@ enum class Health { kHealthy, kDegraded, kDraining };
 
 [[nodiscard]] const char* health_name(Health health);
 
-/// Lifecycle stages a request passes through, logged (when
-/// EngineOptions::trace_requests) as timestamped markers keyed by the
-/// request id. `arg` disambiguates within a stage: batch size at kSealed,
-/// padded rows at kFormed, attempt number at kRetry, bisection depth at
+/// Lifecycle stages a request passes through, recorded while span tracing
+/// is on as `req.<stage>` instants keyed by the request id mod 2^32. The
+/// one-byte argument (saturated at 255) disambiguates within a stage:
+/// class at kQueued, batch size at kSealed, padded rows at kFormed, 1 for
+/// a failure at kExecEnd, attempt number at kRetry, bisection depth at
 /// kBisect, and the final Status at kResponded.
 enum class RequestStage : std::uint8_t {
   kSubmitted,  // id assigned, request validated
@@ -190,15 +188,8 @@ enum class RequestStage : std::uint8_t {
 };
 inline constexpr int kNumRequestStages = 9;
 
+/// "submitted", "queued", ...: the marker name without its "req." prefix.
 [[nodiscard]] const char* request_stage_name(RequestStage stage);
-
-/// One entry of the engine's bounded request-event ring.
-struct RequestEvent {
-  std::uint64_t id = 0;
-  std::uint64_t ts_ns = 0;  // absolute steady-clock ns
-  RequestStage stage = RequestStage::kSubmitted;
-  std::int32_t arg = 0;
-};
 
 /// One sequence to classify. `features` is row-major by timestep:
 /// features[t * input_size + f]. Labels are optional — empty means no loss
@@ -298,10 +289,10 @@ class InferenceEngine {
   [[nodiscard]] Health health() const;
 
   /// Writes a unified chrome-trace (task slices of the LAST served
-  /// micro-batch + every obs span recorded so far + per-request stage
-  /// markers on a "requests" row) that `bpar_prof analyze` / `bpar_prof
-  /// request <id>` consume. Requires EngineOptions::record_trace and at
-  /// least one cached-path batch; call when quiescent (after shutdown()).
+  /// micro-batch + every obs span and request-stage marker recorded so
+  /// far) that `bpar_prof analyze` / `bpar_prof request <id>` consume.
+  /// Requires EngineOptions::record_trace and at least one cached-path
+  /// batch; call when quiescent (after shutdown()).
   void write_unified_trace(const std::string& path);
 
   /// The bound stats-endpoint port (useful with EngineOptions::stats_port
@@ -316,13 +307,6 @@ class InferenceEngine {
   [[nodiscard]] const obs::MetricsSampler* sampler() const {
     return sampler_.get();
   }
-  /// Capacity of the request-event ring: it keeps the newest this many.
-  static constexpr std::size_t kMaxRequestEvents = 1U << 16;
-  /// Copy of the request-event ring (oldest first) and how many events the
-  /// bounded ring has discarded.
-  [[nodiscard]] std::vector<RequestEvent> request_events() const;
-  [[nodiscard]] std::uint64_t request_events_dropped() const;
-
   /// Forces a flight-recorder dump (same path the automatic triggers use,
   /// including the debounce). Thread-safe. Returns written=false with a
   /// `skipped` reason when no recorder is armed or the trigger debounced.
@@ -364,12 +348,8 @@ class InferenceEngine {
   void rebuild_executor();
   void set_health(Health health);
   /// Answers `pending` with `response`: the per-Status counters, SLO
-  /// bookkeeping (latency_us counts for kOk only) and the kResponded event.
+  /// bookkeeping (latency_us counts for kOk only) and the kResponded marker.
   void respond(Pending& pending, Response response, double latency_us = 0.0);
-  /// Appends to the bounded request-event ring (no-op unless
-  /// EngineOptions::trace_requests). Any thread.
-  void record_request_event(std::uint64_t id, RequestStage stage,
-                            std::int32_t arg = 0);
   /// SLO bookkeeping for one terminal response (kRejected / kShutdown /
   /// kFailed are not SLO-eligible — they are client errors or the client's
   /// own backpressure signal, not service failures).
@@ -382,12 +362,9 @@ class InferenceEngine {
   /// Builds + arms the flight recorder / profiler per options_ (ctor,
   /// before start_observability so handlers can reference them).
   void start_flight_recorder();
-  /// The request-stage instant markers as a trace-export hook, shared by
-  /// write_unified_trace() and flight dumps.
-  [[nodiscard]] obs::ExtraEventEmitter request_marker_emitter() const;
   /// FlightRecorder trace provider: the last traced batch's unified trace
   /// when one exists, else a spans-only trace — request markers ride along
-  /// either way. Takes trace_mu_.
+  /// in the span rings either way. Takes trace_mu_.
   bool write_flight_trace(std::ostream& os);
   /// Edge-detects SLO both-window alerting and fires a dump on the rising
   /// edge. Dispatcher thread, mu_ not held.
@@ -418,15 +395,6 @@ class InferenceEngine {
   std::unique_ptr<obs::FlightRecorder> flight_;
   std::unique_ptr<obs::SpanProfiler> profiler_;
   bool slo_alerting_prev_ = false;  // dispatcher thread only
-  /// Drop-oldest request-event ring of kMaxRequestEvents slots, allocated
-  /// and zeroed once in the constructor (when trace_requests), so its
-  /// footprint does not depend on how many requests were answered. Its own
-  /// mutex: recording happens on the submit path and inside serve_group,
-  /// where mu_ is not (or must not be) held.
-  mutable std::mutex req_mu_;
-  std::vector<RequestEvent> request_events_;
-  std::size_t request_events_next_ = 0;        // slot the next event takes
-  std::uint64_t request_events_recorded_ = 0;  // events ever recorded
 
   std::atomic<int> health_{0};  // Health as int, for lock-free reads
 

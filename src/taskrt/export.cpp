@@ -130,8 +130,7 @@ void write_dot_file(const TaskGraph& graph, const std::string& path,
 }
 
 void write_unified_trace(const TaskGraph& graph, const RunStats& stats,
-                         std::ostream& os,
-                         const obs::ExtraEventEmitter& extra) {
+                         std::ostream& os) {
   BPAR_CHECK(stats.trace.size() == graph.size(),
              "stats have no trace — run with record_trace = true");
   // The RunStats trace is session-relative; obs events are absolute
@@ -181,15 +180,13 @@ void write_unified_trace(const TaskGraph& graph, const RunStats& stats,
     obs::write_thread_events(writer, t, kPid, kRingTidBase + t.ring_id, base,
                              /*skip_tasks=*/true);
   }
-  if (extra) extra(writer, base);
 }
 
 void write_unified_trace_file(const TaskGraph& graph, const RunStats& stats,
-                              const std::string& path,
-                              const obs::ExtraEventEmitter& extra) {
+                              const std::string& path) {
   std::ofstream os(path);
   BPAR_CHECK(os.good(), "cannot open ", path);
-  write_unified_trace(graph, stats, os, extra);
+  write_unified_trace(graph, stats, os);
 }
 
 namespace {

@@ -10,7 +10,6 @@
 #include <string>
 
 #include "obs/analysis.hpp"
-#include "obs/trace_export.hpp"
 #include "taskrt/runtime.hpp"
 #include "taskrt/task_graph.hpp"
 
@@ -33,16 +32,12 @@ void write_dot_file(const TaskGraph& graph, const std::string& path,
 /// counter, and instant collected so far (one row per recording thread) on
 /// a single shared timeline; `bpar_prof analyze` reads it back. Requires
 /// record_trace; spans require tracing to have been enabled during the run.
-/// `extra` is for callers that hold event sources outside the obs rings
-/// (the serving engine's per-request stage log): it runs after the standard
-/// rows, with the writer and the export base, so absolute steady-clock
-/// timestamps minus `base_ns` line up with everything else.
+/// The serving engine's request-stage markers are keyed instants in those
+/// rings, so they land on the rows of the threads that recorded them.
 void write_unified_trace(const TaskGraph& graph, const RunStats& stats,
-                         std::ostream& os,
-                         const obs::ExtraEventEmitter& extra = {});
+                         std::ostream& os);
 void write_unified_trace_file(const TaskGraph& graph, const RunStats& stats,
-                              const std::string& path,
-                              const obs::ExtraEventEmitter& extra = {});
+                              const std::string& path);
 
 /// Direct predecessor lists, reconstructed by inverting the graph's
 /// successor edges. Index = TaskId.

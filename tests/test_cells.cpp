@@ -313,11 +313,11 @@ INSTANTIATE_TEST_SUITE_P(
                       CellFixtureParams{CellType::kGru, 1, 3, 5},
                       CellFixtureParams{CellType::kLstm, 7, 10, 12},
                       CellFixtureParams{CellType::kGru, 7, 10, 12}),
-    [](const auto& info) {
-      return std::string(cell_name(info.param.cell)) + "_b" +
-             std::to_string(info.param.batch) + "_i" +
-             std::to_string(info.param.input) + "_h" +
-             std::to_string(info.param.hidden);
+    [](const auto& param_info) {
+      return std::string(cell_name(param_info.param.cell)) + "_b" +
+             std::to_string(param_info.param.batch) + "_i" +
+             std::to_string(param_info.param.input) + "_h" +
+             std::to_string(param_info.param.hidden);
     });
 
 class MergeOps : public ::testing::TestWithParam<MergeOp> {};
@@ -368,7 +368,7 @@ TEST_P(MergeOps, BackwardMatchesFiniteDifferences) {
   merge_backward(op, hf.cview(), hr.cview(), dy.cview(), dhf.view(),
                  dhr.view());
   const float eps = 1e-3F;
-  for (const auto [r, c] : {std::pair{0, 0}, {1, 2}}) {
+  for (const auto& [r, c] : {std::pair{0, 0}, {1, 2}}) {
     float& slot = hf.at(r, c);
     const float saved = slot;
     slot = saved + eps;
@@ -376,15 +376,17 @@ TEST_P(MergeOps, BackwardMatchesFiniteDifferences) {
     slot = saved - eps;
     const double minus = loss_of();
     slot = saved;
-    EXPECT_NEAR(dhf.at(r, c), (plus - minus) / (2.0 * eps), 5e-3);
+    EXPECT_NEAR(dhf.at(r, c),
+                (plus - minus) / (2.0 * static_cast<double>(eps)), 5e-3);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Ops, MergeOps,
                          ::testing::Values(MergeOp::kConcat, MergeOp::kSum,
                                            MergeOp::kAverage, MergeOp::kMul),
-                         [](const auto& info) {
-                           return std::string(merge_name(info.param));
+                         [](const auto& param_info) {
+                           return std::string(
+                               merge_name(param_info.param));
                          });
 
 TEST(LayerParams, InitShapesAndForgetBias) {

@@ -89,7 +89,8 @@ TEST(Tidigits, ClassesAreSeparableByTemplateCorrelation) {
     for (int t = 0; t < 30; ++t) {
       for (int d = 0; d < 8; ++d) {
         mean[static_cast<std::size_t>(label)]
-            [static_cast<std::size_t>(t * 8 + d)] += f.at(t, d);
+            [static_cast<std::size_t>(t * 8 + d)] +=
+            static_cast<double>(f.at(t, d));
       }
     }
   }

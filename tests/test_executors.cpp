@@ -247,7 +247,7 @@ INSTANTIATE_TEST_SUITE_P(
         make_case(CellType::kGru, MergeOp::kConcat, false, 5, 1, 7),
         make_case(CellType::kLstm, MergeOp::kSum, false, 2, 8, 3),
         make_case(CellType::kGru, MergeOp::kAverage, true, 4, 2, 5)),
-    [](const auto& info) { return info.param.tag; });
+    [](const auto& param_info) { return param_info.param.tag; });
 
 TEST(ExecutorDeterminism, RepeatedBParRunsAreBitwiseIdentical) {
   const NetworkConfig cfg = make_case(CellType::kLstm, MergeOp::kConcat,

@@ -100,7 +100,7 @@ INSTANTIATE_TEST_SUITE_P(
                              false},
                       GcCase{"gru_avg_m2o", CellType::kGru,
                              MergeOp::kAverage, false}),
-    [](const auto& info) { return info.param.tag; });
+    [](const auto& param_info) { return param_info.param.tag; });
 
 
 TEST(InputGradients, MatchFiniteDifferencesAndSequential) {

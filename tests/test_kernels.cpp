@@ -74,7 +74,7 @@ void naive_gemm(const Matrix& a, bool ta, const Matrix& b, bool tb, Matrix& c,
       for (int p = 0; p < k; ++p) {
         const float av = ta ? a.at(p, i) : a.at(i, p);
         const float bv = tb ? b.at(j, p) : b.at(p, j);
-        acc += static_cast<double>(av) * bv;
+        acc += static_cast<double>(av) * static_cast<double>(bv);
       }
       c.at(i, j) = alpha * static_cast<float>(acc) + beta * c.at(i, j);
     }
@@ -313,12 +313,13 @@ TEST(Elementwise, SoftmaxCeGradMatchesNumericDerivative) {
   kernels::softmax_ce_grad(probs.cview(), labels, grad.view());
 
   const float eps = 1e-2F;
-  for (const auto [r, c] : {std::pair{0, 2}, {1, 1}, {2, 4}}) {
+  for (const auto& [r, c] : {std::pair{0, 2}, {1, 1}, {2, 4}}) {
     Matrix plus = logits;
     plus.at(r, c) += eps;
     Matrix minus = logits;
     minus.at(r, c) -= eps;
-    const double numeric = (loss_of(plus) - loss_of(minus)) / (2.0 * eps);
+    const double numeric =
+        (loss_of(plus) - loss_of(minus)) / (2.0 * static_cast<double>(eps));
     EXPECT_NEAR(grad.at(r, c), numeric, 2e-3) << "at (" << r << "," << c << ")";
   }
 }

@@ -36,7 +36,8 @@ TEST(ParamCount, MatchesTableIIIBlstm) {
   for (const Row row : {Row{64, 256, 5.9}, Row{256, 256, 6.3},
                         Row{1024, 256, 7.8}, Row{64, 1024, 92.8},
                         Row{256, 1024, 94.4}, Row{1024, 1024, 100.7}}) {
-    Network net(table_config(CellType::kLstm, row.input, row.hidden));
+    const Network net(table_config(CellType::kLstm, row.input, row.hidden),
+                      /*allocate_weights=*/false);
     const double millions =
         static_cast<double>(net.param_count()) / 1e6;
     EXPECT_NEAR(millions, row.expected_m, row.expected_m * 0.02)
@@ -53,11 +54,35 @@ TEST(ParamCount, MatchesTableIVBgru) {
   for (const Row row : {Row{64, 256, 4.4}, Row{256, 256, 4.7},
                         Row{1024, 256, 5.9}, Row{64, 1024, 69.6},
                         Row{256, 1024, 70.8}, Row{1024, 1024, 75.5}}) {
-    Network net(table_config(CellType::kGru, row.input, row.hidden));
+    const Network net(table_config(CellType::kGru, row.input, row.hidden),
+                      /*allocate_weights=*/false);
     const double millions =
         static_cast<double>(net.param_count()) / 1e6;
     EXPECT_NEAR(millions, row.expected_m, row.expected_m * 0.02)
         << "input " << row.input << " hidden " << row.hidden;
+  }
+}
+
+// The table cases count shape-only networks; at a small shape the count
+// equals an allocated network's, and the elements of its weight buffers.
+TEST(ParamCount, ShapeOnlyMatchesAllocatedBuffers) {
+  const auto elements = [](const tensor::Matrix& m) {
+    return static_cast<std::size_t>(m.rows()) *
+           static_cast<std::size_t>(m.cols());
+  };
+  for (const CellType cell : {CellType::kLstm, CellType::kGru}) {
+    const NetworkConfig cfg = table_config(cell, 5, 7);
+    const Network net(cfg);
+    std::size_t allocated = elements(net.w_out) + elements(net.b_out);
+    for (int dir = 0; dir < 2; ++dir) {
+      for (int l = 0; l < cfg.num_layers; ++l) {
+        allocated += elements(net.layer(dir, l).w) +
+                     elements(net.layer(dir, l).b);
+      }
+    }
+    const Network shapes(cfg, /*allocate_weights=*/false);
+    EXPECT_EQ(shapes.param_count(), net.param_count());
+    EXPECT_EQ(shapes.param_count(), allocated);
   }
 }
 

@@ -163,6 +163,8 @@ TEST_F(TraceTest, ExportedTraceJsonParsesAndNamesThreads) {
     record_span(span, start, start + 500);
     record_counter(counter, start + 600, 42);
     record_instant(intern_name("test.export_instant"), start + 700);
+    record_instant(intern_name("test.export_keyed"), start + 800,
+                   0xFFFFFFFFU, 255);
   });
   recorder.join();
   set_tracing_enabled(false);
@@ -174,6 +176,8 @@ TEST_F(TraceTest, ExportedTraceJsonParsesAndNamesThreads) {
   bool saw_thread = false;
   bool saw_span = false;
   bool saw_counter = false;
+  bool saw_instant = false;
+  bool saw_keyed = false;
   for (const auto& ev : doc.array) {
     const JsonValue* ph = ev.find("ph");
     ASSERT_NE(ph, nullptr);
@@ -189,10 +193,21 @@ TEST_F(TraceTest, ExportedTraceJsonParsesAndNamesThreads) {
       saw_counter = true;
       EXPECT_EQ(ev.at("args").at("value").number, 42.0);
     }
+    if (ph->str == "i" && ev.at("name").str == "test.export_instant") {
+      saw_instant = true;
+      EXPECT_EQ(ev.find("args"), nullptr);  // an instant without an id
+    }
+    if (ph->str == "i" && ev.at("name").str == "test.export_keyed") {
+      saw_keyed = true;
+      EXPECT_EQ(ev.at("args").at("id").number, 4294967295.0);
+      EXPECT_EQ(ev.at("args").at("arg").number, 255.0);
+    }
   }
   EXPECT_TRUE(saw_thread);
   EXPECT_TRUE(saw_span);
   EXPECT_TRUE(saw_counter);
+  EXPECT_TRUE(saw_instant);
+  EXPECT_TRUE(saw_keyed);
 }
 
 TEST(JsonEscape, EscapesQuotesBackslashesAndControls) {

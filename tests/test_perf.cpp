@@ -55,7 +55,7 @@ TEST(PerfCounters, GracefulWhenUnavailable) {
   PerfCounters counters;
   counters.start();
   volatile double x = 0;
-  for (int i = 0; i < 100000; ++i) x += i;
+  for (int i = 0; i < 100000; ++i) x = x + i;
   const auto sample = counters.stop();
   if (counters.available()) {
     ASSERT_TRUE(sample.has_value());

@@ -132,9 +132,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1ULL, 17ULL, 255ULL, 4096ULL,
                                          99999ULL),
                        ::testing::Values(1, 3, 4)),
-    [](const auto& info) {
-      return "seed" + std::to_string(std::get<0>(info.param)) + "_w" +
-             std::to_string(std::get<1>(info.param));
+    [](const auto& param_info) {
+      return "seed" + std::to_string(std::get<0>(param_info.param)) +
+             "_w" + std::to_string(std::get<1>(param_info.param));
     });
 
 TEST(SimulatorProperty, MoreCoresNeverHurtIdealMachines) {

@@ -7,6 +7,7 @@
 // target.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <future>
@@ -21,6 +22,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stats_server.hpp"
+#include "obs/trace.hpp"
 #include "rnn/network.hpp"
 #include "serve/batcher.hpp"
 #include "serve/engine.hpp"
@@ -628,13 +630,16 @@ TEST(ServeRecovery, BisectionIsolatesPoisonedRequestOnVectorActivations) {
 
 // Request-scoped tracing through the ugliest path the engine has: a
 // poisoned batch that retries, bisects twice, and answers one request
-// kInternalError. Ids must be unique, every id must respond exactly once,
-// and each id's event timestamps must be monotone.
+// kInternalError. The stage markers are keyed instants in the span rings:
+// ids must be unique, every id must respond exactly once, and each id's
+// marker timestamps must be monotone.
 TEST(ServeObservability, RequestIdsUniqueAndTracedThroughRetryBisect) {
   const auto cfg = small_config();
   EngineOptions options = quiet_options(/*max_batch=*/4);
   options.max_delay_us = 50'000;  // let all four coalesce
   options.max_batch_retries = 1;
+  obs::set_tracing_enabled(true);
+  obs::clear();
   InferenceEngine engine(cfg, options);
 
   std::vector<std::future<Response>> futures;
@@ -646,35 +651,50 @@ TEST(ServeObservability, RequestIdsUniqueAndTracedThroughRetryBisect) {
   poison.features[3] = std::numeric_limits<float>::quiet_NaN();
   futures.push_back(engine.submit(std::move(poison)));
   for (auto& f : futures) (void)f.get();
+  engine.shutdown();
+  obs::set_tracing_enabled(false);
 
-  std::map<std::uint64_t, std::vector<serve::RequestEvent>> by_id;
-  for (const serve::RequestEvent& ev : engine.request_events()) {
-    by_id[ev.id].push_back(ev);
+  struct Mark {
+    std::string stage;  // marker name minus "req."
+    int arg = 0;
+    std::uint64_t ts_ns = 0;
+    int ring = 0;
+  };
+  std::map<std::uint32_t, std::vector<Mark>> by_id;  // ring order
+  for (const obs::ThreadTrace& ring : obs::collect()) {
+    EXPECT_EQ(ring.dropped, 0U) << ring.name;
+    for (const obs::TraceEvent& ev : ring.events) {
+      const std::string name = obs::interned_name(ev.name);
+      if (ev.kind != obs::EventKind::kKeyedInstant ||
+          name.rfind("req.", 0) != 0) {
+        continue;
+      }
+      by_id[ev.payload].push_back(
+          {name.substr(4), ev.extra, ev.ts_ns, ring.ring_id});
+    }
   }
-  EXPECT_EQ(engine.request_events_dropped(), 0U);
   ASSERT_EQ(by_id.size(), 4U);  // one unique id per submitted request
 
   int internal_errors = 0;
   int ok = 0;
-  for (const auto& [id, events] : by_id) {
+  for (auto& [id, marks] : by_id) {
     int submitted = 0;
     int responded = 0;
     int retries = 0;
     int bisects = 0;
-    std::int32_t final_status = -1;
-    std::uint64_t prev_ts = 0;
-    for (const serve::RequestEvent& ev : events) {
-      EXPECT_GE(ev.ts_ns, prev_ts) << "id " << id << " went backwards";
-      prev_ts = ev.ts_ns;
-      switch (ev.stage) {
-        case serve::RequestStage::kSubmitted: ++submitted; break;
-        case serve::RequestStage::kResponded:
-          ++responded;
-          final_status = ev.arg;
-          break;
-        case serve::RequestStage::kRetry: ++retries; break;
-        case serve::RequestStage::kBisect: ++bisects; break;
-        default: break;
+    int final_status = -1;
+    int client_ring = -1;
+    for (const Mark& m : marks) {
+      if (m.stage == "submitted") {
+        ++submitted;
+        client_ring = m.ring;
+      } else if (m.stage == "responded") {
+        ++responded;
+        final_status = m.arg;
+      } else if (m.stage == "retry") {
+        ++retries;
+      } else if (m.stage == "bisect") {
+        ++bisects;
       }
     }
     EXPECT_EQ(submitted, 1) << "id " << id;
@@ -683,55 +703,22 @@ TEST(ServeObservability, RequestIdsUniqueAndTracedThroughRetryBisect) {
     // the first bisection before the fault was isolated.
     EXPECT_GE(retries, 1) << "id " << id;
     EXPECT_GE(bisects, 1) << "id " << id;
-    if (final_status == static_cast<std::int32_t>(Status::kInternalError)) {
+    if (final_status == static_cast<int>(Status::kInternalError)) {
       ++internal_errors;
-    } else if (final_status == static_cast<std::int32_t>(Status::kOk)) {
+    } else if (final_status == static_cast<int>(Status::kOk)) {
       ++ok;
+    }
+    // The submitting client's markers come first, then the dispatcher's.
+    std::stable_partition(marks.begin(), marks.end(), [&](const Mark& m) {
+      return m.ring == client_ring;
+    });
+    for (std::size_t i = 1; i < marks.size(); ++i) {
+      EXPECT_GE(marks[i].ts_ns, marks[i - 1].ts_ns)
+          << "id " << id << " went backwards at " << marks[i].stage;
     }
   }
   EXPECT_EQ(internal_errors, 1);
   EXPECT_EQ(ok, 3);
-}
-
-// The request-event ring has a fixed capacity: recording more events than
-// it holds keeps exactly the newest kMaxRequestEvents, oldest first, and
-// counts the rest as dropped.
-TEST(ServeObservability, RequestEventRingKeepsNewestAtCapacity) {
-  const auto cfg = small_config();
-  InferenceEngine engine(cfg, quiet_options());
-  constexpr std::size_t kCapacity = InferenceEngine::kMaxRequestEvents;
-
-  // An already-expired request is answered inside submit() with two events
-  // (submitted, responded) and never executes, so overfilling stays cheap.
-  Request expired = serve::make_request(cfg, cfg.seq_length, 1, false);
-  expired.deadline =
-      std::chrono::steady_clock::now() - std::chrono::seconds(1);
-  const std::size_t expired_count = kCapacity / 2 + 100;
-  for (std::size_t i = 0; i < expired_count; ++i) {
-    ASSERT_EQ(engine.submit(expired).get().status,
-              Status::kDeadlineExceeded);
-  }
-  const Response newest =
-      engine.infer(serve::make_request(cfg, cfg.seq_length, 2, true));
-  ASSERT_EQ(newest.status, Status::kOk);
-
-  const std::vector<serve::RequestEvent> events = engine.request_events();
-  ASSERT_EQ(events.size(), kCapacity);
-  std::size_t newest_events = 0;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (i > 0) {
-      ASSERT_LE(events[i - 1].id, events[i].id) << "slot " << i;
-    }
-    if (events[i].id == newest.id) ++newest_events;
-  }
-  EXPECT_EQ(engine.request_events_dropped(),
-            2 * expired_count + newest_events - kCapacity);
-  // The newest request's whole lifecycle closes the ring.
-  ASSERT_GE(newest_events, 3U);
-  EXPECT_EQ(events[kCapacity - newest_events].stage,
-            serve::RequestStage::kSubmitted);
-  EXPECT_EQ(events.back().id, newest.id);
-  EXPECT_EQ(events.back().stage, serve::RequestStage::kResponded);
 }
 
 // End-to-end stats endpoint on a live engine: /healthz, /statz (parse +

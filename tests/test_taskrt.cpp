@@ -202,9 +202,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(SchedulerPolicy::kFifo,
                                          SchedulerPolicy::kLocalityAware),
                        ::testing::Values(1, 2, 4, 8)),
-    [](const auto& info) {
-      return std::string(scheduler_policy_name(std::get<0>(info.param))) +
-             "_w" + std::to_string(std::get<1>(info.param));
+    [](const auto& param_info) {
+      const SchedulerPolicy policy = std::get<0>(param_info.param);
+      return std::string(scheduler_policy_name(policy)) + "_w" +
+             std::to_string(std::get<1>(param_info.param));
     });
 
 TEST(Runtime, ExceptionPropagates) {
@@ -231,7 +232,7 @@ TEST(Runtime, StatsTrackDurationsAndBusyTime) {
     g.add(
         [] {
           volatile double x = 0;
-          for (int i = 0; i < 50000; ++i) x += i;
+          for (int i = 0; i < 50000; ++i) x = x + i;
         },
         {out(&s)});
   }
@@ -326,8 +327,8 @@ TEST_P(RuntimeStress, WideDiamondExecutesEveryTaskOnce) {
 
 INSTANTIATE_TEST_SUITE_P(Workers, RuntimeStress,
                          ::testing::Values(2, 4, 8, 16),
-                         [](const auto& info) {
-                           return "w" + std::to_string(info.param);
+                         [](const auto& param_info) {
+                           return "w" + std::to_string(param_info.param);
                          });
 
 TEST(Runtime, StressExceptionPropagatesOutOfRun) {

@@ -19,8 +19,9 @@
 //   bpar_prof request <id> <trace.json>
 //       One request's stage-by-stage timeline (submit → queue → seal →
 //       form → execute → respond, retries/bisections included) from the
-//       per-request markers a serving trace carries (bpar_serve --trace,
-//       EngineOptions::trace_requests).
+//       `req.<stage>` instants a serving trace carries while span tracing
+//       was on (bpar_serve --trace, and its flight dumps). Markers hold
+//       the id mod 2^32, so <id> matches on its low 32 bits.
 //
 //   bpar_prof flame <profile.folded> [--out <path>] [--min-percent P]
 //   bpar_prof flame --host <h> --port <p> [--seconds N] [--out <path>]
@@ -45,6 +46,7 @@
 #include "obs/diff.hpp"
 #include "obs/json.hpp"
 #include "obs/report.hpp"
+#include "serve/engine.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
 
@@ -164,9 +166,8 @@ int cmd_baseline(int argc, const char* const* argv) {
 /// chrome-trace microseconds (trace-relative).
 struct RequestMark {
   double ts_us = 0.0;
-  std::string stage;   // "submitted", "queued", ... (name minus "req.")
-  double arg = 0.0;
-  std::string status;  // only on "responded"
+  std::string stage;  // "submitted", "queued", ... (name minus "req.")
+  int arg = 0;
 };
 
 int cmd_request(int argc, const char* const* argv) {
@@ -178,6 +179,7 @@ int cmd_request(int argc, const char* const* argv) {
     return 2;
   }
   const std::uint64_t want_id = std::stoull(args.positional()[0]);
+  const std::uint64_t want_key = want_id & 0xFFFFFFFFULL;
   const JsonValue doc = load_json(args.positional()[1]);
   if (!doc.is_array()) {
     std::cerr << "bpar_prof request: " << args.positional()[1]
@@ -186,7 +188,7 @@ int cmd_request(int argc, const char* const* argv) {
   }
 
   std::vector<RequestMark> marks;
-  std::size_t total_request_events = 0;
+  std::size_t total_markers = 0;
   std::vector<std::uint64_t> seen_ids;
   for (const JsonValue& ev : doc.array) {
     if (!ev.is_object()) continue;
@@ -198,36 +200,39 @@ int cmd_request(int argc, const char* const* argv) {
     }
     const JsonValue* ev_args = ev.find("args");
     if (ev_args == nullptr || !ev_args->is_object()) continue;
-    const JsonValue* req = ev_args->find("req");
-    if (req == nullptr || !req->is_number()) continue;
-    ++total_request_events;
-    const auto id = static_cast<std::uint64_t>(req->number);
+    // The exporter writes a 32-bit id and a one-byte argument; anything
+    // else is not one of its markers.
+    const JsonValue* id_arg = ev_args->find("id");
+    if (id_arg == nullptr || !id_arg->is_number() || id_arg->number < 0.0 ||
+        id_arg->number > 4294967295.0) {
+      continue;
+    }
+    ++total_markers;
+    const auto id = static_cast<std::uint64_t>(id_arg->number);
     if (std::find(seen_ids.begin(), seen_ids.end(), id) == seen_ids.end()) {
       seen_ids.push_back(id);
     }
-    if (id != want_id) continue;
+    if (id != want_key) continue;
     RequestMark mark;
     const JsonValue* ts = ev.find("ts");
     mark.ts_us = ts != nullptr ? ts->number : 0.0;
     mark.stage = name->str.substr(4);
     if (const JsonValue* arg = ev_args->find("arg"); arg != nullptr) {
-      mark.arg = arg->number;
-    }
-    if (const JsonValue* status = ev_args->find("status");
-        status != nullptr) {
-      mark.status = status->str;
+      mark.arg = static_cast<int>(std::clamp(arg->number, 0.0, 255.0));
     }
     marks.push_back(std::move(mark));
   }
 
   if (marks.empty()) {
     std::cerr << "bpar_prof request: no events for request " << want_id
-              << " (trace holds " << total_request_events
+              << " (trace holds " << total_markers
               << " request event(s) across " << seen_ids.size()
               << " id(s)";
     if (!seen_ids.empty()) {
       std::sort(seen_ids.begin(), seen_ids.end());
       std::cerr << ", ids " << seen_ids.front() << ".." << seen_ids.back();
+    } else {
+      std::cerr << "; markers are recorded only while span tracing is on";
     }
     std::cerr << ")\n";
     return 1;
@@ -237,6 +242,10 @@ int cmd_request(int argc, const char* const* argv) {
                      return a.ts_us < b.ts_us;
                    });
 
+  // The name of the Status a "responded" marker's argument holds.
+  const auto status = [](const RequestMark& m) {
+    return bpar::serve::status_name(static_cast<bpar::serve::Status>(m.arg));
+  };
   // Named stage timestamps for the summary (first occurrence wins, except
   // exec_end / responded where the last one is the real finish).
   const auto first_ts = [&](const std::string& stage) -> const RequestMark* {
@@ -261,19 +270,19 @@ int cmd_request(int argc, const char* const* argv) {
   for (const RequestMark& m : marks) {
     std::string detail;
     if (m.stage == "sealed") {
-      detail = "batch size " + std::to_string(static_cast<int>(m.arg));
+      detail = "batch size " + std::to_string(m.arg);
     } else if (m.stage == "formed") {
-      detail = "padded rows " + std::to_string(static_cast<int>(m.arg));
+      detail = "padded rows " + std::to_string(m.arg);
     } else if (m.stage == "retry") {
-      detail = "attempt " + std::to_string(static_cast<int>(m.arg));
+      detail = "attempt " + std::to_string(m.arg);
     } else if (m.stage == "bisect") {
-      detail = "depth " + std::to_string(static_cast<int>(m.arg));
+      detail = "depth " + std::to_string(m.arg);
     } else if (m.stage == "queued") {
-      detail = "class " + std::to_string(static_cast<int>(m.arg));
+      detail = "class " + std::to_string(m.arg);
     } else if (m.stage == "responded") {
-      detail = "status " + m.status;
+      detail = std::string("status ") + status(m);
     } else if (m.stage == "exec_end") {
-      detail = m.arg != 0.0 ? "failed" : "ok";
+      detail = m.arg != 0 ? "failed" : "ok";
     }
     std::printf("  %12.1f  %12.1f  %-10s  %s\n", m.ts_us, m.ts_us - prev,
                 m.stage.c_str(), detail.c_str());
@@ -301,7 +310,7 @@ int cmd_request(int argc, const char* const* argv) {
   if (submitted != nullptr && responded != nullptr) {
     std::printf("  total        %10.1f us  (%s)\n",
                 responded->ts_us - submitted->ts_us,
-                responded->status.c_str());
+                status(*responded));
   } else if (responded == nullptr) {
     std::printf("  (no responded marker — request still in flight when the "
                 "trace was written?)\n");

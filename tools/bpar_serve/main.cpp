@@ -14,7 +14,9 @@
 //
 // With --trace/--metrics the run emits obs telemetry that `bpar_prof
 // analyze` consumes unchanged (serve.queue_us / serve.batch_form_us /
-// serve.exec_us histograms, shed/retry counters, dispatcher spans).
+// serve.exec_us histograms, shed/retry counters, dispatcher spans), and
+// --trace also records every request's stage markers for `bpar_prof
+// request <id>`; flight-dump traces carry those markers only with --trace.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -95,8 +97,6 @@ int main(int argc, char** argv) {
                "(-1 = off, 0 = ephemeral)");
   args.add_int("sampler-period-ms", 1000,
                "metrics sampler tick period for windowed rollups");
-  args.add_flag("no-request-trace",
-                "disable per-request stage tracing (bpar_prof request)");
   args.add_int("slo-target-ms", 50,
                "latency SLO target for the built-in SLO tracker");
   args.add_string("dump-dir", "",
@@ -157,7 +157,6 @@ int main(int argc, char** argv) {
   engine_options.stats_port = static_cast<int>(args.get_int("stats-port"));
   engine_options.sampler_period_ms =
       static_cast<std::uint32_t>(args.get_int("sampler-period-ms"));
-  engine_options.trace_requests = !args.flag("no-request-trace");
   engine_options.slo.latency_target_us =
       static_cast<double>(args.get_int("slo-target-ms")) * 1000.0;
   engine_options.dump_dir = args.get_string("dump-dir");
