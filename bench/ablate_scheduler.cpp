@@ -27,9 +27,9 @@ int main(int argc, char** argv) {
     bpar::sim::SimResult locality;
     bench::SimSetup s = setup;
     s.cores = cores;
-    s.policy = bpar::taskrt::SchedulerPolicy::kFifo;
+    s.policy = bpar::sim::SchedulerPolicy::kFifo;
     const double fifo_ms = bench::simulate_bpar(net, s, replicas, &fifo);
-    s.policy = bpar::taskrt::SchedulerPolicy::kLocalityAware;
+    s.policy = bpar::sim::SchedulerPolicy::kLocalityAware;
     const double loc_ms = bench::simulate_bpar(net, s, replicas, &locality);
     table.add_row(
         {std::to_string(cores), bpar::util::fmt_ms(fifo_ms),

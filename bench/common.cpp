@@ -96,7 +96,7 @@ double simulate_framework(bpar::rnn::Network& net, const SimSetup& setup,
   const auto costs =
       bpar::exec::profile_costs(program.graph(), setup.calibration, profile);
   Simulator simulator(
-      SimOptions{.policy = bpar::taskrt::SchedulerPolicy::kFifo,
+      SimOptions{.policy = bpar::sim::SchedulerPolicy::kFifo,
                  .cores = setup.cores});
   return simulator.run(program.graph(), costs).makespan_ms;
 }

@@ -41,8 +41,8 @@ void add_common_flags(bpar::util::ArgParser& args);
 struct SimSetup {
   bpar::sim::Calibration calibration;
   int cores = 48;
-  bpar::taskrt::SchedulerPolicy policy =
-      bpar::taskrt::SchedulerPolicy::kLocalityAware;
+  bpar::sim::SchedulerPolicy policy =
+      bpar::sim::SchedulerPolicy::kLocalityAware;
   bool training = true;
 };
 

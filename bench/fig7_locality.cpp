@@ -40,9 +40,9 @@ int main(int argc, char** argv) {
 
   bpar::sim::SimResult fifo;
   bpar::sim::SimResult locality;
-  setup.policy = bpar::taskrt::SchedulerPolicy::kFifo;
+  setup.policy = bpar::sim::SchedulerPolicy::kFifo;
   const double fifo_ms = bench::simulate_bpar(net, setup, replicas, &fifo);
-  setup.policy = bpar::taskrt::SchedulerPolicy::kLocalityAware;
+  setup.policy = bpar::sim::SchedulerPolicy::kLocalityAware;
   const double locality_ms =
       bench::simulate_bpar(net, setup, replicas, &locality);
 

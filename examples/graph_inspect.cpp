@@ -78,7 +78,6 @@ int main(int argc, char** argv) {
     program.prepare();
     bpar::taskrt::Runtime runtime(
         {.num_workers = static_cast<int>(args.get_int("workers")),
-         .policy = bpar::taskrt::SchedulerPolicy::kLocalityAware,
          .record_trace = true});
     const auto stats = runtime.run(program.graph());
     bpar::taskrt::write_unified_trace_file(graph, stats,

@@ -66,15 +66,15 @@ int main(int argc, char** argv) {
                            "efficiency", "avg-tasks", "locality-hits"});
   double base_ms = 0.0;
   for (const int cores : {1, 2, 4, 8, 16, 24, 32, 48}) {
-    for (const auto policy : {bpar::taskrt::SchedulerPolicy::kFifo,
-                              bpar::taskrt::SchedulerPolicy::kLocalityAware}) {
+    for (const auto policy : {bpar::sim::SchedulerPolicy::kFifo,
+                              bpar::sim::SchedulerPolicy::kLocalityAware}) {
       bpar::sim::Simulator simulator({.policy = policy, .cores = cores});
       const auto result = simulator.run(program.graph(), costs);
-      if (cores == 1 && policy == bpar::taskrt::SchedulerPolicy::kFifo) {
+      if (cores == 1 && policy == bpar::sim::SchedulerPolicy::kFifo) {
         base_ms = result.makespan_ms;
       }
       table.add_row({std::to_string(cores),
-                     bpar::taskrt::scheduler_policy_name(policy),
+                     bpar::sim::scheduler_policy_name(policy),
                      bpar::util::fmt_ms(result.makespan_ms),
                      bpar::util::fmt_speedup(base_ms / result.makespan_ms),
                      bpar::util::fmt(result.parallel_efficiency, 3),

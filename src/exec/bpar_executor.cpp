@@ -25,7 +25,6 @@ std::uint64_t program_graph_bytes(const graph::TrainingProgram& program) {
 taskrt::RuntimeOptions runtime_options(const BParOptions& options) {
   taskrt::RuntimeOptions ro;
   ro.num_workers = options.common.num_workers;
-  ro.policy = options.common.policy;
   ro.record_trace = options.record_trace;
   ro.watchdog_ms = options.common.watchdog_ms;
   ro.faults = options.common.faults;

@@ -1,8 +1,12 @@
 // Flight recorder (DESIGN.md §5j): after-the-fact incident capture.
 //
-// The tracing rings are drop-oldest, the request-event ring is bounded,
-// and the sampler keeps a rolling snapshot window — so at any moment the
-// process already holds "the last N seconds of everything". A
+// The process always holds its recent past: each thread's tracing ring
+// keeps its newest ring_capacity() events (drop-oldest; request markers
+// ride the same rings), and the sampler keeps a rolling window of metric
+// snapshots. The two windows differ by orders of magnitude. The sampler's
+// covers minutes; a busy worker fills its 64 Ki-event ring in tens of
+// milliseconds (49-97 ms in traced bpar_serve runs at 4.6k-7k req/s), so
+// a dump shows the trace of the last moments, not of the last seconds. A
 // FlightRecorder turns that into a self-contained dump bundle on demand:
 //
 //   <dir>/<stem>-<seq>-<reason>.trace.json    unified Chrome trace

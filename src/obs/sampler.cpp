@@ -59,9 +59,11 @@ void MetricsSampler::sample_now() { sample_at(now_ns()); }
 
 void MetricsSampler::sample_at(std::uint64_t ts_ns) {
   Registry::instance().counter("obs.sampler.ticks").add();
-  // Refresh memory/proc gauges before snapshotting so they are part of
-  // this tick, not one tick stale.
-  if (options_.sample_proc) publish_memory_metrics();
+  // Publish the subsystem memory trackers and a /proc/self sample (`mem.*`
+  // / `proc.*` gauges, obs/memory.hpp) before snapshotting, so they are
+  // part of this tick, not one tick stale, and RSS / fault / ctx-switch
+  // history rides the same rollup machinery.
+  publish_memory_metrics();
   Sample sample;
   sample.ts_ns = ts_ns;
   sample.snap = Registry::instance().snapshot(/*include_series=*/false);

@@ -44,10 +44,6 @@ struct SamplerOptions {
   /// Counters whose per-tick rate is published as a Registry ring series
   /// named "<counter>.rate" (same capacity as the snapshot ring).
   std::vector<std::string> rate_series;
-  /// Publish subsystem memory trackers + a /proc/self sample (`mem.*` /
-  /// `proc.*` gauges, obs/memory.hpp) ahead of each tick's snapshot, so
-  /// RSS / fault / ctx-switch history rides the same rollup machinery.
-  bool sample_proc = true;
 };
 
 class MetricsSampler {

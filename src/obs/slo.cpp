@@ -13,8 +13,6 @@ SloTracker::SloTracker(SloOptions options) : options_(options) {
   }
   options_.availability_objective =
       std::clamp(options_.availability_objective, 0.0, 1.0 - 1e-9);
-  options_.latency_objective =
-      std::clamp(options_.latency_objective, 0.0, 1.0 - 1e-9);
   buckets_.assign(options_.long_window_s, Bucket{});
 }
 

@@ -35,8 +35,6 @@ struct SloOptions {
   /// Latency SLO: ok responses should complete within this (microseconds,
   /// measured submit -> response).
   double latency_target_us = 50'000.0;
-  /// Target fraction of ok responses inside latency_target_us.
-  double latency_objective = 0.99;
   std::uint32_t short_window_s = 10;
   std::uint32_t long_window_s = 300;
   /// Both windows burning faster than this sets Snapshot::alerting.

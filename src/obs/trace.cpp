@@ -43,11 +43,13 @@ std::uint32_t duration_payload(std::uint64_t start_ns, std::uint64_t end_ns) {
 
 class ThreadRing {
  public:
+  // Slots are left unfilled (a slot is written before `head` covers it),
+  // so a fresh ring touches no pages until events land in them.
   explicit ThreadRing(std::size_t capacity) {
     std::size_t cap = 1;
     while (cap < capacity) cap <<= 1;
     mask_ = cap - 1;
-    slots_ = std::make_unique<Slot[]>(cap);
+    slots_ = std::make_unique_for_overwrite<Slot[]>(cap);
   }
 
   // Single writer (the owning thread). Relaxed slot stores + release head
@@ -55,8 +57,8 @@ class ThreadRing {
   void record(const TraceEvent& ev) {
     const std::uint64_t h = head_.load(std::memory_order_relaxed);
     Slot& s = slots_[h & mask_];
-    s.ts.store(ev.ts_ns, std::memory_order_relaxed);
-    s.word.store(pack_word(ev), std::memory_order_relaxed);
+    std::atomic_ref(s.ts).store(ev.ts_ns, std::memory_order_relaxed);
+    std::atomic_ref(s.word).store(pack_word(ev), std::memory_order_relaxed);
     head_.store(h + 1, std::memory_order_release);
   }
 
@@ -67,10 +69,10 @@ class ThreadRing {
     out.dropped = h - kept;
     out.events.reserve(static_cast<std::size_t>(kept));
     for (std::uint64_t i = h - kept; i < h; ++i) {
-      const Slot& s = slots_[i & mask_];
+      Slot& s = slots_[i & mask_];
       out.events.push_back(
-          unpack(s.ts.load(std::memory_order_relaxed),
-                 s.word.load(std::memory_order_relaxed)));
+          unpack(std::atomic_ref(s.ts).load(std::memory_order_relaxed),
+                 std::atomic_ref(s.word).load(std::memory_order_relaxed)));
     }
   }
 
@@ -83,10 +85,14 @@ class ThreadRing {
   void reset() { head_.store(0, std::memory_order_relaxed); }
 
  private:
+  // Plain words accessed through std::atomic_ref: std::atomic members
+  // would be zeroed on construction.
   struct Slot {
-    std::atomic<std::uint64_t> ts{0};
-    std::atomic<std::uint64_t> word{0};
+    std::uint64_t ts;
+    std::uint64_t word;
   };
+  static_assert(alignof(std::uint64_t) >=
+                std::atomic_ref<std::uint64_t>::required_alignment);
   std::unique_ptr<Slot[]> slots_;
   std::size_t mask_ = 0;
   std::atomic<std::uint64_t> head_{0};
@@ -97,9 +103,16 @@ struct RingEntry {
   std::string name;
 };
 
+// Rings that set_tracing_enabled(true) allocates ahead of use, so a
+// thread's first event takes one instead of waiting for an allocation:
+// allocating a 1 MiB ring took up to ~250 us when eight serving clients
+// recorded their first events at once.
+constexpr std::size_t kSpareRings = 16;
+
 struct RingDirectory {
   std::mutex mu;
   std::vector<RingEntry> entries;
+  std::vector<std::unique_ptr<ThreadRing>> spares;  // of ring_capacity()
 };
 
 RingDirectory& directory() {
@@ -138,10 +151,18 @@ LocalRing& local_ring() {
   LocalRing& local = local_state();
   if (local.ring == nullptr) {
     RingDirectory& dir = directory();
-    const std::lock_guard<std::mutex> lock(dir.mu);
+    std::unique_lock<std::mutex> lock(dir.mu);
+    std::unique_ptr<ThreadRing> ring;
+    if (dir.spares.empty()) {
+      lock.unlock();  // other threads' first events need not wait for this
+      ring = std::make_unique<ThreadRing>(ring_capacity());
+      lock.lock();
+    } else {
+      ring = std::move(dir.spares.back());
+      dir.spares.pop_back();
+    }
     local.id = static_cast<int>(dir.entries.size());
-    dir.entries.push_back({std::make_unique<ThreadRing>(ring_capacity()),
-                           std::move(local.pending_name)});
+    dir.entries.push_back({std::move(ring), std::move(local.pending_name)});
     local.ring = dir.entries.back().ring.get();
   }
   return local;
@@ -176,6 +197,15 @@ std::atomic<bool> g_tracing_enabled{false};
 }  // namespace detail
 
 void set_tracing_enabled(bool on) {
+  if (on) {
+    // Unfilled slots make a spare cost address space, not resident memory,
+    // until a thread takes it.
+    RingDirectory& dir = directory();
+    const std::lock_guard<std::mutex> lock(dir.mu);
+    while (dir.spares.size() < kSpareRings) {
+      dir.spares.push_back(std::make_unique<ThreadRing>(ring_capacity()));
+    }
+  }
   detail::g_tracing_enabled.store(on, std::memory_order_relaxed);
 }
 
@@ -279,6 +309,11 @@ std::size_t ring_capacity() {
 void set_ring_capacity(std::size_t events) {
   capacity_storage().store(events < 16 ? 16 : events,
                            std::memory_order_relaxed);
+  // Spares have the old capacity; the next set_tracing_enabled(true)
+  // stocks new ones.
+  RingDirectory& dir = directory();
+  const std::lock_guard<std::mutex> lock(dir.mu);
+  dir.spares.clear();
 }
 
 }  // namespace bpar::obs

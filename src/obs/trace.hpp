@@ -57,6 +57,8 @@ extern std::atomic<bool> g_tracing_enabled;
 [[nodiscard]] inline bool tracing_enabled() {
   return detail::g_tracing_enabled.load(std::memory_order_relaxed);
 }
+/// Turning tracing on also stocks a few spare rings, so threads that have
+/// not recorded yet do not allocate on their first event.
 void set_tracing_enabled(bool on);
 
 // ---- span-stack maintenance (profiler support) ----
@@ -114,10 +116,11 @@ struct ThreadTrace {
   std::vector<TraceEvent> events;  // oldest → newest
 };
 
-/// Snapshot of every thread's ring. Slots are atomics, so concurrent
-/// recording is safe (TSan-clean); a thread actively wrapping its ring can
-/// contribute one mixed event at the snapshot boundary, which diagnostics
-/// tolerate. Intended at quiescent points (end of run).
+/// Snapshot of every thread's ring. Slots are read and written atomically,
+/// so concurrent recording is safe (TSan-clean); a thread actively
+/// wrapping its ring can contribute one mixed event at the snapshot
+/// boundary, which diagnostics tolerate. Intended at quiescent points (end
+/// of run).
 [[nodiscard]] std::vector<ThreadTrace> collect();
 
 /// Total events currently held across all rings (post-drop).
@@ -126,8 +129,9 @@ struct ThreadTrace {
 /// Drops all recorded events and per-ring drop counts (tests).
 void clear();
 
-/// Ring capacity (events per thread) used for rings created from now on.
-/// Default 65536 (1 MiB/thread), overridable with BPAR_TRACE_CAPACITY.
+/// Ring capacity (events per thread) used for rings created from now on
+/// (spares of the old capacity are dropped). Default 65536 (1 MiB/thread),
+/// overridable with BPAR_TRACE_CAPACITY.
 [[nodiscard]] std::size_t ring_capacity();
 void set_ring_capacity(std::size_t events);
 

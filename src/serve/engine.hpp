@@ -84,7 +84,7 @@ inline constexpr int kNumPriorities = 3;
 [[nodiscard]] Priority parse_priority(std::string_view name);
 
 struct EngineOptions {
-  /// Workers / replicas / policy for the owned BParExecutor — including
+  /// Workers / replicas for the owned BParExecutor — including
   /// `faults` (deterministic fault injection) and `watchdog_ms` (runtime
   /// no-progress watchdog), which flow into the runtime unchanged: the
   /// serving engine inherits the PR-2 fault stack through here.
@@ -127,17 +127,19 @@ struct EngineOptions {
   int stats_port = -1;
   /// Sampler tick period.
   std::uint32_t sampler_period_ms = 1000;
-  /// Availability / latency objectives for the built-in SLO tracker.
+  /// Availability objective and latency target for the built-in SLO
+  /// tracker.
   obs::SloOptions slo{};
 
   // ---- flight recorder + profiler (DESIGN.md §5j) ----
   /// Directory for flight-recorder dump bundles. Non-empty arms the
   /// recorder: runtime watchdog errors and SLO both-window alerting each
-  /// snapshot the last N seconds of spans / task rows / request markers /
-  /// metrics into a rotated, size-bounded bundle here, and
-  /// `GET /debug/dump` forces one manually. Fatal signals leave an
-  /// async-signal-safe marker file in the same directory. Empty = no
-  /// recorder.
+  /// snapshot what the trace rings still hold (spans / task rows / request
+  /// markers; under load only the last tens of milliseconds per thread,
+  /// see flight_recorder.hpp) and the metrics into a rotated, size-bounded
+  /// bundle here, and `GET /debug/dump` forces one manually. Fatal signals
+  /// leave an async-signal-safe marker file in the same directory. Empty =
+  /// no recorder.
   std::string dump_dir;
   /// Minimum spacing between automatic dumps (a run of stalled batches
   /// writes one bundle, not hundreds).

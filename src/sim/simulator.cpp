@@ -11,7 +11,6 @@
 namespace bpar::sim {
 
 using taskrt::kInvalidTask;
-using taskrt::SchedulerPolicy;
 using taskrt::TaskGraph;
 using taskrt::TaskId;
 
@@ -29,6 +28,16 @@ struct Completion {
 constexpr std::size_t kNumKinds = taskrt::kNumTaskKinds;
 
 }  // namespace
+
+const char* scheduler_policy_name(SchedulerPolicy policy) {
+  switch (policy) {
+    case SchedulerPolicy::kFifo:
+      return "fifo";
+    case SchedulerPolicy::kLocalityAware:
+      return "locality";
+  }
+  return "unknown";
+}
 
 Simulator::Simulator(SimOptions options) : options_(options) {
   if (options_.cores <= 0) options_.cores = options_.machine.cores;
@@ -117,8 +126,9 @@ SimResult Simulator::run(const TaskGraph& graph,
       return id;
     }
     // Steal from the longest sibling queue, but never its last entry —
-    // that one stays reserved for its (cache-hot) owner. Mirrors
-    // taskrt::Runtime.
+    // that one stays reserved for its (cache-hot) owner. taskrt::Runtime
+    // dropped this reservation (its thieves take any entry); the model
+    // keeps it so the modeled tables stay comparable (ROADMAP item 9).
     std::size_t victim = local_queues.size();
     std::size_t best_len = 1;
     for (std::size_t w = 0; w < local_queues.size(); ++w) {

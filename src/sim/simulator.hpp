@@ -3,10 +3,10 @@
 // This is the hardware substitution documented in DESIGN.md §4 — the
 // harness machine has a single physical core, so multi-core scalability
 // numbers are produced by replaying the *exact* task DAG (same dependency
-// edges, same scheduler policies as taskrt::Runtime) on a modeled
-// dual-socket Xeon (sim::MachineModel), with per-task costs either measured
-// from real single-core execution of the same task bodies or derived from
-// the roofline cost model.
+// edges; taskrt::Runtime's locality-aware policy or the paper's FIFO
+// baseline) on a modeled dual-socket Xeon (sim::MachineModel), with
+// per-task costs either measured from real single-core execution of the
+// same task bodies or derived from the roofline cost model.
 //
 // The simulator also produces the cache-behaviour proxies of the Fig. 7
 // study: per-socket L3 residency decides whether a consumer task finds its
@@ -25,9 +25,17 @@
 
 namespace bpar::sim {
 
+/// The two schedules of the paper's Fig. 7. kLocalityAware models
+/// taskrt::Runtime's one policy (see simulator.cpp for where the model
+/// differs); kFifo is the paper's breadth-first baseline: one global queue,
+/// no locality.
+enum class SchedulerPolicy { kFifo, kLocalityAware };
+
+[[nodiscard]] const char* scheduler_policy_name(SchedulerPolicy policy);
+
 struct SimOptions {
   MachineModel machine{};
-  taskrt::SchedulerPolicy policy = taskrt::SchedulerPolicy::kFifo;
+  SchedulerPolicy policy = SchedulerPolicy::kFifo;
   int cores = 0;  // 0 → machine.cores
   /// Record per-task (start, end, core) tuples — taskrt::make_trace_model
   /// turns them into an analysis model, which

@@ -1,7 +1,7 @@
-// Lock-free multi-producer/multi-consumer FIFO of TaskIds — the global
-// ready queue: breadth-first order for the kFifo policy, and the overflow
-// path (tasks with no locality preference, tasks published by the main
-// thread) for the locality-aware policy.
+// Lock-free multi-producer/multi-consumer FIFO of TaskIds — the runtime's
+// global ready queue: the graph's roots, which the calling thread
+// enqueues, and every ready task that does not go on the deque of the
+// worker that made it ready.
 //
 // Design: two monotonically increasing cursors (head_, tail_) index into a
 // virtual infinite array realized as fixed-size segments held in a ring
@@ -12,10 +12,11 @@
 // consumed exactly once, so no ABA handling is needed.
 //
 // Segments are reclaimed only at session boundaries (reclaim_consumed(),
-// called from Runtime::begin() when the queue is provably empty and no
-// worker can be dereferencing a segment), which keeps the hot path free of
-// any memory-reclamation protocol. The ring directory bounds the number of
-// *live* segments: ~16M tasks may be enqueued within one session, checked.
+// called at the quiescent start of Runtime::run(), when the queue is
+// provably empty and no worker can be dereferencing a segment), which
+// keeps the hot path free of any memory-reclamation protocol. The ring
+// directory bounds the number of *live* segments: ~16M tasks may be
+// enqueued within one session, checked.
 #pragma once
 
 #include <atomic>

@@ -17,16 +17,6 @@ using sync::mo_relaxed;
 using sync::mo_release;
 using sync::mo_seq_cst;
 
-const char* scheduler_policy_name(SchedulerPolicy policy) {
-  switch (policy) {
-    case SchedulerPolicy::kFifo:
-      return "fifo";
-    case SchedulerPolicy::kLocalityAware:
-      return "locality";
-  }
-  return "unknown";
-}
-
 double RunStats::parallel_efficiency() const {
   if (wall_ns == 0 || worker_busy_ns.empty()) return 0.0;
   return static_cast<double>(total_busy_ns()) /
@@ -55,8 +45,6 @@ Runtime::Runtime(RuntimeOptions options) : options_(std::move(options)) {
                      ? options_.num_workers
                      : static_cast<int>(std::thread::hardware_concurrency());
   if (num_workers_ <= 0) num_workers_ = 1;
-  steal_min_keep_ =
-      options_.policy == SchedulerPolicy::kLocalityAware ? 1 : 0;
   workers_ = std::make_unique<Worker[]>(static_cast<std::size_t>(num_workers_));
 
   // Intern every trace label up front; the hot path only loads these ids.
@@ -155,9 +143,17 @@ void Runtime::start_session(TaskGraph& graph) {
   // root is enqueued, workers run and decrement live counters concurrently
   // with this scan, and a task whose last predecessor finishes mid-scan
   // would otherwise be enqueued twice (once by the worker, once here).
+  // Roots are all pushed before one wake-up: the fence and the park-lot
+  // lock are paid once per run, not once per root.
+  std::size_t roots = 0;
   for (TaskId id = 0; id < n; ++id) {
-    if (graph.task(id).num_deps == 0) enqueue_ready(id, -1);
+    if (graph.task(id).num_deps == 0) {
+      ready_fifo_.enqueue(id);
+      ++roots;
+    }
   }
+  fifo_pushes_.fetch_add(roots, mo_relaxed);
+  if (roots > 0) notify_workers(/*all=*/roots > 1);
 }
 
 void Runtime::wait_drained(std::unique_lock<std::mutex>& lock) {
@@ -381,8 +377,7 @@ void Runtime::worker_loop(int worker_id) {
 void Runtime::execute_task(TaskId id, int worker_id) {
   TaskState& st = states_[id];
   Worker& self = workers_[worker_id];
-  if (options_.policy == SchedulerPolicy::kLocalityAware &&
-      st.preferred.load(mo_relaxed) == worker_id) {
+  if (st.preferred.load(mo_relaxed) == worker_id) {
     locality_hits_.fetch_add(1, mo_relaxed);
   }
   // Fault injection runs BEFORE the start sample (disabled injection costs
@@ -460,8 +455,7 @@ void Runtime::execute_task(TaskId id, int worker_id) {
   st.done.store(true, mo_relaxed);
   for (const TaskId succ : st.task->successors) {
     TaskState& succ_state = states_[succ];
-    if (options_.policy == SchedulerPolicy::kLocalityAware &&
-        succ_state.affinity == id) {
+    if (succ_state.affinity == id) {
       succ_state.preferred.store(worker_id, mo_relaxed);
     }
     BPAR_DCHECK(succ_state.pending.load(mo_relaxed) > 0);
@@ -493,7 +487,7 @@ TaskId Runtime::next_task(int worker_id) {
     for (int i = 1; i < num_workers_; ++i) {
       int victim = worker_id + i;
       if (victim >= num_workers_) victim -= num_workers_;
-      const TaskId id = workers_[victim].deque.steal(steal_min_keep_);
+      const TaskId id = workers_[victim].deque.steal();
       if (id != kInvalidTask) {
         steals_.fetch_add(1, mo_relaxed);
         if (obs::tracing_enabled()) {
@@ -515,7 +509,7 @@ TaskId Runtime::next_task(int worker_id) {
     // notifies) or we observe its enqueue in the re-check below.
     const std::uint64_t ticket = park_epoch_.load(mo_acquire);
     sleepers_.fetch_add(1, mo_seq_cst);
-    if (has_visible_work(worker_id) || shutdown_.load(mo_relaxed)) {
+    if (has_visible_work() || shutdown_.load(mo_relaxed)) {
       sleepers_.fetch_sub(1, mo_relaxed);
       continue;
     }
@@ -536,21 +530,16 @@ TaskId Runtime::next_task(int worker_id) {
   }
 }
 
-bool Runtime::has_visible_work(int worker_id) const {
+bool Runtime::has_visible_work() const {
   if (!ready_fifo_.empty_approx()) return true;
   for (int v = 0; v < num_workers_; ++v) {
-    // A sibling's reserved last entry is not stealable work; our own deque
-    // is checked without the reservation (we could pop it).
-    const int keep = v == worker_id ? 0 : steal_min_keep_;
-    if (workers_[v].deque.stealable(keep)) return true;
+    if (!workers_[v].deque.empty_approx()) return true;
   }
   return false;
 }
 
 void Runtime::enqueue_ready(TaskId id, int from_worker) {
-  if (options_.policy == SchedulerPolicy::kLocalityAware &&
-      from_worker >= 0 &&
-      states_[id].preferred.load(mo_relaxed) == from_worker) {
+  if (states_[id].preferred.load(mo_relaxed) == from_worker) {
     // Producer-consumer locality: the consumer joins the producing
     // worker's own deque (owner push), where LIFO pop runs it while its
     // input is still cache-hot.
@@ -563,14 +552,18 @@ void Runtime::enqueue_ready(TaskId id, int from_worker) {
   notify_workers();
 }
 
-void Runtime::notify_workers() {
+void Runtime::notify_workers(bool all) {
   std::atomic_thread_fence(std::memory_order_seq_cst);
   if (sleepers_.load(mo_relaxed) == 0) return;
   {
     const std::lock_guard<std::mutex> guard(park_mu_);
     park_epoch_.fetch_add(1, mo_release);
   }
-  park_cv_.notify_one();
+  if (all) {
+    park_cv_.notify_all();
+  } else {
+    park_cv_.notify_one();
+  }
 }
 
 }  // namespace bpar::taskrt

@@ -8,17 +8,16 @@
 // happens above the runtime — BParExecutor builds and caches one graph per
 // (length, rows) shape and runs the one that matches each call.
 //
-// Two scheduling policies (paper §IV-A):
-//  * kFifo — a single global FIFO ready queue ("breadth-first"), no
-//    locality: any idle worker takes the oldest ready task.
-//  * kLocalityAware — when a task completes, ready successors whose primary
-//    input was produced by that task are pushed onto the producing worker's
-//    own deque, so consumers run where their data is cache-hot; idle
-//    workers fall back to the global queue, then steal from the *cold* top
-//    end of sibling deques (never a deque's last entry — that one stays
-//    reserved for its cache-hot owner).
+// One scheduling policy, the paper's locality-aware one (§IV-A): when a
+// task completes, each successor it makes ready whose first input that
+// same worker produced goes on the worker's own deque, so the consumer
+// runs where its data is cache-hot. Every other ready task, and the
+// graph's roots, go on the global FIFO. Idle workers take from their own
+// deque, then the FIFO, then steal the *cold* top end of sibling deques,
+// down to and including a deque's last entry. Every topological order is
+// a valid run, so the policy changes time, never results.
 //
-// The dispatch hot path is lock-free (see DESIGN.md §task-runtime):
+// The dispatch hot path is lock-free (see DESIGN.md §5b):
 // per-worker Chase-Lev deques (owner pushes/pops bottom, thieves steal
 // top), a lock-free segmented MPMC FIFO for the global queue, atomic
 // per-task dependency counters, and an atomic executed counter that run()
@@ -49,13 +48,8 @@
 
 namespace bpar::taskrt {
 
-enum class SchedulerPolicy { kFifo, kLocalityAware };
-
-[[nodiscard]] const char* scheduler_policy_name(SchedulerPolicy policy);
-
 struct RuntimeOptions {
   int num_workers = 0;  // 0 → hardware_concurrency()
-  SchedulerPolicy policy = SchedulerPolicy::kLocalityAware;
   bool record_trace = false;  // keep per-task (start, end, worker) tuples
   /// Watchdog deadline: if no task completes for this long while the graph
   /// is undrained, run() throws WatchdogError carrying a scheduler-state
@@ -176,15 +170,17 @@ class Runtime {
   /// steal sweep; parks after repeated failures. kInvalidTask ⇒ shutdown.
   TaskId next_task(int worker_id);
   void execute_task(TaskId id, int worker_id);
-  /// Routes a ready task: producer's own deque when the locality hint says
-  /// so (`from_worker` is the enqueuing worker, -1 for the main thread),
-  /// else the global FIFO. Wakes a parked worker if any.
+  /// Routes a task that `from_worker` just made ready: that worker's own
+  /// deque when it also ran the task's first-input producer, else the
+  /// global FIFO. Wakes a parked worker if any.
   void enqueue_ready(TaskId id, int from_worker);
   /// Resets the session counters and every task's state for `graph`, then
-  /// enqueues its roots. Caller holds mu_; every worker is idle.
+  /// enqueues its roots on the FIFO and wakes parked workers once. Caller
+  /// holds mu_; every worker is idle.
   void start_session(TaskGraph& graph);
-  void notify_workers();
-  [[nodiscard]] bool has_visible_work(int worker_id) const;
+  /// Wakes one parked worker, or with `all` every parked worker, if any.
+  void notify_workers(bool all = false);
+  [[nodiscard]] bool has_visible_work() const;
   std::uint64_t now_ns() const;
   /// Blocks until executed == the session's task count. With a watchdog
   /// configured, fires on no-progress deadlines: captures diagnostics,
@@ -197,7 +193,6 @@ class Runtime {
 
   RuntimeOptions options_;
   int num_workers_;
-  int steal_min_keep_;  // 1 under kLocalityAware (reserve the hot entry)
   std::unique_ptr<FaultInjector> fault_injector_;  // null when disabled
 
   // Pre-interned obs trace name ids (resolved once at construction so the

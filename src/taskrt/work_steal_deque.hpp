@@ -75,14 +75,13 @@ class WorkStealingDeque {
   }
 
   /// Thief: takes the *oldest* task, or kInvalidTask when the deque is
-  /// empty, the CAS raced, or fewer than `min_keep + 1` entries remain.
-  /// `min_keep = 1` implements the locality reservation: the last entry is
-  /// left for its cache-hot owner.
-  TaskId steal(int min_keep) {
+  /// empty or the CAS raced. The last entry is stealable too; a thief and
+  /// the owner's pop() race for it on top_.
+  TaskId steal() {
     std::int64_t t = top_.load(sync::mo_acquire);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     const std::int64_t b = bottom_.load(sync::mo_acquire);
-    if (b - t < min_keep + 1) return kInvalidTask;
+    if (t >= b) return kInvalidTask;
     Array* a = array_.load(sync::mo_acquire);
     const TaskId id = a->get(t);
     if (!top_.compare_exchange_strong(t, t + 1, sync::mo_seq_cst,
@@ -90,12 +89,6 @@ class WorkStealingDeque {
       return kInvalidTask;
     }
     return id;
-  }
-
-  /// Approximate: whether a thief passing `min_keep` could take something.
-  [[nodiscard]] bool stealable(int min_keep) const {
-    return bottom_.load(sync::mo_relaxed) - top_.load(sync::mo_relaxed) >=
-           min_keep + 1;
   }
 
   [[nodiscard]] bool empty_approx() const {

@@ -121,17 +121,9 @@ TEST_P(ExecutorEquivalence, AllExecutorsMatchSequential) {
     return std::make_unique<BParExecutor>(
         n, exec::BParOptions{.common = {.num_workers = 1}});
   });
-  add("bpar_w4_fifo", [](rnn::Network& n) {
+  add("bpar_w4", [](rnn::Network& n) {
     return std::make_unique<BParExecutor>(
-        n, exec::BParOptions{
-               .common = {.num_workers = 4,
-                          .policy = taskrt::SchedulerPolicy::kFifo}});
-  });
-  add("bpar_w4_locality", [](rnn::Network& n) {
-    return std::make_unique<BParExecutor>(
-        n, exec::BParOptions{
-               .common = {.num_workers = 4,
-                          .policy = taskrt::SchedulerPolicy::kLocalityAware}});
+        n, exec::BParOptions{.common = {.num_workers = 4}});
   });
   if (cfg.batch_size >= 4) {
     add("bpar_w4_mbs4", [](rnn::Network& n) {

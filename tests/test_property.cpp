@@ -1,11 +1,10 @@
 // Property-based (randomized) tests over the task runtime and simulator:
 // for fuzzed dependency graphs,
 //  * the threaded runtime must never execute a task before a predecessor
-//    (checked with logical completion clocks),
+//    (checked with logical completion clocks), and must run every task,
 //  * the simulator's makespan must respect lower bounds (critical-path
-//    cost, total-work/cores) and the serial upper bound,
-//  * both scheduler policies and the simulator must execute exactly the
-//    same task set.
+//    cost, total-work/cores) and the serial upper bound under both of its
+//    scheduler policies.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -81,16 +80,12 @@ class FuzzedGraphs
 
 TEST_P(FuzzedGraphs, RuntimeNeverViolatesDependencies) {
   const auto [seed, workers] = GetParam();
-  for (const auto policy :
-       {SchedulerPolicy::kFifo, SchedulerPolicy::kLocalityAware}) {
-    FuzzRun fuzz(120, 10, seed);
-    Runtime rt({.num_workers = workers, .policy = policy});
-    const RunStats stats = rt.run(fuzz.fg->graph);
-    EXPECT_EQ(stats.tasks_executed, 120U);
-    EXPECT_FALSE(fuzz.violation.load())
-        << "policy " << scheduler_policy_name(policy);
-    for (const auto& d : fuzz.done) EXPECT_GT(d.load(), 0);
-  }
+  FuzzRun fuzz(120, 10, seed);
+  Runtime rt({.num_workers = workers});
+  const RunStats stats = rt.run(fuzz.fg->graph);
+  EXPECT_EQ(stats.tasks_executed, 120U);
+  EXPECT_FALSE(fuzz.violation.load());
+  for (const auto& d : fuzz.done) EXPECT_GT(d.load(), 0);
 }
 
 TEST_P(FuzzedGraphs, SimulatorMakespanRespectsBounds) {
@@ -106,8 +101,8 @@ TEST_P(FuzzedGraphs, SimulatorMakespanRespectsBounds) {
   }
   const std::uint64_t critical = g.critical_path_cost(costs);
 
-  for (const auto policy :
-       {SchedulerPolicy::kFifo, SchedulerPolicy::kLocalityAware}) {
+  for (const auto policy : {sim::SchedulerPolicy::kFifo,
+                            sim::SchedulerPolicy::kLocalityAware}) {
     sim::MachineModel ideal;
     ideal.dispatch_overhead_ns = 0.0;
     ideal.numa_remote_penalty = 1.0;
@@ -147,7 +142,7 @@ TEST(SimulatorProperty, MoreCoresNeverHurtIdealMachines) {
   double prev = 1e300;
   for (const int cores : {1, 2, 4, 8, 16, 32}) {
     sim::Simulator simulator({.machine = ideal,
-                              .policy = SchedulerPolicy::kFifo,
+                              .policy = sim::SchedulerPolicy::kFifo,
                               .cores = cores});
     const double ms = simulator.run(fuzz.fg->graph, costs).makespan_ms;
     EXPECT_LE(ms, prev * 1.0001) << cores << " cores";

@@ -13,7 +13,6 @@ namespace {
 using taskrt::in;
 using taskrt::inout;
 using taskrt::out;
-using taskrt::SchedulerPolicy;
 using taskrt::TaskGraph;
 
 MachineModel ideal_machine() {

@@ -1,19 +1,93 @@
 // Task runtime tests: OpenMP/OmpSs dependency semantics (RAW, WAR, WAW),
-// graph introspection, threaded execution correctness under both scheduler
-// policies, stress tests, and exception propagation.
+// graph introspection, the work-stealing deque's last-entry race, threaded
+// execution correctness at 1-16 workers, locality placement decided by
+// explicit handshakes, stress tests, and exception propagation.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "taskrt/runtime.hpp"
 #include "taskrt/task_graph.hpp"
+#include "taskrt/work_steal_deque.hpp"
 #include "util/rng.hpp"
 
 namespace bpar::taskrt {
 namespace {
+
+// Waits for a flag another task sets. Tests whose outcome must follow
+// from synchronisation, not timing, share one deadline across their waits,
+// so a scheduler bug fails the test in seconds instead of hanging it.
+bool await(const std::atomic<bool>& flag,
+           std::chrono::steady_clock::time_point deadline) {
+  while (!flag.load()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+std::chrono::steady_clock::time_point in_10s() {
+  return std::chrono::steady_clock::now() + std::chrono::seconds(10);
+}
+
+TEST(WorkStealingDeque, ThiefTakesTheOnlyEntry) {
+  WorkStealingDeque deque;
+  deque.push(7);
+  EXPECT_EQ(deque.steal(), 7U);
+  EXPECT_EQ(deque.pop(), kInvalidTask);
+  EXPECT_EQ(deque.steal(), kInvalidTask);
+  EXPECT_TRUE(deque.empty_approx());
+  // Two entries: the thief takes the oldest, the owner the newest.
+  deque.push(1);
+  deque.push(2);
+  EXPECT_EQ(deque.steal(), 1U);
+  EXPECT_EQ(deque.pop(), 2U);
+}
+
+// 100k rounds of a race for a one-element deque: the owner pushes id i,
+// opens round i, and pops, while the thief, released by the same round,
+// steals. pop()'s last-entry CAS and steal()'s meet head on; each id
+// must be taken exactly once. The owner waits for the thief to finish a
+// round before pushing the next id.
+TEST(WorkStealingDeque, OwnerAndThiefRaceForTheLastEntry) {
+  constexpr TaskId kRounds = 100000;
+  WorkStealingDeque deque;
+  std::vector<std::uint8_t> owner_took(kRounds, 0);
+  std::vector<std::uint8_t> thief_took(kRounds, 0);
+  std::atomic<TaskId> opened{0};  // rounds the owner has started
+  std::atomic<TaskId> closed{0};  // rounds the thief has finished
+  std::thread thief([&] {
+    for (TaskId i = 0; i < kRounds; ++i) {
+      for (int spins = 0; opened.load(std::memory_order_acquire) <= i;) {
+        sync::spin_pause(spins++);
+      }
+      const TaskId id = deque.steal();
+      if (id != kInvalidTask) ++thief_took[id];
+      closed.store(i + 1, std::memory_order_release);
+    }
+  });
+  for (TaskId i = 0; i < kRounds; ++i) {
+    deque.push(i);
+    opened.store(i + 1, std::memory_order_release);
+    // A delay that cycles through 0-15 pause hints sweeps the pop across
+    // the thief's wake-up latency, so either side may come first.
+    for (TaskId k = 0; k < i % 16; ++k) sync::spin_pause(0);
+    const TaskId id = deque.pop();
+    if (id != kInvalidTask) ++owner_took[id];
+    for (int spins = 0; closed.load(std::memory_order_acquire) <= i;) {
+      sync::spin_pause(spins++);
+    }
+  }
+  thief.join();
+  for (TaskId i = 0; i < kRounds; ++i) {
+    ASSERT_EQ(owner_took[i] + thief_took[i], 1) << "id " << i;
+  }
+}
 
 TEST(TaskGraph, RawDependency) {
   TaskGraph g;
@@ -120,12 +194,10 @@ TEST(TaskGraph, CriticalPathWithCosts) {
   EXPECT_EQ(g.critical_path_cost(costs), 105U);
 }
 
-class RuntimePolicies
-    : public ::testing::TestWithParam<std::tuple<SchedulerPolicy, int>> {};
+class RuntimeWorkers : public ::testing::TestWithParam<int> {};
 
-TEST_P(RuntimePolicies, ChainExecutesInOrder) {
-  const auto [policy, workers] = GetParam();
-  Runtime rt({.num_workers = workers, .policy = policy});
+TEST_P(RuntimeWorkers, ChainExecutesInOrder) {
+  Runtime rt({.num_workers = GetParam()});
   TaskGraph g;
   std::vector<int> order;
   int x = 0;
@@ -139,9 +211,8 @@ TEST_P(RuntimePolicies, ChainExecutesInOrder) {
   EXPECT_EQ(order, expected);  // chain is fully serialized → no race
 }
 
-TEST_P(RuntimePolicies, DiamondRespectsDependencies) {
-  const auto [policy, workers] = GetParam();
-  Runtime rt({.num_workers = workers, .policy = policy});
+TEST_P(RuntimeWorkers, DiamondRespectsDependencies) {
+  Runtime rt({.num_workers = GetParam()});
   TaskGraph g;
   int a = 0;
   int b = 0;
@@ -165,9 +236,8 @@ TEST_P(RuntimePolicies, DiamondRespectsDependencies) {
   EXPECT_TRUE(join_ok.load());
 }
 
-TEST_P(RuntimePolicies, StressManySmallTasks) {
-  const auto [policy, workers] = GetParam();
-  Runtime rt({.num_workers = workers, .policy = policy});
+TEST_P(RuntimeWorkers, StressManySmallTasks) {
+  Runtime rt({.num_workers = GetParam()});
   TaskGraph g;
   // 40 independent accumulation chains of 25 tasks each.
   constexpr int kChains = 40;
@@ -184,9 +254,8 @@ TEST_P(RuntimePolicies, StressManySmallTasks) {
   for (const auto sum : sums) EXPECT_EQ(sum, kLinks * (kLinks - 1) / 2);
 }
 
-TEST_P(RuntimePolicies, RunIsRepeatable) {
-  const auto [policy, workers] = GetParam();
-  Runtime rt({.num_workers = workers, .policy = policy});
+TEST_P(RuntimeWorkers, RunIsRepeatable) {
+  Runtime rt({.num_workers = GetParam()});
   TaskGraph g;
   int counter = 0;
   for (int i = 0; i < 10; ++i) {
@@ -197,16 +266,11 @@ TEST_P(RuntimePolicies, RunIsRepeatable) {
   EXPECT_EQ(counter, 20);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Policies, RuntimePolicies,
-    ::testing::Combine(::testing::Values(SchedulerPolicy::kFifo,
-                                         SchedulerPolicy::kLocalityAware),
-                       ::testing::Values(1, 2, 4, 8)),
-    [](const auto& param_info) {
-      const SchedulerPolicy policy = std::get<0>(param_info.param);
-      return std::string(scheduler_policy_name(policy)) + "_w" +
-             std::to_string(std::get<1>(param_info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Workers, RuntimeWorkers,
+                         ::testing::Values(1, 2, 4, 8),
+                         [](const auto& param_info) {
+                           return "w" + std::to_string(param_info.param);
+                         });
 
 TEST(Runtime, ExceptionPropagates) {
   Runtime rt({.num_workers = 2});
@@ -256,16 +320,40 @@ TEST(Runtime, TraceRecordsWorkerAndTimes) {
   EXPECT_GE(stats.trace[1].start_ns, stats.trace[0].end_ns);
 }
 
+// Every link of a chain is a locality hit when nothing can take it from
+// its producer: on 1 worker trivially, and on 2 workers when the second
+// worker sits in a blocker task from before the chain's first link until
+// its last.
 TEST(Runtime, LocalityPolicyReportsAffinityStats) {
-  Runtime rt({.num_workers = 2, .policy = SchedulerPolicy::kLocalityAware});
+  {
+    Runtime rt({.num_workers = 1});
+    TaskGraph g;
+    int x = 0;
+    g.add([] {}, {out(&x)});
+    for (int i = 0; i < 10; ++i) g.add([] {}, {inout(&x)});
+    const RunStats stats = rt.run(g);
+    EXPECT_EQ(stats.tasks_with_affinity, 10U);
+    EXPECT_EQ(stats.locality_hits, stats.tasks_with_affinity);
+  }
+  Runtime rt({.num_workers = 2});
   TaskGraph g;
+  const auto deadline = in_10s();
+  std::atomic<bool> blocker_running{false};
+  std::atomic<bool> chain_done{false};
+  g.add(
+      [&] {
+        blocker_running = true;
+        EXPECT_TRUE(await(chain_done, deadline));
+      },
+      {});
   int x = 0;
-  g.add([] {}, {out(&x)});
-  for (int i = 0; i < 10; ++i) g.add([] {}, {inout(&x)});
+  g.add([&] { EXPECT_TRUE(await(blocker_running, deadline)); }, {out(&x)});
+  for (int i = 0; i < 9; ++i) g.add([] {}, {inout(&x)});
+  g.add([&] { chain_done = true; }, {inout(&x)});
   const RunStats stats = rt.run(g);
   EXPECT_EQ(stats.tasks_with_affinity, 10U);
-  // A pure chain scheduled locality-aware should mostly stay on one worker.
-  EXPECT_GE(stats.locality_hits, 5U);
+  EXPECT_EQ(stats.locality_hits, 10U);
+  EXPECT_EQ(stats.steals, 0U);
 }
 
 TEST(TaskGraph, SealKeepsGraphExecutable) {
@@ -295,7 +383,7 @@ class RuntimeStress : public ::testing::TestWithParam<int> {};
 // missed execution is caught exactly.
 TEST_P(RuntimeStress, WideDiamondExecutesEveryTaskOnce) {
   const int workers = GetParam();
-  Runtime rt({.num_workers = workers, .policy = SchedulerPolicy::kLocalityAware});
+  Runtime rt({.num_workers = workers});
   constexpr int kLayers = 26;
   constexpr int kWidth = 400;
   constexpr int kTotal = kLayers * (kWidth + 1);  // 10426 tasks
@@ -354,9 +442,7 @@ TEST(Runtime, StressExceptionPropagatesOutOfRun) {
 // far: a small graph after a large one must reuse the array without
 // leaking the large run's counters or stats into its own.
 TEST(Runtime, StateArrayGrowsAcrossGraphSizes) {
-  Runtime rt({.num_workers = 4,
-              .policy = SchedulerPolicy::kLocalityAware,
-              .record_trace = true});
+  Runtime rt({.num_workers = 4, .record_trace = true});
   struct Sized {
     TaskGraph graph;
     std::vector<std::atomic<int>> hits;
@@ -389,39 +475,51 @@ TEST(Runtime, StateArrayGrowsAcrossGraphSizes) {
   }
 }
 
-// Satellite regression: a thief stealing from a victim's deque must take the
-// cold (oldest) end, so the victim's freshly-pushed chain successor — the
-// cache-hot task — stays local. Two workers, one 120-link inout chain plus
-// independent filler the second worker can chew on: the chain should stay on
-// its producer's worker almost every hop even with an active thief around.
+// A thief takes the cold top of a victim's deque, never the hot entry
+// below it, and it may take a deque's last entry. Each link of a 2-worker
+// chain also feeds a cold task, made ready just before the next link, so
+// the cold task sits above that link on the producer's deque. The next
+// link waits until the cold task has started, and the cold task waits
+// until the next link has started: they must run at once, so the idle
+// worker has to steal every cold task (often as the deque's only entry,
+// once the owner has popped the link) while every link stays on the
+// root's worker.
 TEST(Runtime, LocalityHitsSurviveActiveThief) {
-  Runtime rt({.num_workers = 2, .policy = SchedulerPolicy::kLocalityAware});
+  constexpr std::size_t kChain = 64;
+  Runtime rt({.num_workers = 2, .record_trace = true});
   TaskGraph g;
+  const auto deadline = in_10s();
+  std::vector<std::atomic<bool>> link_started(kChain + 1);
+  std::vector<std::atomic<bool>> cold_started(kChain);
+  std::vector<int> cold(kChain);
   int x = 0;
-  g.add([] {}, {out(&x)});
-  constexpr std::size_t kChain = 120;
-  for (std::size_t i = 0; i < kChain; ++i) {
-    g.add(
-        [] {
-          volatile int spin = 0;
-          for (int j = 0; j < 400; ++j) spin = spin + j;
+  std::vector<TaskId> links;
+  std::vector<TaskId> colds;
+  for (std::size_t i = 0; i <= kChain; ++i) {
+    std::vector<Access> accesses = {i == 0 ? out(&x) : inout(&x)};
+    if (i < kChain) accesses.push_back(out(&cold[i]));
+    links.push_back(g.add(
+        [&, i] {
+          link_started[i] = true;
+          EXPECT_TRUE(i == 0 || await(cold_started[i - 1], deadline));
         },
-        {inout(&x)});
-  }
-  std::vector<int> filler(256);
-  for (auto& f : filler) {
-    g.add(
-        [] {
-          volatile int spin = 0;
-          for (int j = 0; j < 400; ++j) spin = spin + j;
-        },
-        {out(&f)});
+        accesses));
+    if (i < kChain) {
+      colds.push_back(g.add(
+          [&, i] {
+            cold_started[i] = true;
+            EXPECT_TRUE(await(link_started[i + 1], deadline));
+          },
+          {in(&cold[i])}));
+    }
   }
   const RunStats stats = rt.run(g);
-  EXPECT_EQ(stats.tasks_with_affinity, kChain);
-  // Steal-from-top plus the owner's min-keep reservation should keep nearly
-  // the whole chain local; the old steal-from-front code collapses this.
-  EXPECT_GE(stats.locality_hits, kChain * 9 / 10);
+  EXPECT_EQ(stats.tasks_with_affinity, 2 * kChain);
+  EXPECT_EQ(stats.locality_hits, kChain);  // every link, no cold task
+  EXPECT_EQ(stats.steals, kChain);         // every cold task, nothing else
+  const std::int32_t owner = stats.trace[links[0]].worker;
+  for (const TaskId id : links) EXPECT_EQ(stats.trace[id].worker, owner);
+  for (const TaskId id : colds) EXPECT_NE(stats.trace[id].worker, owner);
 }
 
 TEST(Runtime, IndependentTasksCreateNoEdgesOrAliases) {

@@ -17,9 +17,8 @@
 // Per training step it writes the loss (double) and the gradients (float,
 // [dir][layer] dW, db, then dW_out, db_out); per inference the loss
 // (double), the logits (float) and the predictions (int32). Inputs, labels
-// and weights are fixed by seeds, and the runtime always uses the
-// locality-aware policy, so the output depends only on the build, the
-// kernel backend (BPAR_KERNEL_BACKEND) and, if B-Par is wrong, on the
+// and weights are fixed by seeds, so the output depends only on the build,
+// the kernel backend (BPAR_KERNEL_BACKEND) and, if B-Par is wrong, on the
 // worker count. It uses only long-standing executor APIs, so the same
 // source also builds against earlier revisions for A/B comparisons.
 #include <cstdint>
@@ -96,7 +95,6 @@ BParOptions options(int workers, int replicas) {
   BParOptions o;
   o.common.num_workers = workers;
   o.common.num_replicas = replicas;
-  o.common.policy = bpar::taskrt::SchedulerPolicy::kLocalityAware;
   return o;
 }
 
